@@ -13,6 +13,13 @@ independent cross-check on coarse grids. The time stepper is IMEX
 (explicit transport under a CFL bound, implicit diffusion) and shares the
 transport stencil with the stationary path, so its long-time limit is the
 stationary fixed point.
+
+Every interior station has the same v-tridiagonal (its diagonal does not
+depend on x), so each solve LU-factors it once, plus the half-size block
+of station 0, and a station solve is one triangular back-substitution.
+The stationary boundary data are evaluated once before the first sweep;
+the IMEX step re-evaluates them at each new time level and diffuses all
+full stations in one multi-right-hand-side solve.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse import lil_matrix, csr_matrix
 from scipy.sparse.linalg import spsolve
 
@@ -153,8 +160,7 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return s * np.minimum(np.abs(a), np.abs(b))
 
 
-def _transport_correction(f: np.ndarray, vs: np.ndarray, hx: float,
-                          specular_left: bool = False) -> np.ndarray:
+def _transport_correction(f: np.ndarray, vs: np.ndarray, hx: float) -> np.ndarray:
     """Deferred correction lifting first-order upwind to limited second
     order: corr[i, j] such that v df/dx ~ v (f_i - f_upwind)/hx + corr.
 
@@ -162,10 +168,8 @@ def _transport_correction(f: np.ndarray, vs: np.ndarray, hx: float,
     x-derivative kink at the wall (the extended source is discontinuous),
     so no smooth-across-the-wall stencil is used: station 0 (v<0 rows)
     gets a one-sided second-order correction and the wall-adjacent faces
-    fall back to centered differences. specular_left is accepted for
-    interface compatibility; the treatment is the same one-sided one.
+    fall back to centered differences, whatever the condition at x = 0.
     """
-    del specular_left
     nxp1, nv = f.shape
     corr = np.zeros_like(f)
     pos = vs > 0
@@ -194,73 +198,74 @@ def _transport_correction(f: np.ndarray, vs: np.ndarray, hx: float,
     return corr
 
 
-def _wall_values(bc: BoundaryCondition, t: float, x: float, grid: HalfStripGrid):
-    vs = grid.vs
-    if bc.at_vmax == "noflux" or bc.at_vmax is None:
-        return None, None
-    return bc.at_vmax(t, x, vs[0]), bc.at_vmax(t, x, vs[-1])
+def _finite(values, what: str) -> np.ndarray:
+    """values as a float array; ValueError if any entry is NaN or inf."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} contains non-finite values")
+    return arr
 
 
-def _station_solve(rhs_row, vs, hx, hv, A, upwind_known, wall, noflux,
-                   mode: str = "full", inflow_row=None):
-    """Solve the tridiagonal v-system at one x-station.
-
-    rhs_row already contains source and deferred corrections;
-    upwind_known[j] is the transported neighbor value.
-    mode 'full': all nv rows are unknowns (interior stations).
-    mode 'fold': reflection station; solve the v<0 block with the mirror
-    fold at the v = 0 face, then mirror onto the v>0 rows.
-    mode 'lower': solve only the v<0 block, with the prescribed inflow
-    row values (inflow_row) entering through the diffusion coupling.
-    """
-    nv = len(vs)
-    k = A / hv ** 2
-    if mode in ("fold", "lower"):
-        m = nv // 2
-        idx = np.arange(m)
-        diag = np.abs(vs[idx]) / hx + 2.0 * k
-        ab = np.zeros((3, m))
-        ab[0, 1:] = -k
-        ab[2, :-1] = -k
-        rhs = rhs_row[idx] + np.abs(vs[idx]) / hx * upwind_known[idx]
-        if mode == "fold":
-            diag[m - 1] -= k        # mirror fold: u_m = u_{m-1}
-        else:
-            rhs[m - 1] += k * inflow_row[m]
-        if noflux:
-            diag[0] -= k
-        else:
-            diag[0] = 1.0
-            ab[0, 1] = 0.0
-            rhs[0] = wall[0]
-        ab[1, :] = diag
-        sol = solve_banded((1, 1), ab, rhs)
-        out = np.empty(nv)
-        out[:m] = sol
-        out[m:] = sol[::-1] if mode == "fold" else inflow_row[m:]
-        return out
-    diag = np.abs(vs) / hx + 2.0 * k
-    ab = np.zeros((3, nv))
-    ab[0, 1:] = -k
-    ab[2, :-1] = -k
-    rhs = rhs_row + np.abs(vs) / hx * upwind_known
-    if noflux:
-        diag[0] -= k
-        diag[-1] -= k
+def _source_array(h, grid: HalfStripGrid) -> np.ndarray:
+    """The source on the grid: h is None (zero), a callable h(x, v), or an
+    (nx+1, nv) array."""
+    shape = (grid.nx + 1, grid.nv)
+    if h is None:
+        return np.zeros(shape)
+    if callable(h):
+        H = np.array([[h(x, v) for v in grid.vs] for x in grid.xs])
     else:
-        diag[0] = diag[-1] = 1.0
-        ab[0, 1] = ab[2, -2] = 0.0
-        rhs[0], rhs[-1] = wall
-    ab[1, :] = diag
-    return solve_banded((1, 1), ab, rhs)
+        H = np.asarray(h, dtype=float)
+    if H.shape != shape:
+        raise ValueError(f"source array has wrong shape {H.shape} != {shape}")
+    return _finite(H, "source")
+
+
+def _wall_columns(bc: BoundaryCondition, t: float, grid: HalfStripGrid) -> np.ndarray:
+    """at_vmax data on the rows v_0 and v_{nv-1} at every station, (nx+1, 2)."""
+    lo, hi = grid.vs[0], grid.vs[-1]
+    return _finite([(bc.at_vmax(t, x, lo), bc.at_vmax(t, x, hi)) for x in grid.xs],
+                   "at_vmax data")
+
+
+def _station_factor(diag_base: np.ndarray, c: float, noflux: bool, top: str):
+    """dgttrf factors of one station's v-tridiagonal: diagonal
+    diag_base + 2c, off-diagonals -c.
+
+    Row 0 is the v = -v_max wall: a no-flux ghost or a Dirichlet row.
+    top picks the last row: 'wall' (the v = v_max wall, treated like row 0),
+    'fold' (the mirror fold u_m = u_{m-1} at the v = 0 face) or 'open'
+    (the coupling to prescribed rows beyond it goes to the right-hand side).
+    """
+    d = diag_base + 2.0 * c
+    dl = np.full(len(d) - 1, -c)
+    du = np.full(len(d) - 1, -c)
+    if top == "fold":
+        d[-1] -= c
+    if noflux:
+        d[0] -= c
+        if top == "wall":
+            d[-1] -= c
+    else:
+        d[0] = 1.0
+        du[0] = 0.0
+        if top == "wall":
+            d[-1] = 1.0
+            dl[-1] = 0.0
+    *factors, info = dgttrf(dl, d, du)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular station matrix")
+    return factors
 
 
 def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
                      opts: SolverOptions = SolverOptions()) -> Field:
     """Solve v f_x - A f_vv = h on the strip with the given boundary data.
 
-    h may be an (nx+1, nv) array or a callable h(x, v). Raises SolverError
-    with the residual history on non-convergence.
+    h may be an (nx+1, nv) array, a callable h(x, v) or None (zero
+    source), as in solve_timedep. Raises ValueError
+    on non-finite source or boundary data, and SolverError with the
+    residual history on non-convergence.
     """
     if A <= 0:
         raise ValueError("diffusion A must be positive")
@@ -268,67 +273,69 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
         raise ValueError("periodic runs are time-dependent only")
     if bc.at_xmax is None:
         raise ValueError("stationary solve needs Dirichlet data at x_max")
-    xs, vs = grid.xs, grid.vs
-    hx, hv = grid.hx, grid.hv
-    nxp1, nv = grid.nx + 1, grid.nv
-    m = nv // 2
-    if callable(h):
-        H = np.array([[h(x, v) for v in vs] for x in xs])
-    else:
-        H = np.asarray(h, dtype=float)
-        if H.shape != (nxp1, nv):
-            raise ValueError("source array has wrong shape")
-
+    H = _source_array(h, grid)
     if opts.method == "direct":
         return _solve_direct(H, bc, A, grid)
 
+    vs, hx = grid.vs, grid.hx
+    nxp1, nv = grid.nx + 1, grid.nv
+    m = nv // 2
+    k = A / grid.hv ** 2
     noflux = bc.at_vmax == "noflux" or bc.at_vmax is None
+    a = np.abs(vs) / hx
+    apos = np.where(vs > 0, a, 0.0)
+    aneg = np.where(vs < 0, a, 0.0)
+    interior = _station_factor(a, k, noflux, "wall")
+
+    # boundary data enter at t = 0 only: evaluate them once
     f = np.zeros((nxp1, nv))
-    f[-1, :] = [bc.at_xmax(0.0, v) for v in vs]
-    if not noflux:
-        for i, x in enumerate(xs):
-            f[i, 0] = bc.at_vmax(0.0, x, vs[0])
-            f[i, -1] = bc.at_vmax(0.0, x, vs[-1])
-
-    pos = vs > 0
-    history = []
+    f[-1, :] = _finite([bc.at_xmax(0.0, v) for v in vs], "at_xmax data")
+    walls = None if noflux else _wall_columns(bc, 0.0, grid)
+    if walls is not None:
+        f[:, [0, -1]] = walls
+        # wall rows are Dirichlet rows: their right-hand side is the wall value
+        apos[[0, -1]] = aneg[[0, -1]] = 0.0
     if bc.at_x0 == "dirichlet":
-        f[0, :] = [bc.inflow_profile(0.0, v) for v in vs]
+        f[0, :] = _finite([bc.inflow_profile(0.0, v) for v in vs], "inflow data")
+    elif bc.at_x0 == "inflow":  # v>0 rows prescribed, v<0 block solved one-sided
+        g = _finite([bc.inflow_profile(0.0, v) for v in vs[m:]], "inflow data")
+        station0 = _station_factor(a[:m], k, noflux, "open")
+        inflow_coupling = k * g[0]
+        if walls is not None:
+            g[-1] = walls[0, 1]
+    else:
+        station0 = _station_factor(a[:m], k, noflux, "fold")
 
+    history = []
     for sweep in range(opts.max_iter):
         f_old = f.copy()
-        if opts.order == 2:
-            corr = _transport_correction(f, vs, hx, specular_left=(bc.at_x0 == "specular"))
-        else:
-            corr = np.zeros_like(f)
+        R = H - _transport_correction(f, vs, hx) if opts.order == 2 else H.copy()
+        if walls is not None:
+            R[:, [0, -1]] = walls
 
-        # station 0
-        wall0 = _wall_values(bc, 0.0, xs[0], grid)
-        if bc.at_x0 == "specular":
-            f[0, :] = _station_solve(H[0] - corr[0], vs, hx, hv, A, f[1], wall0,
-                                     noflux, mode="fold")
-        elif bc.at_x0 == "inflow":  # v>0 rows prescribed, v<0 block solved one-sided
-            g = np.array([bc.inflow_profile(0.0, v) if v > 0 else 0.0 for v in vs])
-            f[0, :] = _station_solve(H[0] - corr[0], vs, hx, hv, A, f[1], wall0,
-                                     noflux, mode="lower", inflow_row=g)
-            if not noflux:
-                f[0, 0] = wall0[0]
-                f[0, -1] = wall0[1]
+        if bc.at_x0 != "dirichlet":
+            rhs = R[0, :m] + aneg[:m] * f[1, :m]
+            if bc.at_x0 == "inflow":
+                rhs[m - 1] += inflow_coupling
+            f[0, :m] = dgttrs(*station0, rhs, overwrite_b=1)[0]
+            if bc.at_x0 == "specular":
+                f[0, m:] = f[0, m - 1::-1]
+            else:
+                f[0, m:] = g
+                if walls is not None:  # pivoting may perturb the wall row
+                    f[0, 0] = walls[0, 0]
 
-        # forward sweep: v > 0 rows get fresh upstream values
-        for i in range(1, nxp1 - 1):
-            wall = _wall_values(bc, 0.0, xs[i], grid)
-            upw = np.where(pos, f[i - 1], f[i + 1])
-            f[i, :] = _station_solve(H[i] - corr[i], vs, hx, hv, A, upw, wall, noflux)
-        # backward sweep: v < 0 rows get fresh downstream values
-        for i in range(nxp1 - 2, 0, -1):
-            wall = _wall_values(bc, 0.0, xs[i], grid)
-            upw = np.where(pos, f[i - 1], f[i + 1])
-            f[i, :] = _station_solve(H[i] - corr[i], vs, hx, hv, A, upw, wall, noflux)
+        # forward sweep (v > 0 rows get fresh upstream values), then
+        # backward sweep (v < 0 rows get fresh downstream values)
+        for i in (*range(1, nxp1 - 1), *range(nxp1 - 2, 0, -1)):
+            rhs = R[i] + apos * f[i - 1] + aneg * f[i + 1]
+            f[i, :] = dgttrs(*interior, rhs, overwrite_b=1)[0]
 
         delta = float(np.max(np.abs(f - f_old)))
         scale = max(1.0, float(np.max(np.abs(f))))
         history.append(delta / scale)
+        if not np.isfinite(delta):
+            raise SolverError("stationary sweep produced non-finite values", history)
         if delta / scale < opts.tol:
             fld = Field(grid, f, {"A": A, "bc": bc.at_x0, "sweeps": sweep + 1})
             fld.check_finite()
@@ -345,7 +352,6 @@ def _solve_direct(H, bc: BoundaryCondition, A, grid: HalfStripGrid) -> Field:
     xs, vs = grid.xs, grid.vs
     hx, hv = grid.hx, grid.hv
     k = A / hv ** 2
-    m = nv // 2
     noflux = bc.at_vmax == "noflux" or bc.at_vmax is None
 
     def idx(i, j):
@@ -421,21 +427,17 @@ def mirror_extend(fld: Field) -> Field:
 
 def _transport_apply(f, vs, hx, bc_mode):
     """Full second-order limited transport operator v df/dx (explicit)."""
-    nxp1, nv = f.shape
+    nxp1 = f.shape[0]
     pos = vs > 0
-    out = np.zeros_like(f)
     if bc_mode == "periodic":
         fp = np.vstack([f[-3:-1], f, f[1:3]])  # ghost via wrap (node nx == node 0)
         d = np.diff(fp, axis=0)
-        for i in range(nxp1):
-            ip = i + 2
-            fhat_r = np.where(pos, fp[ip] + 0.5 * _minmod(d[ip - 1], d[ip]),
-                              fp[ip + 1] - 0.5 * _minmod(d[ip], d[ip + 1]))
-            fhat_l = np.where(pos, fp[ip - 1] + 0.5 * _minmod(d[ip - 2], d[ip - 1]),
-                              fp[ip] - 0.5 * _minmod(d[ip - 1], d[ip]))
-            out[i] = vs * (fhat_r - fhat_l) / hx
-        return out
-    corr = _transport_correction(f, vs, hx, specular_left=(bc_mode == "specular"))
+        half = 0.5 * _minmod(d[:-1], d[1:])
+        # upwind face values; face k sits between nodes k-1 and k
+        face = np.where(pos, fp[1:nxp1 + 2] + half[0:nxp1 + 1],
+                        fp[2:nxp1 + 3] - half[1:nxp1 + 2])
+        return vs * (face[1:] - face[:-1]) / hx
+    corr = _transport_correction(f, vs, hx)
     d = np.diff(f, axis=0)
     first = np.zeros_like(f)
     first[1:, pos] = vs[pos] * d[:, pos] / hx
@@ -450,81 +452,50 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float,
                   store_every: int = 0) -> list[Field]:
     """IMEX time stepping up to horizon T: explicit limited transport,
     implicit v-diffusion. Refuses to run when dt violates the CFL bound
-    dt <= 0.5 hx / v_max. Returns the trajectory (at least initial and
+    dt <= 0.5 hx / v_max, and raises ValueError on non-finite source,
+    initial or boundary data. Returns the trajectory (at least initial and
     final slices)."""
     grid = f0.grid
     if grid.dt is None or grid.dt <= 0:
         raise ValueError("grid needs dt > 0")
-    dt, hx, hv = grid.dt, grid.hx, grid.hv
+    dt, hx = grid.dt, grid.hx
     if dt > 0.5 * hx / grid.v_max + 1e-15:
         raise ValueError(f"CFL violation: dt = {dt} > 0.5 hx / v_max = {0.5 * hx / grid.v_max}")
-    xs, vs = grid.xs, grid.vs
-    nxp1, nv = grid.nx + 1, grid.nv
-    m = nv // 2
+    if bc.at_x0 != "periodic" and bc.at_xmax is None:
+        raise ValueError("non-periodic runs need Dirichlet data at x_max")
+    vs = grid.vs
+    m = grid.nv // 2
     pos = vs > 0
     noflux = bc.at_vmax == "noflux" or bc.at_vmax is None
     nsteps = int(round(T / dt))
-    if callable(h):
-        H = np.array([[h(x, v) for v in vs] for x in xs])
-    elif h is None:
-        H = np.zeros((nxp1, nv))
-    else:
-        H = np.asarray(h, dtype=float)
+    H = _source_array(h, grid)
 
-    f = f0.values.copy()
+    f = _finite(f0.values, "initial field").copy()
     out = [Field(grid, f.copy(), dict(f0.metadata, t=0.0))]
-    k = A / hv ** 2
-
-    def diffuse_station(fstar_row, wall, fold):
-        if fold:
-            mm = nv // 2
-            diag = np.full(mm, 1.0 + 2.0 * dt * k)
-            ab = np.zeros((3, mm))
-            ab[0, 1:] = -dt * k
-            ab[2, :-1] = -dt * k
-            rhs = fstar_row[:mm].copy()
-            diag[mm - 1] -= dt * k
-            if noflux:
-                diag[0] -= dt * k
-            else:
-                diag[0] = 1.0
-                ab[0, 1] = 0.0
-                rhs[0] = wall[0]
-            ab[1] = diag
-            sol = solve_banded((1, 1), ab, rhs)
-            row = np.empty(nv)
-            row[:mm] = sol
-            row[mm:] = sol[::-1]
-            return row
-        diag = np.full(nv, 1.0 + 2.0 * dt * k)
-        ab = np.zeros((3, nv))
-        ab[0, 1:] = -dt * k
-        ab[2, :-1] = -dt * k
-        rhs = fstar_row.copy()
-        if noflux:
-            diag[0] -= dt * k
-            diag[-1] -= dt * k
-        else:
-            diag[0] = diag[-1] = 1.0
-            ab[0, 1] = ab[2, -2] = 0.0
-            rhs[0], rhs[-1] = wall
-        ab[1] = diag
-        return solve_banded((1, 1), ab, rhs)
+    c = dt * (A / grid.hv ** 2)
+    full = _station_factor(np.ones(grid.nv), c, noflux, "wall")
+    # the specular station 0 diffuses its v<0 block with the mirror fold
+    fold = _station_factor(np.ones(m), c, noflux, "fold") if bc.at_x0 == "specular" else None
+    first_full = 0 if fold is None else 1
 
     t = 0.0
     for step in range(nsteps):
-        fstar = f - dt * _transport_apply(f, vs, hx, bc.at_x0) + dt * H
+        f = f - dt * _transport_apply(f, vs, hx, bc.at_x0) + dt * H
         t_next = t + dt
-        for i in range(nxp1):
-            wall = _wall_values(bc, t_next, xs[i], grid)
-            fold = (i == 0 and bc.at_x0 == "specular")
-            f[i, :] = diffuse_station(fstar[i], wall, fold)
+        if not noflux:
+            f[:, [0, -1]] = _wall_columns(bc, t_next, grid)
+        if fold is not None:
+            f[0, :m] = dgttrs(*fold, f[0, :m], overwrite_b=1)[0]
+            f[0, m:] = f[0, m - 1::-1]
+        # one solve for all full stations: the right-hand sides are columns
+        f[first_full:] = dgttrs(*full, f[first_full:].T, overwrite_b=1)[0].T
         if bc.at_x0 == "periodic":
             f[-1, :] = f[0, :]
         else:
-            f[-1, :] = [bc.at_xmax(t_next, v) for v in vs]
+            f[-1, :] = _finite([bc.at_xmax(t_next, v) for v in vs], "at_xmax data")
             if bc.at_x0 == "inflow":
-                f[0, pos] = [bc.inflow_profile(t_next, v) for v in vs[pos]]
+                f[0, pos] = _finite([bc.inflow_profile(t_next, v) for v in vs[pos]],
+                                    "inflow data")
         t = t_next
         if store_every and (step + 1) % store_every == 0:
             out.append(Field(grid, f.copy(), dict(f0.metadata, t=t)))

@@ -13,6 +13,8 @@ from kinreg.solver import (
     solve_stationary,
     solve_timedep,
     v_marginal_moments,
+    _minmod,
+    _transport_apply,
 )
 from kinreg.tricomi import TricomiParams, eval_tricomi, residual_constant
 
@@ -85,14 +87,24 @@ def test_specular_smooth_exact_cases():
         assert np.max(np.abs(fld.values - ex)) < 1e-10
 
 
+def _noflux_case(at_x0):
+    # h = v e^{-x} under no-flux walls at v = +-v_max
+    bc = BoundaryCondition(at_x0=at_x0, at_vmax="noflux",
+                           inflow_profile=(lambda t, v: 0.0) if at_x0 == "inflow" else None,
+                           at_xmax=lambda t, v: 0.0)
+    return (lambda x, v: v * math.exp(-x), bc,
+            HalfStripGrid(x_max=1.0, v_max=2.0, nx=16, nv=16))
+
+
 def test_sweep_matches_direct():
     fstar = lambda x, v: x ** 3 + v ** 6
     h = lambda x, v: 3 * x * x * v - 30.0 * v ** 4
     g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=16, nv=16)
     bc = dirichlet_everywhere(fstar, 1.0)
-    s1 = solve_stationary(h, bc, 1.0, g, SolverOptions(order=1, tol=1e-12))
-    s2 = solve_stationary(h, bc, 1.0, g, SolverOptions(method="direct"))
-    assert np.max(np.abs(s1.values - s2.values)) < 1e-9
+    for h, bc, g in [(h, bc, g), _noflux_case("inflow")]:
+        s1 = solve_stationary(h, bc, 1.0, g, SolverOptions(order=1, tol=1e-12))
+        s2 = solve_stationary(h, bc, 1.0, g, SolverOptions(method="direct"))
+        assert np.max(np.abs(s1.values - s2.values)) < 1e-9
 
 
 def test_sweep_matches_direct_specular():
@@ -102,9 +114,10 @@ def test_sweep_matches_direct_specular():
     bc = BoundaryCondition(at_x0="specular",
                            at_xmax=lambda t, v: eval_tricomi(tp, 1.0, v),
                            at_vmax=lambda t, x, v: eval_tricomi(tp, x, v))
-    s1 = solve_stationary(lambda x, v: C * v ** 3, bc, 1.0, g, SolverOptions(order=1, tol=1e-12))
-    s2 = solve_stationary(lambda x, v: C * v ** 3, bc, 1.0, g, SolverOptions(method="direct"))
-    assert np.max(np.abs(s1.values - s2.values)) < 1e-9
+    for h, bc, g in [(lambda x, v: C * v ** 3, bc, g), _noflux_case("specular")]:
+        s1 = solve_stationary(h, bc, 1.0, g, SolverOptions(order=1, tol=1e-12))
+        s2 = solve_stationary(h, bc, 1.0, g, SolverOptions(method="direct"))
+        assert np.max(np.abs(s1.values - s2.values)) < 1e-9
 
 
 def test_tricomi_convergence_monotone_order_ge_1():
@@ -191,6 +204,29 @@ def test_solver_error_on_nonconvergence():
     assert len(exc.value.residual_history) == 3
 
 
+def test_stationary_rejects_non_finite_data():
+    g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=16, nv=16)
+    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0,
+                           at_vmax=lambda t, x, v: 0.0)
+    H = np.zeros((17, 16))
+    H[3, 5] = np.nan
+    with pytest.raises(ValueError, match="source"):
+        solve_stationary(H, bc, 1.0, g)
+    nan_wall = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0,
+                                 at_vmax=lambda t, x, v: math.nan if x > 0.5 else 0.0)
+    with pytest.raises(ValueError, match="at_vmax"):
+        solve_stationary(lambda x, v: v, nan_wall, 1.0, g)
+
+
+def test_stationary_overflow_raises_solver_error():
+    g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=16, nv=16)
+    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0,
+                           at_vmax=lambda t, x, v: 0.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverError) as exc:
+        solve_stationary(lambda x, v: 1e308, bc, 1.0, g)
+    assert not np.isfinite(exc.value.residual_history[-1])
+
+
 # ---------------------------------------------------------------------------
 # time dependent
 # ---------------------------------------------------------------------------
@@ -227,6 +263,26 @@ def test_timedep_gaussian_variance_growth():
     assert var1 - var0 == pytest.approx(2 * A * T, rel=0.01)
 
 
+def test_periodic_transport_matches_station_loop():
+    # reference: the face values of each station built one at a time
+    g = HalfStripGrid(x_max=1.0, v_max=2.0, nx=16, nv=16)
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal((17, 16))
+    f[-1] = f[0]
+    vs, hx, pos = g.vs, g.hx, g.vs > 0
+    fp = np.vstack([f[-3:-1], f, f[1:3]])
+    d = np.diff(fp, axis=0)
+    ref = np.zeros_like(f)
+    for i in range(17):
+        ip = i + 2
+        fhat_r = np.where(pos, fp[ip] + 0.5 * _minmod(d[ip - 1], d[ip]),
+                          fp[ip + 1] - 0.5 * _minmod(d[ip], d[ip + 1]))
+        fhat_l = np.where(pos, fp[ip - 1] + 0.5 * _minmod(d[ip - 2], d[ip - 1]),
+                          fp[ip] - 0.5 * _minmod(d[ip - 1], d[ip]))
+        ref[i] = vs * (fhat_r - fhat_l) / hx
+    assert np.array_equal(_transport_apply(f, vs, hx, "periodic"), ref)
+
+
 def test_timedep_long_time_matches_stationary():
     fstar = lambda x, v: x * v * v
     h = lambda x, v: v ** 3 - 2.0 * x
@@ -237,6 +293,49 @@ def test_timedep_long_time_matches_stationary():
     f0 = Field(gt, np.zeros((n + 1, n)))
     traj = solve_timedep(f0, h, bc, 1.0, T=30.0)
     assert np.max(np.abs(traj[-1].values - st.values)) <= 1e-6
+
+
+def test_timedep_honours_time_dependent_boundary_data():
+    # f = t + x v^2 solves f_t + v f_x - f_vv = 1 + v^3 - 2x; the boundary
+    # data move with t, so data frozen at t = 0 would be off by T
+    fstar = lambda t, x, v: t + x * v * v
+    n = 24
+    g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=n, nv=n, nt=1, dt=0.25 * (1 / n) / 1.5)
+    bc = BoundaryCondition(at_x0="inflow",
+                           inflow_profile=lambda t, v: fstar(t, 0.0, v),
+                           at_xmax=lambda t, v: fstar(t, 1.0, v),
+                           at_vmax=lambda t, x, v: fstar(t, x, v))
+    f0 = Field(g, fstar(0.0, g.xs[:, None], g.vs[None, :]))
+    T = 0.5
+    final = solve_timedep(f0, lambda x, v: 1.0 + v ** 3 - 2.0 * x, bc, 1.0, T=T)[-1]
+    assert final.metadata["t"] == pytest.approx(T)
+    exact = fstar(final.metadata["t"], g.xs[:, None], g.vs[None, :])
+    assert np.max(np.abs(final.values - exact)) <= 1e-12
+
+
+def test_timedep_rejects_bad_input():
+    n = 16
+    g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=n, nv=n, nt=1, dt=0.01)
+    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0,
+                           at_vmax=lambda t, x, v: 0.0)
+    f0 = Field(g, np.zeros((n + 1, n)))
+    H = np.zeros((n + 1, n))
+    H[2, 3] = np.nan
+    with pytest.raises(ValueError, match="source"):
+        solve_timedep(f0, H, bc, 1.0, T=0.05)
+    with pytest.raises(ValueError, match="shape"):    # no silent broadcast
+        solve_timedep(f0, np.ones(n), bc, 1.0, T=0.05)
+    bad = np.zeros((n + 1, n))
+    bad[4, 4] = np.nan
+    with pytest.raises(ValueError, match="initial"):
+        solve_timedep(Field(g, bad), None, bc, 1.0, T=0.05)
+    nan_wall = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0,
+                                 at_vmax=lambda t, x, v: math.nan if t > 0.02 else 0.0)
+    with pytest.raises(ValueError, match="at_vmax"):
+        solve_timedep(f0, None, nan_wall, 1.0, T=0.05)
+    no_xmax = BoundaryCondition(at_x0="specular", at_vmax="noflux")
+    with pytest.raises(ValueError, match="x_max"):
+        solve_timedep(f0, None, no_xmax, 1.0, T=0.05)
 
 
 def test_field_serialization_roundtrip(tmp_path):
