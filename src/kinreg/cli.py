@@ -50,6 +50,11 @@ def _emit(report: dict, out: str | None):
         print(text)
 
 
+def _load(path: str) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _status(report: dict) -> int:
     def walk(node):
         if isinstance(node, dict):
@@ -351,7 +356,7 @@ def run_suite(args) -> int:
     ns = argparse.Namespace(A=1.0, lam=3, csv=None, seed=_seed(args),
                             out=os.path.join(outdir, "tricomi_verify.json"))
     rc_all = max(rc_all, run_tricomi_verify(ns))
-    combined["tricomi_verify"] = json.load(open(ns.out))
+    combined["tricomi_verify"] = _load(ns.out)
 
     rhs_path = os.path.join(outdir, "rhs_v3.json")
     with open(rhs_path, "w") as fh:
@@ -359,25 +364,25 @@ def run_suite(args) -> int:
     ns = argparse.Namespace(A=1.0, rhs=rhs_path, seed=_seed(args),
                             out=os.path.join(outdir, "liouville_v3.json"))
     rc_all = max(rc_all, run_liouville(ns))
-    combined["liouville_v3"] = json.load(open(ns.out))
+    combined["liouville_v3"] = _load(ns.out)
 
     ns = argparse.Namespace(A=1.0, nx=64, nv=64, bc="specular", source="tricomi",
                             convergence="32,64", x_max=1.0, v_max=1.0, tol=1e-10,
                             seed=_seed(args), out=os.path.join(outdir, "solver_tricomi"))
     rc_all = max(rc_all, run_solver(ns))
-    combined["solver_tricomi"] = json.load(open(ns.out + ".json"))
+    combined["solver_tricomi"] = _load(ns.out + ".json")
 
     ns = argparse.Namespace(field="builtin:tricomi", space="p5", z0="0,0,0",
                             radii="1,0.5,0.25,0.125", A=1.0, tau=False,
                             seed=_seed(args), out=os.path.join(outdir, "probe_p5.json"))
     rc_all = max(rc_all, run_probe(ns))
-    combined["probe_p5"] = json.load(open(ns.out))
+    combined["probe_p5"] = _load(ns.out)
 
     ns = argparse.Namespace(gamma="builtin:parabola", curvature=1.0,
                             f_hessian="[[2,0],[0,-2]]", seed=_seed(args),
                             out=os.path.join(outdir, "counterexample.json"))
     rc_all = max(rc_all, run_counterexample(ns))
-    combined["counterexample"] = json.load(open(ns.out))
+    combined["counterexample"] = _load(ns.out)
 
     _emit(combined, os.path.join(outdir, "suite.json"))
     return rc_all

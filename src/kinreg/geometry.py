@@ -56,9 +56,6 @@ class KineticPoint:
         yield self.v
 
 
-ORIGIN_1D = KineticPoint(0.0, 0.0, 0.0)
-
-
 def origin(n: int) -> KineticPoint:
     return KineticPoint(0.0, (0.0,) * n, (0.0,) * n)
 
@@ -132,10 +129,6 @@ def cylinder_contains(c: CylinderSpec, z: KineticPoint) -> bool:
     return True
 
 
-class Side(Enum):
-    POSITIVE = "positive"
-
-
 @dataclass(frozen=True)
 class HalfSpaceDomain:
     """Spatial half-space {x[normal_axis] > 0} with an open time window.
@@ -145,7 +138,6 @@ class HalfSpaceDomain:
     """
 
     normal_axis: int = 0
-    side: Side = Side.POSITIVE
     time_window: tuple[float, float] = (-math.inf, math.inf)
 
     def contains_x(self, z: KineticPoint) -> bool:
@@ -221,7 +213,7 @@ def _dist_to_lens(p, c1, c2, r: float) -> float:
     return math.sqrt(axial * axial + (math.sqrt(rad2) - rim) ** 2)
 
 
-def _feasible_nd(r: float, z1: KineticPoint, z2: KineticPoint, tol: float) -> bool:
+def _feasible_nd(r: float, z1: KineticPoint, z2: KineticPoint) -> bool:
     """Level-set feasibility for n >= 2, decided exactly.
 
     The constraint set in w is the lens B(v1, r) cap B(v2, r) intersected
@@ -230,7 +222,6 @@ def _feasible_nd(r: float, z1: KineticPoint, z2: KineticPoint, tol: float) -> bo
     radius of the lens, which the analytic lens distance decides without
     iteration (alternating projections stall exactly at the near-tangent
     levels the bisection needs to classify)."""
-    del tol
     dt = z1.t - z2.t
     if abs(dt) > r * r:
         return False
@@ -270,7 +261,7 @@ def kinetic_distance(z1: KineticPoint, z2: KineticPoint, tol: float = 1e-9) -> f
             return False
         if z1.n == 1:
             return _feasible_1d(r, z1, z2)
-        return _feasible_nd(r, z1, z2, tol)
+        return _feasible_nd(r, z1, z2)
 
     if lo > 0 and feasible(lo):
         return lo

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -204,21 +204,6 @@ class KineticPolynomial:
             total += m
         return total
 
-    def eval_exact(self, t, x: Iterable, v: Iterable) -> Fraction:
-        """Evaluation in exact rational arithmetic."""
-        t = _rat(t)
-        x = [_rat(c) for c in x]
-        v = [_rat(c) for c in v]
-        total = Fraction(0)
-        for b, c in self.terms.items():
-            m = c * t ** b.bt
-            for xc, e in zip(x, b.bx):
-                m *= xc ** e
-            for vc, e in zip(v, b.bv):
-                m *= vc ** e
-            total += m
-        return total
-
     def pullback(self, z0: KineticPoint, r) -> "KineticPolynomial":
         """p_{z0,r}(z) = p(z0 o S_r z), exact when z0 and r are rational.
 
@@ -350,11 +335,6 @@ class OperatorSpec:
     def n(self) -> int:
         return len(self.a)
 
-    def ellipticity_bounds(self) -> tuple[float, float]:
-        """(lambda, Lambda) from the eigenvalues of a; a must be positive definite."""
-        w = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in self.a]))
-        return float(w[0]), float(w[-1])
-
 
 def kolmogorov_operator(n: int) -> OperatorSpec:
     """The prototype operator with a = identity, b = 0, c = 0."""
@@ -455,22 +435,45 @@ def _indices_up_to(k: int, n: int):
     return out
 
 
-def space_basis(spec: PolySpaceSpec) -> list:
-    """Monomial basis of the space; the augmented space appends a marker."""
+def _space_indices(spec: PolySpaceSpec) -> list[MultiIndex]:
+    """Exponents of the monomial part of the space, in basis order."""
     idx = _indices_up_to(spec.k, spec.n)
     if spec.kind == "full":
-        keep = idx
-    else:
-        ax = spec.normal_axis
-        keep = [b for b in idx if b.bx[ax] >= 1 or b.bv[ax] % 2 == 0]
-    basis: list = [KineticPolynomial(spec.n, {b: Fraction(1)}) for b in keep]
+        return idx
+    ax = spec.normal_axis
+    return [b for b in idx if b.bx[ax] >= 1 or b.bv[ax] % 2 == 0]
+
+
+def space_basis(spec: PolySpaceSpec) -> list:
+    """Monomial basis of the space; the augmented space appends a marker."""
+    basis: list = [KineticPolynomial(spec.n, {b: Fraction(1)}) for b in _space_indices(spec)]
     if spec.kind == "tricomi_augmented":
         basis.append(TricomiMarker(spec.A, spec.normal_axis))
     return basis
 
 
 def space_dim(spec: PolySpaceSpec) -> int:
-    return len(space_basis(spec))
+    return len(_space_indices(spec)) + (spec.kind == "tricomi_augmented")
+
+
+def basis_matrix(spec: PolySpaceSpec, pts: Sequence[KineticPoint],
+                 marker_pts: Sequence[KineticPoint] | None = None) -> np.ndarray:
+    """One row per point of pts, one column per space_basis(spec) element.
+
+    Monomial columns are one broadcast over the exponent table; the Tricomi
+    column of the augmented space is evaluated at marker_pts (default pts)."""
+    e = np.array([(b.bt, *b.bx, *b.bv) for b in _space_indices(spec)], dtype=float)
+    z = np.array([(p.t, *p.x, *p.v) for p in pts], dtype=float).reshape(len(pts), e.shape[1])
+    B = np.prod(z[:, None, :] ** e, axis=2)
+    if spec.kind != "tricomi_augmented":
+        return B
+    from .tricomi import TricomiParams, eval_tricomi
+
+    params = TricomiParams(A=spec.A, lam=3)
+    ax = spec.normal_axis
+    at = pts if marker_pts is None else marker_pts
+    marker = [eval_tricomi(params, p.x[ax], p.v[ax]) for p in at]
+    return np.column_stack([B, marker])
 
 
 # ---------------------------------------------------------------------------
@@ -650,21 +653,6 @@ def kernel_basis(op: OperatorSpec, spec: PolySpaceSpec) -> list[KineticPolynomia
 # ---------------------------------------------------------------------------
 
 
-def _basis_evaluator(q) -> Callable[[KineticPoint], float]:
-    if isinstance(q, KineticPolynomial):
-        return q.eval
-    if isinstance(q, TricomiMarker):
-        from .tricomi import TricomiParams, eval_tricomi
-
-        params = TricomiParams(A=q.A, lam=3)
-
-        def ev(z: KineticPoint, _p=params, _ax=q.normal_axis):
-            return eval_tricomi(_p, z.x[_ax], z.v[_ax])
-
-        return ev
-    raise TypeError(f"cannot evaluate basis element {q!r}")
-
-
 def cylinder_quadrature(z0: KineticPoint, r: float, nodes: int,
                         half_space: bool = True):
     """Tensor Gauss-Legendre nodes/weights on H_r(z0), n = 1.
@@ -713,11 +701,7 @@ def l2_project(f: Callable[[KineticPoint], float], z0: KineticPoint, r: float,
     pts, w = cylinder_quadrature(z0, r, nodes, half_space=half_space)
     if len(pts) == 0:
         raise ValueError("degenerate projection domain")
-    basis = space_basis(spec)
-    B = np.empty((len(pts), len(basis)))
-    for j, q in enumerate(basis):
-        ev = _basis_evaluator(q)
-        B[:, j] = [ev(z) for z in pts]
+    B = basis_matrix(spec, pts)
     fv = np.array([f(z) for z in pts])
     scal = np.sqrt(np.maximum((B * B * w[:, None]).sum(axis=0), 1e-300))
     Bs = B / scal

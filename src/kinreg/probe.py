@@ -18,13 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import KineticPoint, frame_map
-from .polynomials import (
-    KineticPolynomial,
-    PolySpaceSpec,
-    TricomiMarker,
-    space_basis,
-)
+from .geometry import KineticPoint, frame_map, frame_unmap
+from .polynomials import PolySpaceSpec, basis_matrix, space_dim, tricomi_augmented_space
 
 EXACT_FIT_SENTINEL = math.inf
 _EXACT_FIT_FLOOR = 1e-13
@@ -71,27 +66,6 @@ def sample_cylinder(z0: KineticPoint, r: float, count: int, seed: int = 0,
     return pts
 
 
-def _basis_columns(spec: PolySpaceSpec, z0: KineticPoint, r: float,
-                   pts_true: Sequence[KineticPoint],
-                   pts_hat: Sequence[KineticPoint]) -> tuple[np.ndarray, list]:
-    """Design matrix: polynomial columns in the zoom frame, marker columns
-    at the true points (the marker is 5-homogeneous so it scales out)."""
-    basis = space_basis(spec)
-    cols = np.empty((len(pts_true), len(basis)))
-    for k, q in enumerate(basis):
-        if isinstance(q, KineticPolynomial):
-            cols[:, k] = [q.eval(z) for z in pts_hat]
-        elif isinstance(q, TricomiMarker):
-            from .tricomi import TricomiParams, eval_tricomi
-
-            params = TricomiParams(A=q.A, lam=3)
-            cols[:, k] = [eval_tricomi(params, z.x[q.normal_axis], z.v[q.normal_axis])
-                          for z in pts_true]
-        else:
-            raise TypeError(f"unknown basis element {q!r}")
-    return cols, basis
-
-
 class CylinderFit:
     """Least-squares fit of a field over span(spec) on H_r(z0)."""
 
@@ -101,42 +75,31 @@ class CylinderFit:
         self.z0 = z0
         self.r = r
         self.coeffs = coeffs
-        self._basis = space_basis(spec)
 
     def tricomi_coefficient(self) -> float | None:
-        for c, q in zip(self.coeffs, self._basis):
-            if isinstance(q, TricomiMarker):
-                return float(c)
+        if self.spec.kind == "tricomi_augmented":
+            return float(self.coeffs[-1])
         return None
 
+    def values(self, pts: Sequence[KineticPoint]) -> np.ndarray:
+        """The fit at every point of pts: polynomials in the zoom frame,
+        the Tricomi marker (5-homogeneous, so it scales out) at pts."""
+        pts_hat = [frame_unmap(self.z0, self.r, z) for z in pts]
+        return basis_matrix(self.spec, pts_hat, pts) @ self.coeffs
+
     def __call__(self, z: KineticPoint) -> float:
-        from .geometry import frame_unmap
-
-        zhat = frame_unmap(self.z0, self.r, z)
-        total = 0.0
-        for c, q in zip(self.coeffs, self._basis):
-            if isinstance(q, KineticPolynomial):
-                total += c * q.eval(zhat)
-            else:
-                from .tricomi import TricomiParams, eval_tricomi
-
-                params = TricomiParams(A=q.A, lam=3)
-                total += c * eval_tricomi(params, z.x[q.normal_axis], z.v[q.normal_axis])
-        return total
+        return float(self.values([z])[0])
 
 
 def polyfit_on_cylinder(f: Callable[[KineticPoint], float], z0: KineticPoint,
                         r: float, spec: PolySpaceSpec, samples: int | None = None,
                         seed: int = 0, half_space: bool = True) -> CylinderFit:
-    from .geometry import frame_unmap
-
-    dim = len(space_basis(spec))
+    dim = space_dim(spec)
     count = samples if samples is not None else 20 * dim
     if count < 10 * dim:
         raise ValueError(f"need at least {10 * dim} samples for dim {dim}")
     pts = sample_cylinder(z0, r, count, seed=seed, half_space=half_space)
-    pts_hat = [frame_unmap(z0, r, z) for z in pts]
-    B, _ = _basis_columns(spec, z0, r, pts, pts_hat)
+    B = basis_matrix(spec, [frame_unmap(z0, r, z) for z in pts], pts)
     scale = np.maximum(np.abs(B).max(axis=0), 1e-300)
     fv = np.array([f(z) for z in pts])
     sol, _, rank, _ = np.linalg.lstsq(B / scale, fv, rcond=None)
@@ -154,10 +117,9 @@ def best_approx_error(f: Callable[[KineticPoint], float], z0: KineticPoint,
     checks compare ratios, which cancels the factor."""
     fit = polyfit_on_cylinder(f, z0, r, spec, samples=samples, seed=seed,
                               half_space=half_space)
-    dim = len(space_basis(spec))
-    count = 4 * (samples if samples is not None else 20 * dim)
+    count = 4 * (samples if samples is not None else 20 * space_dim(spec))
     dense = sample_cylinder(z0, r, count, seed=seed + 7, half_space=half_space)
-    return max(abs(f(z) - fit(z)) for z in dense)
+    return float(np.max(np.abs(np.array([f(z) for z in dense]) - fit.values(dense))))
 
 
 @dataclass
@@ -221,8 +183,6 @@ def gamma0_tricomi_coefficient(f: Callable[[KineticPoint], float],
     """
     if z0.x[0] != 0.0 or z0.v[0] != 0.0:
         raise ValueError("base point must lie on the grazing set (x = 0, v = 0)")
-    from .polynomials import tricomi_augmented_space
-
     spec = tricomi_augmented_space(A, n=1)
     radii = tuple(sorted(set(float(r) for r in radii), reverse=True))
     taus = []

@@ -465,7 +465,8 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float,
         raise ValueError("non-periodic runs need Dirichlet data at x_max")
     vs = grid.vs
     m = grid.nv // 2
-    pos = vs > 0
+    # station-0 rows prescribed by inflow_profile after every step
+    x0_rows = {"inflow": vs > 0, "dirichlet": slice(None)}.get(bc.at_x0)
     noflux = bc.at_vmax == "noflux" or bc.at_vmax is None
     nsteps = int(round(T / dt))
     H = _source_array(h, grid)
@@ -493,9 +494,9 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float,
             f[-1, :] = f[0, :]
         else:
             f[-1, :] = _finite([bc.at_xmax(t_next, v) for v in vs], "at_xmax data")
-            if bc.at_x0 == "inflow":
-                f[0, pos] = _finite([bc.inflow_profile(t_next, v) for v in vs[pos]],
-                                    "inflow data")
+            if x0_rows is not None:
+                f[0, x0_rows] = _finite([bc.inflow_profile(t_next, v) for v in vs[x0_rows]],
+                                        "inflow data")
         t = t_next
         if store_every and (step + 1) % store_every == 0:
             out.append(Field(grid, f.copy(), dict(f0.metadata, t=t)))

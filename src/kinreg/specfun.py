@@ -193,28 +193,25 @@ def _asym_tail(terms):
     return total, est, used
 
 
-def _u_asym_pos(a: float, b: float, z: float, cap: int = 60):
-    """U(a;b;z) ~ z^(-a) sum_s (a)_s (a-b+1)_s / s! (-z)^(-s), z large."""
-    def gen():
-        t = 1.0
+def _poincare_terms(p: float, q: float, w: float):
+    """Terms of the Poincare series sum_s (p)_s (q)_s / s! w^(-s), s <= 60."""
+    t = 1.0
+    yield t
+    for s in range(60):
+        t *= (p + s) * (q + s) / ((s + 1.0) * w)
         yield t
-        for s in range(cap):
-            t *= (a + s) * (a - b + 1.0 + s) / ((s + 1.0) * (-z))
-            yield t
-    S, est, used = _asym_tail(gen())
+
+
+def _u_asym_pos(a: float, b: float, z: float):
+    """U(a;b;z) ~ z^(-a) sum_s (a)_s (a-b+1)_s / s! (-z)^(-s), z large."""
+    S, est, used = _asym_tail(_poincare_terms(a, a - b + 1.0, -z))
     return z ** (-a) * S, abs(z ** (-a)) * est, used
 
 
-def _m_algebraic_branch(a: float, b: float, z: float, cap: int = 60):
+def _m_algebraic_branch(a: float, b: float, z: float):
     """Algebraic branch of M as z -> -inf:
     Gamma(b)/Gamma(b-a) (-z)^(-a) sum_s (a)_s (a-b+1)_s / s! (-z)^(-s)."""
-    def gen():
-        t = 1.0
-        yield t
-        for s in range(cap):
-            t *= (a + s) * (a - b + 1.0 + s) / ((s + 1.0) * (-z))
-            yield t
-    S, est, used = _asym_tail(gen())
+    S, est, used = _asym_tail(_poincare_terms(a, a - b + 1.0, -z))
     pref = gamma_real(b) * rgamma(b - a) * (-z) ** (-a)
     return pref * S, abs(pref) * est, used
 
@@ -282,13 +279,7 @@ def asymptotic_m(a: float, b: float, z: float) -> float:
     if a == round(a) and a <= 0.0:
         raise ValueError("asymptotic_m: terminating case, use kummer_m")
     if z > 0:
-        def gen():
-            t = 1.0
-            yield t
-            for s in range(60):
-                t *= (b - a + s) * (1.0 - a + s) / ((s + 1.0) * z)
-                yield t
-        S, _, _ = _asym_tail(gen())
+        S, _, _ = _asym_tail(_poincare_terms(b - a, 1.0 - a, z))
         return gamma_real(b) * rgamma(a) * math.exp(z) * z ** (a - b) * S
     val, _, _ = _m_algebraic_branch(a, b, z)
     return val

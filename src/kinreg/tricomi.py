@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .geometry import KineticPoint
 from .specfun import gamma_real, kummer_m_series, tricomi_u
 
@@ -202,10 +204,11 @@ def c41_seminorm_probe(p: TricomiParams, z_star: KineticPoint, r: float,
     spec = full_space(4, 1)
     fit = polyfit_on_cylinder(f, z_star, r, spec, samples=samples, seed=seed)
     pts = sample_cylinder(z_star, r, max(samples, 200), seed=seed + 1)
+    resid = np.abs(np.array([f(z) for z in pts]) - fit.values(pts))
     worst = 0.0
-    for z in pts:
+    for z, e in zip(pts, resid):
         d = kinetic_distance(z, z_star, tol=1e-10)
         if d < 1e-6:
             continue
-        worst = max(worst, abs(f(z) - fit(z)) / d ** 5)
+        worst = max(worst, float(e) / d ** 5)
     return worst

@@ -11,6 +11,7 @@ from kinreg.polynomials import (
     OperatorSpec,
     TricomiMarker,
     apply_operator,
+    basis_matrix,
     full_space,
     kernel_basis,
     kolmogorov_operator,
@@ -137,6 +138,31 @@ def test_tricomi_augmented_space():
         from kinreg.polynomials import PolySpaceSpec
 
         PolySpaceSpec("tricomi_augmented", 4, 1, 0, 1.0)
+
+
+@pytest.mark.parametrize("spec", [full_space(5, 1), specular_space(5, 1),
+                                  tricomi_augmented_space(1.0, 1), full_space(4, 2)],
+                         ids=["full5", "specular5", "augmented", "full4_n2"])
+def test_basis_matrix_matches_pointwise_eval(spec):
+    from kinreg.tricomi import TricomiParams, eval_tricomi
+
+    rng = np.random.RandomState(11)   # own stream, so later tests' RNG draws do not shift
+
+    def draw(count):
+        return [KineticPoint(rng.uniform(-1, 1), rng.uniform(0.05, 1.5, spec.n),
+                             rng.uniform(-2, 2, spec.n)) for _ in range(count)]
+
+    pts, marker_pts = draw(40), draw(40)
+    basis = space_basis(spec)
+    B = basis_matrix(spec, pts, marker_pts)
+    assert B.shape == (len(pts), len(basis)) == (len(pts), space_dim(spec))
+    tp = TricomiParams(A=spec.A or 1.0, lam=3)
+    want = np.array([[q.eval(z) if isinstance(q, KineticPolynomial)
+                      else eval_tricomi(tp, zm.x[q.normal_axis], zm.v[q.normal_axis])
+                      for q in basis] for z, zm in zip(pts, marker_pts)])
+    np.testing.assert_allclose(B, want, rtol=1e-14, atol=0)
+    # the marker column defaults to the points themselves
+    np.testing.assert_array_equal(basis_matrix(spec, pts), basis_matrix(spec, pts, pts))
 
 
 def test_pullback_stays_in_class_and_matches_eval():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from kinreg.geometry import KineticPoint, frame_map, origin
@@ -32,6 +33,14 @@ def test_in_space_function_recovered():
     p = KineticPolynomial(1, {mono(1, bx=(1,), bv=(2,)): 1, mono(1, bt=1): -2})
     err = best_approx_error(p.eval, Z0, 0.5, full_space(5, 1))
     assert err <= 1e-9
+
+
+def test_fit_values_match_pointwise_call():
+    for spec in (full_space(5, 1), tricomi_augmented_space(1.0, 1)):
+        fit = polyfit_on_cylinder(T_FIELD, Z0, 0.25, spec, seed=1)
+        pts = sample_cylinder(Z0, 0.25, 64, seed=5)
+        want = np.array([fit(z) for z in pts])
+        np.testing.assert_allclose(fit.values(pts), want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 def test_undersampled_fit_raises():

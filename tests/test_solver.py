@@ -313,6 +313,18 @@ def test_timedep_honours_time_dependent_boundary_data():
     assert np.max(np.abs(final.values - exact)) <= 1e-12
 
 
+def test_timedep_dirichlet_imposes_inflow_profile():
+    n = 16
+    bc = BoundaryCondition(at_x0="dirichlet", inflow_profile=lambda t, v: 5.0,
+                           at_xmax=lambda t, v: 0.0, at_vmax="noflux")
+    strip = dict(x_max=1.0, v_max=1.0, nx=n, nv=n)
+    st = solve_stationary(lambda x, v: 0.0, bc, 1.0, HalfStripGrid(**strip))
+    g = HalfStripGrid(**strip, nt=1, dt=0.01)
+    final = solve_timedep(Field(g, np.zeros((n + 1, n))), None, bc, 1.0, T=0.5)[-1]
+    assert np.all(st.values[0] == 5.0)
+    assert np.all(final.values[0] == 5.0)
+
+
 def test_timedep_rejects_bad_input():
     n = 16
     g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=n, nv=n, nt=1, dt=0.01)
