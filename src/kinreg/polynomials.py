@@ -472,7 +472,7 @@ def basis_matrix(spec: PolySpaceSpec, pts: Sequence[KineticPoint],
     params = TricomiParams(A=spec.A, lam=3)
     ax = spec.normal_axis
     at = pts if marker_pts is None else marker_pts
-    marker = [eval_tricomi(params, p.x[ax], p.v[ax]) for p in at]
+    marker = eval_tricomi(params, [p.x[ax] for p in at], [p.v[ax] for p in at])
     return np.column_stack([B, marker])
 
 

@@ -66,6 +66,16 @@ def sample_cylinder(z0: KineticPoint, r: float, count: int, seed: int = 0,
     return pts
 
 
+def field_values(f: Callable[[KineticPoint], float], pts: Sequence[KineticPoint]) -> np.ndarray:
+    """f at every point of pts: one f.values(pts) call when the field has
+    that method (CylinderFit and tricomi.as_field fields do), otherwise f
+    point by point."""
+    batch = getattr(f, "values", None)
+    if batch is not None:
+        return np.asarray(batch(pts), dtype=float)
+    return np.array([f(z) for z in pts], dtype=float)
+
+
 class CylinderFit:
     """Least-squares fit of a field over span(spec) on H_r(z0)."""
 
@@ -101,7 +111,7 @@ def polyfit_on_cylinder(f: Callable[[KineticPoint], float], z0: KineticPoint,
     pts = sample_cylinder(z0, r, count, seed=seed, half_space=half_space)
     B = basis_matrix(spec, [frame_unmap(z0, r, z) for z in pts], pts)
     scale = np.maximum(np.abs(B).max(axis=0), 1e-300)
-    fv = np.array([f(z) for z in pts])
+    fv = field_values(f, pts)
     sol, _, rank, _ = np.linalg.lstsq(B / scale, fv, rcond=None)
     if rank < B.shape[1]:
         raise ValueError(f"rank-deficient fit: rank {rank} < dim {B.shape[1]}")
@@ -119,7 +129,7 @@ def best_approx_error(f: Callable[[KineticPoint], float], z0: KineticPoint,
                               half_space=half_space)
     count = 4 * (samples if samples is not None else 20 * space_dim(spec))
     dense = sample_cylinder(z0, r, count, seed=seed + 7, half_space=half_space)
-    return float(np.max(np.abs(np.array([f(z) for z in dense]) - fit.values(dense))))
+    return float(np.max(np.abs(field_values(f, dense) - fit.values(dense))))
 
 
 @dataclass
@@ -149,7 +159,7 @@ def exponent_fit(f: Callable[[KineticPoint], float], z0: KineticPoint,
         raise ValueError("need at least 4 radii")
     errs = [best_approx_error(f, z0, r, spec, samples=samples, seed=seed,
                               half_space=half_space) for r in radii]
-    scale = max(abs(f(z)) for z in sample_cylinder(z0, radii[0], 64, seed=seed))
+    scale = float(np.max(np.abs(field_values(f, sample_cylinder(z0, radii[0], 64, seed=seed)))))
     if all(e <= _EXACT_FIT_FLOOR * max(1.0, scale) for e in errs):
         return ExponentFit(radii, tuple(errs), EXACT_FIT_SENTINEL, -math.inf, 1.0)
     lr = np.log(radii)

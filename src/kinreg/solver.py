@@ -115,12 +115,13 @@ class Field:
                                    kx=kind, ky=kind)
 
     def to_csv(self, path: str):
-        xs, vs = self.grid.xs, self.grid.vs
+        # plain floats: the repr of a numpy scalar is np.float64(...)
+        vs = self.grid.vs.tolist()
         with open(path, "w") as fh:
             fh.write("x,v,value\n")
-            for i, x in enumerate(xs):
-                for j, v in enumerate(vs):
-                    fh.write(f"{x!r},{v!r},{self.values[i, j]!r}\n")
+            for x, row in zip(self.grid.xs.tolist(), self.values.tolist()):
+                for v, val in zip(vs, row):
+                    fh.write(f"{x!r},{v!r},{val!r}\n")
 
     def to_binary(self, path: str):
         with open(path, "wb") as fh:

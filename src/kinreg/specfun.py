@@ -1,11 +1,19 @@
 """Self-contained real special functions: Gamma, Kummer M, Tricomi U.
 
-Everything here is double precision and dependency-free: Lanczos for the
-Gamma function, compensated Taylor summation for the confluent
-hypergeometric M, and the standard connection formula for U. Negative
-arguments of U use the real Kummer-basis combination (cube roots taken
-real), which is the branch relevant to the kinetic obstruction function;
-adaptive Poincare series provide the large-argument regime.
+Everything here is double precision and needs nothing beyond numpy:
+Lanczos for the Gamma function, compensated Taylor summation for the
+confluent hypergeometric M, and the connection formula for U (DLMF
+13.2.42). Negative arguments of U use the real Kummer-basis combination
+(cube roots taken real), which is the branch relevant to the kinetic
+obstruction function; Poincare series summed to their smallest term
+(DLMF 13.7) provide the large-argument regime.
+
+The series work lane by lane over numpy arrays, one lane per argument z,
+following Pearson, Olver & Porter, Numer. Algorithms 74 (2017). Blocks of
+at most _BLOCK lanes form (lanes x terms) matrices whose row-wise
+cumulative products and sums give every term and partial sum at once, so
+memory stays bounded whatever the number of lanes. The scalar functions
+are one-lane calls of the array functions.
 """
 
 from __future__ import annotations
@@ -13,6 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
 
 _EPS = 2.22e-16
 
@@ -78,6 +90,11 @@ class Regime(Enum):
     CONNECTION_FORMULA = "connection_formula"
 
 
+# Lane regimes are stored as indices into this table.
+_REGIMES = np.array(list(Regime), dtype=object)
+_SERIES, _ASYMPTOTIC, _POLYNOMIAL, _CONNECTION = range(4)
+
+
 @dataclass(frozen=True)
 class HypergeomEval:
     value: float
@@ -90,183 +107,326 @@ class HypergeomEval:
             raise ValueError("error estimate must be nonnegative")
 
 
+class HypergeomLanes(NamedTuple):
+    """HypergeomEval for an array of arguments, one entry per lane."""
+
+    value: np.ndarray
+    est_abs_error: np.ndarray
+    terms_used: np.ndarray
+    regime: np.ndarray  # of Regime members
+
+    def lane(self, i: int = 0) -> HypergeomEval:
+        return HypergeomEval(float(self.value.flat[i]), float(self.est_abs_error.flat[i]),
+                             int(self.terms_used.flat[i]), self.regime.flat[i])
+
+
+def _lanes(shape, value, err, used, code) -> HypergeomLanes:
+    return HypergeomLanes(value.reshape(shape), err.reshape(shape), used.reshape(shape),
+                          _REGIMES[code].reshape(shape))
+
+
+def _finite_lanes(z, who: str) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError(f"{who}: non-finite argument")
+    return z
+
+
+# Rows per block: a block's term matrix holds _BLOCK x (terms) doubles.
+_BLOCK = 256
 _SERIES_CAP = 10_000
+_POINCARE_TERMS = 61  # s = 0 .. 60
 
 
-def _kummer_series_raw(a: float, b: float, z: float) -> HypergeomEval:
-    """Plain Taylor series of M(a;b;z) with Kahan summation.
-
-    The error estimate includes both the truncation tail and the roundoff
-    floor from cancellation (scale of the largest term)."""
-    term = 1.0
-    total = 1.0
-    comp = 0.0
-    max_abs = 1.0
-    small_run = 0
-    k = 0
-    while k < _SERIES_CAP:
-        term *= (a + k) * z / ((b + k) * (k + 1.0))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        k += 1
-        max_abs = max(max_abs, abs(term))
-        if abs(term) < 1e-17 * max(abs(total), 1e-300):
-            small_run += 1
-            if small_run >= 3:
-                break
-        else:
-            small_run = 0
-    trunc = abs(term) * 2.0
-    round_err = 4.0 * _EPS * max_abs * math.sqrt(k + 1.0)
-    return HypergeomEval(total, trunc + round_err, k, Regime.SERIES)
+def _by_block(fn, z, size=_BLOCK):
+    """fn over blocks of at most size lanes of z, its outputs joined along
+    their last axis."""
+    if z.size <= size:
+        return fn(z)
+    parts = [fn(z[lo:lo + size]) for lo in range(0, z.size, size)]
+    return tuple(np.concatenate(col, axis=-1) for col in zip(*parts))
 
 
-def _kummer_poly(a: float, b: float, z: float) -> HypergeomEval:
-    deg = int(round(-a))
-    term = 1.0
-    total = 1.0
-    max_abs = 1.0
-    for k in range(deg):
-        term *= (a + k) * z / ((b + k) * (k + 1.0))
-        total += term
-        max_abs = max(max_abs, abs(term))
-    return HypergeomEval(total, 4.0 * _EPS * max_abs * (deg + 1), deg, Regime.POLYNOMIAL_CASE)
+def _two_sum(a, b):
+    """s = fl(a + b) and its exact rounding error e: a + b = s + e (Knuth)."""
+    s = a + b
+    bv = s - a
+    return s, (a - (s - bv)) + (b - bv)
 
 
-def kummer_m(a: float, b: float, z: float) -> HypergeomEval:
-    """Kummer's function M(a;b;z) = 1F1(a;b;z) for real arguments.
+def _two_prod(a, b):
+    """p = fl(a * b) and its exact rounding error e: a * b = p + e
+    (Dekker, with Veltkamp's split; no fused multiply-add needed)."""
+    p = a * b
+    t = 134217729.0 * a
+    ah = t - (t - a)
+    t = 134217729.0 * b
+    bh = t - (t - b)
+    return p, ((ah * bh - p) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)
+
+
+def _poly_degree(a: float) -> int:
+    """-a when M(a;b;.) is a polynomial (a a nonpositive integer), else -1."""
+    return int(round(-a)) if a == round(a) and a <= 0.0 else -1
+
+
+@lru_cache(maxsize=64)
+def _ratios(pairs: tuple, width: int) -> np.ndarray:
+    """Row i holds the term ratios t_(k+1) / (z t_k) = (a+k) / ((b+k)(k+1)),
+    k < width, of pairs[i] = (a, b)."""
+    k = np.arange(width, dtype=float)
+    r = np.array([(a + k) / ((b + k) * (k + 1.0)) for a, b in pairs])
+    r.flags.writeable = False
+    return r
+
+
+def _taylor(pairs: tuple, z):
+    """Compensated Taylor sums of M(a;b;z) = sum_k (a)_k z^k / ((b)_k k!)
+    for every (a, b) of pairs at every lane of the 1-D array z.
+
+    A polynomial case (a a nonpositive integer) is summed to degree -a;
+    every other lane stops after three consecutive terms below 1e-17 of
+    the partial sum. The partial sums S_k = fl(S_(k-1) + t_k) come from one
+    cumulative sum, and the rounding error of each step (TwoSum) is added
+    back: Ogita, Rump & Oishi's Sum2, as accurate as summing in twice the
+    working precision. The error estimate covers the truncation tail and
+    the roundoff floor from cancellation (scale of the largest term).
+    Returns (value, est_abs_error, terms_used), each of shape
+    (len(pairs), z.size).
+    """
+    return _by_block(lambda zb: _taylor_block(pairs, zb), z, _BLOCK // len(pairs))
+
+
+def _taylor_block(pairs, z):
+    n = z.size
+    deg = np.repeat([_poly_degree(a) for a, _ in pairs], n)
+    # about 2.7 |z| + 20 terms reach the stop rule; lanes that need more
+    # are summed again with twice the width
+    width = 16 * math.ceil((24 + 3 * np.abs(z).max(initial=0.0)) / 16)
+    width = max(min(width, _SERIES_CAP), int(deg.max(initial=0)))
+    factors = _ratios(pairs, width)[:, None, :] * z[:, None]
+    done, val, err, used = _taylor_terms(factors.reshape(-1, width), deg)
+    while not done.all():
+        width = min(2 * width, _SERIES_CAP)
+        redo = np.flatnonzero(~done)
+        done[redo], val[redo], err[redo], used[redo] = _taylor_terms(
+            _ratios(pairs, width)[redo // n] * z[redo % n, None], deg[redo])
+    shape = (len(pairs), n)
+    return val.reshape(shape), err.reshape(shape), used.reshape(shape)
+
+
+def _taylor_terms(factors, deg):
+    n, width = factors.shape
+    X = np.empty((n, width + 1))
+    X[:, 0] = 1.0
+    np.cumprod(factors, axis=1, out=X[:, 1:])
+    S = np.cumsum(X, axis=1)
+    aX = np.abs(X)
+    small = aX[:, 1:] < 1e-17 * np.maximum(np.abs(S[:, 1:]), 1e-300)
+    run = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
+    lanes = np.arange(n)
+    first = run.argmax(axis=1)
+    stopped = run[lanes, first]
+    poly = deg >= 0
+    used = np.where(poly, deg, np.where(stopped, first + 3, width))
+    # Sum2: add the accumulated TwoSum errors of the k additions to S_k
+    S[:, 1:] += np.cumsum(_two_sum(S[:, :-1], X[:, 1:])[1], axis=1)
+    max_abs = np.maximum.accumulate(aX, axis=1)[lanes, used]
+    err = np.where(poly, 4.0 * _EPS * max_abs * (used + 1),
+                   2.0 * aX[lanes, used] + 4.0 * _EPS * max_abs * np.sqrt(used + 1.0))
+    return poly | stopped | (width >= _SERIES_CAP), S[lanes, used], err, used
+
+
+def _poincare(p: float, q: float, w):
+    """sum_s (p)_s (q)_s / s! w^(-s), s <= 60, summed lane by lane to its
+    smallest term. Returns (sum, estimate, terms_used); the estimate is
+    the first omitted term, or the last one when all 61 decrease."""
+    return _by_block(lambda wb: _poincare_block(p, q, wb), w)
+
+
+def _poincare_block(p, q, w):
+    s = np.arange(_POINCARE_TERMS - 1, dtype=float)
+    P = np.empty((w.size, _POINCARE_TERMS))
+    P[:, 0] = 1.0
+    np.cumprod((p + s) * (q + s) / ((s + 1.0) * w[:, None]), axis=1, out=P[:, 1:])
+    aP = np.abs(P)
+    rise = aP[:, 1:] >= aP[:, :-1]
+    used = np.where(rise.any(axis=1), rise.argmax(axis=1) + 1, _POINCARE_TERMS)
+    rows = np.arange(w.size)
+    total = np.cumsum(P, axis=1)[rows, used - 1]
+    return total, aP[rows, np.minimum(used, _POINCARE_TERMS - 1)], used
+
+
+def _m_lanes(a: float, b: float, z, transform: bool):
+    """M(a;b;z) over the lanes of a 1-D z as (value, error, terms, regime).
+
+    With transform, lanes with z < -1 go through Kummer's transformation
+    M(a;b;z) = e^z M(b-a;b;-z), so the summed series has positive terms.
+    """
+    if _is_nonpositive_int(b):
+        raise ValueError(f"kummer_m: b = {b} is a nonpositive integer")
+    flip = z < -1.0 if transform and _poly_degree(a) < 0 else np.zeros(z.size, dtype=bool)
+    val = np.empty(z.size)
+    err = np.empty(z.size)
+    used = np.empty(z.size, dtype=np.int64)
+    code = np.empty(z.size, dtype=np.int64)
+    for lanes, (aa, bb), arg in ((~flip, (a, b), z), (flip, (b - a, b), -z)):
+        if lanes.any():
+            (val[lanes],), (err[lanes],), (used[lanes],) = _taylor(((aa, bb),), arg[lanes])
+            code[lanes] = _POLYNOMIAL if _poly_degree(aa) >= 0 else _SERIES
+    if flip.any():
+        e = np.exp(z[flip])
+        val[flip] *= e
+        err[flip] = e * err[flip] + _EPS * np.abs(val[flip])
+    return val, err, used, code
+
+
+def kummer_m_array(a: float, b: float, z) -> HypergeomLanes:
+    """Kummer's function M(a;b;z) = 1F1(a;b;z) at every entry of z.
 
     Terminating cases (-a a nonnegative integer) are summed exactly; large
     negative z is routed through the Kummer transformation
     M(a;b;z) = e^z M(b-a;b;-z) so the summed series has positive terms.
     """
-    if _is_nonpositive_int(b):
-        raise ValueError(f"kummer_m: b = {b} is a nonpositive integer")
-    if abs(z) > 700.0:
+    z = _finite_lanes(z, "kummer_m")
+    if (np.abs(z) > 700.0).any():
         raise ValueError("kummer_m: |z| > 700 would overflow double precision")
-    if a == round(a) and a <= 0.0:
-        return _kummer_poly(a, b, z)
-    if z < -1.0:
-        inner = kummer_m(b - a, b, -z)
-        e = math.exp(z)
-        return HypergeomEval(e * inner.value, e * inner.est_abs_error + _EPS * abs(e * inner.value),
-                             inner.terms_used, inner.regime)
-    return _kummer_series_raw(a, b, z)
+    return _lanes(z.shape, *_m_lanes(a, b, z.ravel(), transform=True))
+
+
+def kummer_m(a: float, b: float, z: float) -> HypergeomEval:
+    """One-lane kummer_m_array."""
+    return kummer_m_array(a, b, z).lane()
+
+
+def kummer_m_series_array(a: float, b: float, z) -> HypergeomLanes:
+    """Raw truncated Taylor evaluation, any sign of z; used as the second
+    route in the transformation-identity checks."""
+    z = _finite_lanes(z, "kummer_m_series")
+    return _lanes(z.shape, *_m_lanes(a, b, z.ravel(), transform=False))
 
 
 def kummer_m_series(a: float, b: float, z: float) -> HypergeomEval:
-    """Raw truncated Taylor evaluation, any sign of z; used as the second
-    route in the transformation-identity checks."""
-    if _is_nonpositive_int(b):
-        raise ValueError(f"kummer_m_series: b = {b} is a nonpositive integer")
-    if a == round(a) and a <= 0.0:
-        return _kummer_poly(a, b, z)
-    return _kummer_series_raw(a, b, z)
-
-
-def _real_pow(z: float, e: float) -> float:
-    """z^e for the exponents needed here (odd-root powers), real branch."""
-    if z >= 0.0:
-        return z ** e
-    # 1 - b with b in {2/3, 4/3} gives e in {1/3, -1/3}: odd functions
-    if abs(abs(e) - 1.0 / 3.0) < 1e-12:
-        return -((-z) ** e)
-    raise ValueError(f"real power of negative base undefined for exponent {e}")
-
-
-def _asym_tail(terms):
-    """Sum an asymptotic (Poincare) series to its smallest term."""
-    total = 0.0
-    prev = math.inf
-    used = 0
-    est = math.inf
-    for t in terms:
-        if abs(t) >= prev:
-            est = abs(t)
-            break
-        total += t
-        prev = abs(t)
-        used += 1
-        est = prev
-    return total, est, used
-
-
-def _poincare_terms(p: float, q: float, w: float):
-    """Terms of the Poincare series sum_s (p)_s (q)_s / s! w^(-s), s <= 60."""
-    t = 1.0
-    yield t
-    for s in range(60):
-        t *= (p + s) * (q + s) / ((s + 1.0) * w)
-        yield t
-
-
-def _u_asym_pos(a: float, b: float, z: float):
-    """U(a;b;z) ~ z^(-a) sum_s (a)_s (a-b+1)_s / s! (-z)^(-s), z large."""
-    S, est, used = _asym_tail(_poincare_terms(a, a - b + 1.0, -z))
-    return z ** (-a) * S, abs(z ** (-a)) * est, used
-
-
-def _m_algebraic_branch(a: float, b: float, z: float):
-    """Algebraic branch of M as z -> -inf:
-    Gamma(b)/Gamma(b-a) (-z)^(-a) sum_s (a)_s (a-b+1)_s / s! (-z)^(-s)."""
-    S, est, used = _asym_tail(_poincare_terms(a, a - b + 1.0, -z))
-    pref = gamma_real(b) * rgamma(b - a) * (-z) ** (-a)
-    return pref * S, abs(pref) * est, used
-
-
-def _u_real_asym_neg(a: float, b: float, z: float):
-    """Real-branch U for z -> -inf via the algebraic branches of both
-    Kummer basis solutions (the exponential branches decay)."""
-    c1 = gamma_real(1.0 - b) * rgamma(a + 1.0 - b)
-    c2 = gamma_real(b - 1.0) * rgamma(a)
-    v1, e1, k1 = _m_algebraic_branch(a, b, z)
-    v2, e2, k2 = _m_algebraic_branch(a - b + 1.0, 2.0 - b, z)
-    root = _real_pow(z, 1.0 - b)
-    val = c1 * v1 + c2 * root * v2
-    err = abs(c1) * e1 + abs(c2 * root) * e2
-    return val, err, k1 + k2
+    """One-lane kummer_m_series_array."""
+    return kummer_m_series_array(a, b, z).lane()
 
 
 _U_BLEND_LO = 20.0
 _U_BLEND_HI = 40.0
 
 
-def _u_connection(a: float, b: float, z: float):
+@lru_cache(maxsize=64)
+def _u_constants(a: float, b: float):
+    """Gamma-ratio constants of U(a;b;.), computed once per (a, b).
+
+    c1, c2 weigh M(a;b;z) and z^(1-b) M(a-b+1;2-b;z) in the connection
+    formula. On z -> -inf both Kummer solutions reduce to their algebraic
+    branches, Gamma(b)/Gamma(b-a) (-z)^(-a) S and Gamma(2-b)/Gamma(1-a)
+    (-z)^(b-a-1) S with one Poincare sum S, so that with the real root
+    z^(1-b) = -|z|^(1-b) U = |z|^(-a) S (g1 - g2).
+    """
     c1 = gamma_real(1.0 - b) * rgamma(a + 1.0 - b)
     c2 = gamma_real(b - 1.0) * rgamma(a)
-    m1 = kummer_m_series(a, b, z)
-    m2 = kummer_m_series(a - b + 1.0, 2.0 - b, z)
-    root = _real_pow(z, 1.0 - b) if z != 0.0 else 0.0
-    val = c1 * m1.value + c2 * root * m2.value
-    err = abs(c1) * m1.est_abs_error + abs(c2 * root) * m2.est_abs_error
-    return val, err, m1.terms_used + m2.terms_used
+    g1 = c1 * gamma_real(b) * rgamma(b - a)
+    g2 = c2 * gamma_real(2.0 - b) * rgamma(1.0 - a)
+    return c1, c2, g1 - g2, abs(g1) + abs(g2)
 
 
-def tricomi_u(a: float, b: float, z: float) -> HypergeomEval:
-    """Tricomi's confluent hypergeometric U(a;b;z), real branch for z < 0.
+def _u_connection(a, b, z, scale, scaled_root, offset):
+    """offset + scale * U(a;b;z) by the connection formula (DLMF 13.2.42)
+    for moderate z, with scaled_root = scale * z^(1-b) (real root).
 
-    For moderate z the connection formula through two M evaluations is
-    used; the adaptive asymptotic series takes over beyond |z| = 40, with a
-    linear blend of the two regimes on 20 <= |z| <= 40 (both are accurate
-    there, and the blend keeps the evaluator continuous in z). b must be
-    non-integer (the kinetic use has b in {2/3, 4/3}).
+    The larger product and both sums are compensated (TwoProduct, TwoSum)
+    and rounded once, so the result is about as accurate as the two
+    series."""
+    c1, c2, _, _ = _u_constants(a, b)
+    (m1, m2), (e1, e2), (k1, k2) = _taylor(((a, b), (a - b + 1.0, 2.0 - b)), z)
+    p1, r1 = _two_prod(c1 * scale, m1)
+    s, rs = _two_sum(p1, c2 * scaled_root * m2)
+    t, rt = _two_sum(offset, s)
+    return (t + (rt + rs + r1),
+            np.abs(c1 * scale) * e1 + np.abs(c2 * scaled_root) * e2,
+            k1 + k2)
+
+
+def _u_asymptotic(a, b, z, scaled_pow, offset):
+    """offset + scale * U(a;b;z) for large |z| from the Poincare series,
+    with scaled_pow = scale * |z|^(-a)."""
+    _, _, g, g_err = _u_constants(a, b)
+    S, est, k = _poincare(a, a - b + 1.0, -z)
+    neg = z < 0.0
+    # both algebraic branches sum the same series on z < 0
+    return (offset + scaled_pow * S * np.where(neg, g, 1.0),
+            np.abs(scaled_pow) * est * np.where(neg, g_err, 1.0),
+            np.where(neg, 2 * k, k))
+
+
+def _u_lanes(a: float, b: float, z, scale, offset, scaled_pow=None, scaled_root=None):
+    """offset + scale * U(a;b;z) over the lanes of a 1-D z, as (value,
+    error, terms, regime); scale and offset are arrays like z.
+
+    The connection formula through two Kummer series serves |z| <= 20, the
+    Poincare series U ~ |z|^(-a) sum_s (a)_s (a-b+1)_s / s! (-z)^(-s) (real
+    branch for z < 0) serves |z| >= 40, and 20 < |z| < 40 blends the two
+    linearly (both are accurate there, and the blend keeps the evaluator
+    continuous in z). A caller that knows scale * |z|^(-a) and
+    scale * z^(1-b) in closed form passes them as scaled_pow and
+    scaled_root: near the grazing set that avoids overflow, and it keeps
+    roundings that vary with z out of the result.
     """
     if abs(b - round(b)) < 1e-12:
         raise ValueError("tricomi_u: integer b (logarithmic case) not supported")
-    az = abs(z)
-    if az <= _U_BLEND_LO:
-        val, err, used = _u_connection(a, b, z)
-        return HypergeomEval(val, err, used, Regime.CONNECTION_FORMULA)
-    asym = _u_asym_pos(a, b, z) if z > 0 else _u_real_asym_neg(a, b, z)
-    if az >= _U_BLEND_HI:
-        return HypergeomEval(asym[0], asym[1], asym[2], Regime.ASYMPTOTIC)
-    ser = _u_connection(a, b, z)
-    w = (az - _U_BLEND_LO) / (_U_BLEND_HI - _U_BLEND_LO)
-    val = (1.0 - w) * ser[0] + w * asym[0]
-    err = (1.0 - w) * ser[1] + w * asym[1] + abs(ser[0] - asym[0])
-    return HypergeomEval(val, err, ser[2] + asym[2], Regime.ASYMPTOTIC)
+    if abs(abs(1.0 - b) - 1.0 / 3.0) >= 1e-12 and (z < 0.0).any():
+        # the real branch takes odd roots only
+        raise ValueError(f"real power of negative base undefined for exponent {1.0 - b}")
+    az = np.abs(z)
+    ser = az < _U_BLEND_HI
+    asy = ~(az <= _U_BLEND_LO)
+    if scaled_root is None:
+        zs = z[ser]
+        scaled_root = np.zeros(z.size)
+        scaled_root[ser] = scale[ser] * np.copysign(
+            np.power(np.abs(zs), 1.0 - b, out=np.zeros(zs.size), where=zs != 0.0), zs)
+    if not asy.any():
+        return (*_u_connection(a, b, z, scale, scaled_root, offset), np.full(z.size, _CONNECTION))
+    zpow = scale[asy] * az[asy] ** -a if scaled_pow is None else scaled_pow[asy]
+    av, ae, ak = _u_asymptotic(a, b, z[asy], zpow, offset[asy])
+    if not ser.any():
+        return av, ae, ak, np.full(z.size, _ASYMPTOTIC)
+    val = np.empty(z.size)
+    err = np.empty(z.size)
+    used = np.empty(z.size, dtype=np.int64)
+    code = np.where(asy, _ASYMPTOTIC, _CONNECTION)
+    val[ser], err[ser], used[ser] = _u_connection(a, b, z[ser], scale[ser], scaled_root[ser],
+                                                  offset[ser])
+    blend = asy & ser
+    w = (az[blend] - _U_BLEND_LO) / (_U_BLEND_HI - _U_BLEND_LO)
+    inner = blend[asy]
+    sv, se = val[blend], err[blend]
+    av[inner], ae[inner] = ((1.0 - w) * sv + w * av[inner],
+                            (1.0 - w) * se + w * ae[inner] + np.abs(sv - av[inner]))
+    ak[inner] += used[blend]
+    val[asy], err[asy], used[asy] = av, ae, ak
+    return val, err, used, code
+
+
+def tricomi_u_array(a: float, b: float, z) -> HypergeomLanes:
+    """Tricomi's confluent hypergeometric U(a;b;z) at every entry of z,
+    real branch for z < 0.
+
+    For moderate z the connection formula through two M evaluations is
+    used; the adaptive asymptotic series takes over beyond |z| = 40, with a
+    linear blend of the two regimes on 20 <= |z| <= 40. b must be
+    non-integer (the kinetic use has b in {2/3, 4/3}).
+    """
+    z = _finite_lanes(z, "tricomi_u")
+    lanes = _u_lanes(a, b, z.ravel(), np.ones(z.size), np.zeros(z.size))
+    return _lanes(z.shape, *lanes)
+
+
+def tricomi_u(a: float, b: float, z: float) -> HypergeomEval:
+    """One-lane tricomi_u_array."""
+    return tricomi_u_array(a, b, z).lane()
 
 
 def asymptotic_m(a: float, b: float, z: float) -> float:
@@ -279,10 +439,10 @@ def asymptotic_m(a: float, b: float, z: float) -> float:
     if a == round(a) and a <= 0.0:
         raise ValueError("asymptotic_m: terminating case, use kummer_m")
     if z > 0:
-        S, _, _ = _asym_tail(_poincare_terms(b - a, 1.0 - a, z))
+        S = _poincare(b - a, 1.0 - a, np.array([z]))[0][0]
         return gamma_real(b) * rgamma(a) * math.exp(z) * z ** (a - b) * S
-    val, _, _ = _m_algebraic_branch(a, b, z)
-    return val
+    S = _poincare(a, a - b + 1.0, np.array([-z]))[0][0]
+    return gamma_real(b) * rgamma(b - a) * (-z) ** (-a) * S
 
 
 def asymptotic_u_kinetic(a: float, tau: float) -> float:
@@ -297,9 +457,10 @@ def asymptotic_u_kinetic(a: float, tau: float) -> float:
     return abs(tau) ** (3.0 * a)
 
 
-def real_kummer_combo(lam: int, A: float, x: float, v: float) -> float:
-    """The bounded homogeneous solution h(x, v) = x^((lam+2)/3) *
-    U_real(-(lam+2)/3; 2/3; -v^3/(9 A x)) of v h_x - A h_vv = 0, x > 0.
+def real_kummer_combo(lam: int, A: float, x, v, scale: float = 1.0, offset=0.0):
+    """offset + scale * h(x, v), where h(x, v) = x^((lam+2)/3) *
+    U_real(-(lam+2)/3; 2/3; -v^3/(9 A x)) is the bounded homogeneous
+    solution of v h_x - A h_vv = 0, x > 0.
 
     Written in the real Kummer basis
         C1 * x^((lam+2)/3) M(-(lam+2)/3; 2/3; tau)
@@ -307,13 +468,29 @@ def real_kummer_combo(lam: int, A: float, x: float, v: float) -> float:
     with C1 = Gamma(1/3)/Gamma(-(lam+1)/3) and
     C2 = -(9 A)^(-1/3) Gamma(-1/3)/Gamma(-(lam+2)/3), the unique ratio
     that cancels the exponentially growing branches. Real for every sign
-    of v; the cube root of tau is always taken real.
+    of v; the cube root of tau is always taken real. x, v and offset
+    broadcast; an ndarray comes back for array input, a float for
+    scalars. Near the grazing set (|tau| >= 20) x^c |tau|^c is formed as
+    (|v|^3 / 9A)^c, which stays finite as x -> 0+. offset + scale * h is
+    summed with compensation and rounded once.
     """
-    if x <= 0.0:
+    x, v = _finite_lanes(x, "real_kummer_combo"), _finite_lanes(v, "real_kummer_combo")
+    if x.shape != v.shape:
+        x, v = np.broadcast_arrays(x, v)
+    if (x <= 0.0).any():
         raise ValueError("real_kummer_combo requires x > 0")
     if A <= 0.0:
         raise ValueError("A must be positive")
-    aU = -(lam + 2.0) / 3.0
-    tau = -(v ** 3) / (9.0 * A * x)
-    u = tricomi_u(aU, 2.0 / 3.0, tau)
-    return x ** ((lam + 2.0) / 3.0) * u.value
+    c = (lam + 2.0) / 3.0
+    xf, vf = x.ravel(), v.ravel()
+    offset = np.asarray(offset, dtype=float)
+    if offset.shape != x.shape:
+        offset = np.broadcast_to(offset, x.shape)
+    with np.errstate(over="ignore"):  # tau = -inf at subnormal x: the asymptotic limit
+        tau = -(vf ** 3) / (9.0 * A * xf)
+    h = _u_lanes(-c, 2.0 / 3.0, tau, scale * xf ** c, offset.ravel(),
+                 scaled_pow=scale * (np.abs(vf) ** 3 / (9.0 * A)) ** c,
+                 scaled_root=-scale * (9.0 * A) ** (-1.0 / 3.0) * xf ** (c - 1.0 / 3.0) * vf)[0]
+    if not np.isfinite(h).all():
+        raise ValueError("real_kummer_combo: the result overflows double precision")
+    return float(h[0]) if x.ndim == 0 else h.reshape(x.shape)

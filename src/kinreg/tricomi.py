@@ -21,7 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .geometry import KineticPoint
-from .specfun import gamma_real, kummer_m_series, tricomi_u
+# tricomi_u is re-exported: perfbench/tracing.py wraps kinreg.tricomi.tricomi_u.
+from .specfun import gamma_real, kummer_m_series_array, real_kummer_combo, tricomi_u  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -53,31 +54,57 @@ def residual_constant(p: TricomiParams) -> float:
     return -(lam + 1.0) * (lam + 2.0) * p.A ** (-lam / 2.0)
 
 
-def boundary_trace(p: TricomiParams, v: float) -> float:
+def boundary_trace(p: TricomiParams, v):
     """One-sided limit T(0+, v) = -3 A^(-(lam+2)/2) |v|^(lam+2)."""
-    return -3.0 * p.A ** (-(p.lam + 2) / 2.0) * abs(v) ** (p.lam + 2)
+    return -3.0 * p.A ** (-(p.lam + 2) / 2.0) * np.abs(v) ** (p.lam + 2)
 
 
-def eval_tricomi(p: TricomiParams, x: float, v: float) -> float:
-    """T_{A,lam}(x, v) for x >= 0 (boundary trace at x = 0)."""
-    if x < 0.0:
+def eval_tricomi(p: TricomiParams, x, v):
+    """T_{A,lam}(x, v) for x >= 0 (boundary trace at x = 0).
+
+    x and v broadcast against each other; an ndarray comes back for array
+    input and a float for scalars. NaN or inf in any lane raises
+    ValueError. Points near the grazing set stay finite: the hypergeometric
+    part is real_kummer_combo, which forms x^c |tau|^c as (|v|^3 / 9A)^c.
+    """
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    if x.shape != v.shape:
+        x, v = np.broadcast_arrays(x, v)
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+        raise ValueError("eval_tricomi: x and v must be finite")
+    if (x < 0.0).any():
         raise ValueError("eval_tricomi requires x >= 0")
+    inner = x > 0.0
+    if inner.all():
+        out = _interior(p, x, v)
+    else:
+        out = np.array(boundary_trace(p, v), dtype=float)
+        if inner.any():
+            out[inner] = _interior(p, x[inner], v[inner])
+    if not np.isfinite(out).all():
+        raise ValueError("eval_tricomi: T overflows double precision")
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _interior(p: TricomiParams, x, v):
     lam, A = p.lam, p.A
-    if x == 0.0:
-        return boundary_trace(p, v)
-    c = (lam + 2.0) / 3.0
-    tau = -(v ** 3) / (9.0 * A * x)
-    u = tricomi_u(-c, 2.0 / 3.0, tau)
-    return A ** (-(lam + 2) / 2.0) * v ** (lam + 2) \
-        - 2.0 * 9.0 ** c * A ** (-(lam + 2) / 6.0) * x ** c * u.value
+    K = 2.0 * 9.0 ** ((lam + 2.0) / 3.0) * A ** (-(lam + 2) / 6.0)
+    return real_kummer_combo(lam, A, x, v, scale=-K, offset=A ** (-(lam + 2) / 2.0) * v ** (lam + 2))
 
 
 def as_field(p: TricomiParams, normal_axis: int = 0, scale: float = 1.0) -> Callable[[KineticPoint], float]:
-    """T as a function on phase space: z -> scale * T(x[axis], v[axis])."""
+    """T as a function on phase space: z -> scale * T(x[axis], v[axis]).
+
+    The field's values(pts) evaluates a whole point list in one call."""
 
     def f(z: KineticPoint) -> float:
         return scale * eval_tricomi(p, z.x[normal_axis], z.v[normal_axis])
 
+    def values(pts) -> np.ndarray:
+        return scale * eval_tricomi(p, [z.x[normal_axis] for z in pts],
+                                    [z.v[normal_axis] for z in pts])
+
+    f.values = values
     return f
 
 
@@ -86,7 +113,7 @@ def as_field(p: TricomiParams, normal_axis: int = 0, scale: float = 1.0) -> Call
 # ---------------------------------------------------------------------------
 
 
-def _combo_parts(p: TricomiParams, x: float, v: float):
+def _combo_parts(p: TricomiParams, x, v):
     """Value and first tau-derivatives of the two Kummer basis pieces.
 
     Only valid in the series regime; callers guard |tau|.
@@ -95,14 +122,14 @@ def _combo_parts(p: TricomiParams, x: float, v: float):
     a1 = -(lam + 2.0) / 3.0
     a2 = -(lam + 1.0) / 3.0
     tau = -(v ** 3) / (9.0 * A * x)
-    m1 = kummer_m_series(a1, 2.0 / 3.0, tau).value
-    m1p = a1 / (2.0 / 3.0) * kummer_m_series(a1 + 1.0, 5.0 / 3.0, tau).value
-    m2 = kummer_m_series(a2, 4.0 / 3.0, tau).value
-    m2p = a2 / (4.0 / 3.0) * kummer_m_series(a2 + 1.0, 7.0 / 3.0, tau).value
+    m1 = kummer_m_series_array(a1, 2.0 / 3.0, tau).value
+    m1p = a1 / (2.0 / 3.0) * kummer_m_series_array(a1 + 1.0, 5.0 / 3.0, tau).value
+    m2 = kummer_m_series_array(a2, 4.0 / 3.0, tau).value
+    m2p = a2 / (4.0 / 3.0) * kummer_m_series_array(a2 + 1.0, 7.0 / 3.0, tau).value
     return tau, m1, m1p, m2, m2p
 
 
-def _u_part_dx_dvv(p: TricomiParams, x: float, v: float):
+def _u_part_dx_dvv(p: TricomiParams, x, v):
     """(d/dx, d2/dv2) of h = x^c U(-c; 2/3; tau) by the chain rule.
 
     Uses M'' from Kummer's ODE: tau M'' = a M - (2/3 - tau) M' per basis
@@ -126,10 +153,10 @@ def _u_part_dx_dvv(p: TricomiParams, x: float, v: float):
 
     # second v-derivatives need m'' values; from the ODE z m'' + (b - z) m' - a m = 0
     def mpp(aa, bb, m, mp_):
-        if tau == 0.0:
-            # limit z -> 0: m'' = a (a+1) / (b (b+1))
-            return aa * (aa + 1.0) / (bb * (bb + 1.0))
-        return (aa * m - (bb - tau) * mp_) / tau
+        # limit z -> 0: m'' = a (a+1) / (b (b+1))
+        at0 = tau == 0.0
+        return np.where(at0, aa * (aa + 1.0) / (bb * (bb + 1.0)),
+                        (aa * m - (bb - tau) * mp_) / np.where(at0, 1.0, tau))
 
     m1pp = mpp(a1, 2.0 / 3.0, m1, m1p)
     m2pp = mpp(a2, 4.0 / 3.0, m2, m2p)
@@ -139,48 +166,56 @@ def _u_part_dx_dvv(p: TricomiParams, x: float, v: float):
     return h_x, h_vv
 
 
-def pde_residual(p: TricomiParams, x: float, v: float, h: float = 1e-4,
-                 method: str = "fd") -> float:
-    """v T_x - A T_vv at (x, v), x > 0.
+def pde_residual(p: TricomiParams, x, v, h: float = 1e-4,
+                 method: str = "fd"):
+    """v T_x - A T_vv at (x, v), x > 0; x and v broadcast as in eval_tricomi.
 
     method 'fd': centered second-order differences with steps
-    h*(1+x) in x and h*(1+|v|) in v (requires x > 2 h^3 margin).
+    h*(1+x) in x and h*(1+|v|) in v (requires x > 2 h^3 margin), all
+    stencil points in one eval_tricomi call.
     method 'analytic': chain rule through the Kummer basis (series regime,
     |tau| <= 20).
     """
-    if x <= 0.0:
+    x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+    if (x <= 0.0).any():
         raise ValueError("pde_residual requires x > 0")
     lam, A = p.lam, p.A
     if method == "analytic":
         tau = -(v ** 3) / (9.0 * A * x)
-        if abs(tau) > 20.0:
+        if (np.abs(tau) > 20.0).any():
             raise ValueError("analytic residual restricted to the series regime |tau| <= 20")
         mono_vv = (lam + 2.0) * (lam + 1.0) * A ** (-(lam + 2) / 2.0) * v ** lam
         h_x, h_vv = _u_part_dx_dvv(p, x, v)
         pref = -2.0 * 9.0 ** ((lam + 2.0) / 3.0) * A ** (-(lam + 2) / 6.0)
-        return v * pref * h_x - A * (mono_vv + pref * h_vv)
-    if method != "fd":
+        res = v * pref * h_x - A * (mono_vv + pref * h_vv)
+    elif method == "fd":
+        hx = h * (1.0 + x)
+        hv = h * (1.0 + np.abs(v))
+        if (hx <= 0).any() or (hv <= 0).any():
+            raise ValueError("step underflow")
+        hx = np.where(x - hx <= 0.0, 0.5 * x, hx)
+        t = eval_tricomi(p, np.stack([x + hx, x - hx, x, x, x]),
+                         np.stack([v, v, v + hv, v, v - hv]))
+        tx = v * (t[0] - t[1]) / (2.0 * hx)
+        tvv = (t[2] - 2.0 * t[3] + t[4]) / hv ** 2
+        res = tx - A * tvv
+    else:
         raise ValueError(f"unknown method {method!r}")
-    hx = h * (1.0 + x)
-    hv = h * (1.0 + abs(v))
-    if hx <= 0 or hv <= 0:
-        raise ValueError("step underflow")
-    if x - hx <= 0.0:
-        hx = 0.5 * x
-    tx = v * (eval_tricomi(p, x + hx, v) - eval_tricomi(p, x - hx, v)) / (2.0 * hx)
-    tvv = (eval_tricomi(p, x, v + hv) - 2.0 * eval_tricomi(p, x, v) + eval_tricomi(p, x, v - hv)) / hv ** 2
-    return tx - A * tvv
+    return float(res) if res.ndim == 0 else res
 
 
-def cusp_ratio(p: TricomiParams, x: float) -> float:
+def cusp_ratio(p: TricomiParams, x):
     """T(x, 0) / x^((lam+2)/3); constant in x by exact homogeneity.
 
     Equals -2 * 9^((lam+2)/3) A^(-(lam+2)/6) U(-(lam+2)/3; 2/3; 0), the
-    coefficient of the x^(5/3)-type cusp along the grazing ray.
+    coefficient of the x^(5/3)-type cusp along the grazing ray. Accepts an
+    array of x.
     """
-    if x <= 0.0:
+    x = np.asarray(x, dtype=float)
+    if (x <= 0.0).any():
         raise ValueError("cusp_ratio requires x > 0")
-    return eval_tricomi(p, x, 0.0) / x ** ((p.lam + 2) / 3.0)
+    r = eval_tricomi(p, x, 0.0) / x ** ((p.lam + 2) / 3.0)
+    return float(r) if x.ndim == 0 else r
 
 
 def c41_seminorm_probe(p: TricomiParams, z_star: KineticPoint, r: float,
@@ -204,7 +239,7 @@ def c41_seminorm_probe(p: TricomiParams, z_star: KineticPoint, r: float,
     spec = full_space(4, 1)
     fit = polyfit_on_cylinder(f, z_star, r, spec, samples=samples, seed=seed)
     pts = sample_cylinder(z_star, r, max(samples, 200), seed=seed + 1)
-    resid = np.abs(np.array([f(z) for z in pts]) - fit.values(pts))
+    resid = np.abs(f.values(pts) - fit.values(pts))
     worst = 0.0
     for z, e in zip(pts, resid):
         d = kinetic_distance(z, z_star, tol=1e-10)

@@ -236,7 +236,7 @@ def test_criterion_6_solver():
                                at_xmax=lambda t, v: eval_tricomi(tp, 1.0, v),
                                at_vmax=lambda t, x, v: eval_tricomi(tp, x, v))
         fld = solve_stationary(lambda x, v: C * v ** 3, bc, 1.0, g)
-        ex = np.array([[eval_tricomi(tp, x, v) for v in g.vs] for x in g.xs])
+        ex = eval_tricomi(tp, g.xs[:, None], g.vs[None, :])
         terrs.append(float(np.max(np.abs(fld.values - ex))))
     ok &= terrs[0] > terrs[1] > terrs[2]
     tric_orders = [math.log2(terrs[i] / terrs[i + 1]) for i in range(2)]

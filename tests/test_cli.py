@@ -32,7 +32,29 @@ def test_tricomi_verify_csv(tmp_path):
     assert rc == 0
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "x,v,tricomi,residual,cusp_ratio"
-    assert len(lines) > 100
+    assert len(lines) == 1 + 16 * 16
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert len(fields) == 5
+        for f in fields:
+            float(f)  # a plain number, not a numpy repr
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    # a fault in the lab exits 3 with its traceback, unlike a failed check (1)
+    import kinreg.cli as cli
+
+    def boom(args):
+        raise RuntimeError("lab fault")
+
+    monkeypatch.setattr(cli, "run_tricomi_verify", boom)
+    assert run_main(["tricomi-verify"]) == cli.EXIT_INTERNAL == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: lab fault" in err
+
+
+def test_solve_kfp_bad_convergence_is_config_error(capsys):
+    assert run_main(["solve-kfp", "--convergence", "32,x"]) == 2
 
 
 def test_liouville_classify_tricomi_case(tmp_path):

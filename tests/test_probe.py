@@ -7,6 +7,7 @@ from kinreg.probe import (
     EXACT_FIT_SENTINEL,
     best_approx_error,
     exponent_fit,
+    field_values,
     gamma0_tricomi_coefficient,
     polyfit_on_cylinder,
     sample_cylinder,
@@ -41,6 +42,9 @@ def test_fit_values_match_pointwise_call():
         pts = sample_cylinder(Z0, 0.25, 64, seed=5)
         want = np.array([fit(z) for z in pts])
         np.testing.assert_allclose(fit.values(pts), want, rtol=0, atol=1e-14 * np.abs(want).max())
+    # the Tricomi field's one-call values agree with its point-by-point calls
+    want = np.array([T_FIELD(z) for z in pts])
+    np.testing.assert_allclose(field_values(T_FIELD, pts), want, rtol=1e-14, atol=0)
 
 
 def test_undersampled_fit_raises():

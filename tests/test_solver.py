@@ -130,7 +130,7 @@ def test_tricomi_convergence_monotone_order_ge_1():
                                at_xmax=lambda t, v: eval_tricomi(tp, 1.0, v),
                                at_vmax=lambda t, x, v: eval_tricomi(tp, x, v))
         fld = solve_stationary(lambda x, v: C * v ** 3, bc, 1.0, g)
-        ex = np.array([[eval_tricomi(tp, x, v) for v in g.vs] for x in g.xs])
+        ex = eval_tricomi(tp, g.xs[:, None], g.vs[None, :])
         errs.append(float(np.max(np.abs(fld.values - ex))))
     assert errs[0] > errs[1] > errs[2], errs
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
@@ -364,3 +364,5 @@ def test_field_serialization_roundtrip(tmp_path):
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "x,v,value"
     assert len(lines) == 1 + 17 * 16
+    rows = np.array([[float(f) for f in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(rows[:, 2], vals.ravel())

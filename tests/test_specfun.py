@@ -10,9 +10,11 @@ from kinreg.specfun import (
     gamma_real,
     kummer_m,
     kummer_m_series,
+    kummer_m_array,
     real_kummer_combo,
     rgamma,
     tricomi_u,
+    tricomi_u_array,
 )
 
 # golden values frozen from a 40-digit run of tools/freeze_oracles.py
@@ -54,6 +56,18 @@ U_REAL_NEG_GOLDEN = {
     -5.0: 42.5295732979607863222,
     -21.0: 353.6990830937445283056,
     -300.0: 27087.67580986197197623,
+}
+
+# real-branch U(-5/3; 2/3; z) across the 20 <= |z| <= 40 blend window
+U_BLEND_GOLDEN = {
+    -39.0: 948.2829856785100203383,
+    -35.0: 796.6975285559063173624,
+    -30.0: 622.3635983796204100024,
+    -25.0: 465.6628507935439358701,
+    25.0: 194.8314589516805577015,
+    30.0: 268.2707671550086813264,
+    35.0: 350.7934454509989773059,
+    39.0: 423.0287047936357556515,
 }
 
 U_AT_ZERO = 0.8792730042874622700456737  # Gamma(1/3) / Gamma(-4/3)
@@ -186,6 +200,46 @@ def test_tricomi_u_negative_real_branch_golden():
     for z, want in U_REAL_NEG_GOLDEN.items():
         ev = tricomi_u(-5 / 3, 2 / 3, z)
         assert ev.value == pytest.approx(want, rel=1e-9), z
+
+
+def test_tricomi_u_blend_window_golden():
+    # the blend carries the connection formula's e^z cancellation on z > 0;
+    # its error estimate must still cover the true error
+    for z, want in U_BLEND_GOLDEN.items():
+        ev = tricomi_u(-5 / 3, 2 / 3, z)
+        assert ev.regime is Regime.ASYMPTOTIC
+        assert abs(ev.value - want) <= ev.est_abs_error, z
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_tricomi_u_rejects_non_finite(z):
+    with pytest.raises(ValueError):
+        tricomi_u(-5 / 3, 2 / 3, z)
+    with pytest.raises(ValueError):
+        tricomi_u_array(-5 / 3, 2 / 3, np.array([0.5, z, 100.0]))
+
+
+def test_array_lanes_match_one_lane_calls():
+    # both signs, z = 0, the blend window and both regime edges in one batch
+    zs = np.array([0.0, -0.0, 1e-9, -0.3, 0.3, -7.5, 7.5, -19.99, 20.0, -20.0, 20.01,
+                   -25.0, 30.0, -35.5, 39.99, 40.0, -40.0, 41.0, -120.0, 300.0, -2000.0])
+    for a, b in [(-5 / 3, 2 / 3), (-4 / 3, 4 / 3), (-11 / 3, 2 / 3)]:
+        lanes = tricomi_u_array(a, b, zs.reshape(3, 7))
+        assert lanes.value.shape == (3, 7)
+        for i, z in enumerate(zs):
+            one = tricomi_u(a, b, float(z))
+            got = lanes.lane(i)
+            assert got.regime is one.regime and got.terms_used == one.terms_used, (a, b, z)
+            tol = one.est_abs_error if 20.0 < abs(z) < 40.0 else 1e-14 * abs(one.value)
+            assert abs(got.value - one.value) <= tol, (a, b, z)
+    # Kummer M: terminating case, the transformation (z < -1) and the raw series
+    zk = np.array([-30.0, -5.0, -1.0, 0.0, 0.5, 12.0])
+    for a, b in [(0.4, 1.3), (-2.0, 0.7), (-5 / 3, 2 / 3)]:
+        lanes = kummer_m_array(a, b, zk)
+        for i, z in enumerate(zk):
+            one = kummer_m(a, b, float(z))
+            assert lanes.regime[i] is one.regime and lanes.terms_used[i] == one.terms_used
+            assert abs(lanes.value[i] - one.value) <= 1e-14 * abs(one.value), (a, b, z)
 
 
 def test_tricomi_u_large_z_power_law():

@@ -18,6 +18,8 @@ RNG = np.random.RandomState(11)
 
 # T_{1,3}(1, 0), frozen from the high-precision oracle before the build
 T13_AT_X1_V0 = -68.4790800812908113905114
+# T_{1,3}(1e-300, v) for v = 1, -1 (tools/freeze_oracles.py): the trace -3
+T13_GRAZING = {1.0: -3.0, -1.0: -3.0}
 
 
 def test_params_validation():
@@ -146,6 +148,55 @@ def test_evenness_gap_scale_invariant_in_v():
     assert g2 == pytest.approx(32.0 * g1, rel=1e-6)
 
 
+def test_grazing_limit_stays_finite():
+    # x^c |tau|^c overflowed at x = 1e-200 and gave NaN at x = 1e-320
+    p = TricomiParams(A=1.0, lam=3)
+    xs = [1e-30, 1e-100, 1e-200, 1e-300, 1e-320]
+    for x in xs:
+        for v in (1.0, -1.0):
+            assert abs(eval_tricomi(p, x, v) + 3.0) <= 1e-12, (x, v)
+    batch = eval_tricomi(p, np.array(xs)[:, None], np.array([1.0, -1.0]))
+    assert batch.shape == (5, 2)
+    assert np.all(np.abs(batch + 3.0) <= 1e-12)
+    for v, want in T13_GRAZING.items():
+        assert abs(eval_tricomi(p, 1e-300, v) - want) <= 4 * np.spacing(3.0)
+
+
+@pytest.mark.parametrize("x, v", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf),
+                                  (0.0, -np.inf), ([0.5, np.nan], 1.0)])
+def test_eval_rejects_non_finite(x, v):
+    with pytest.raises(ValueError):
+        eval_tricomi(TricomiParams(A=1.0, lam=3), x, v)
+
+
+def test_batch_matches_one_point_calls():
+    # x = 0 rows, both signs of tau, the blend window (20 < |tau| < 40)
+    # and the asymptotic regime in one batch
+    from kinreg.specfun import tricomi_u
+
+    p = TricomiParams(A=1.0, lam=3)
+    xs = np.array([0.0, 1e-3, 3e-3, 0.01, 0.3, 1.7])
+    vs = np.array([-1.4, -1.0, -0.2, 0.0, 0.45, 1.0, 1.3])
+    batch = eval_tricomi(p, xs[:, None], vs[None, :])
+    assert batch.shape == (6, 7)
+    K = 2.0 * 9.0 ** (5 / 3)
+    taus = set()
+    for i, x in enumerate(xs):
+        for j, v in enumerate(vs):
+            one = eval_tricomi(p, float(x), float(v))
+            tau = -v ** 3 / (9.0 * x) if x > 0 else 0.0
+            taus.add(np.sign(tau) * min(abs(tau) // 20, 2))
+            tol = 1e-14 * abs(one)
+            if 20.0 < abs(tau) < 40.0:
+                tol = K * x ** (5 / 3) * tricomi_u(-5 / 3, 2 / 3, tau).est_abs_error
+            assert abs(batch[i, j] - one) <= tol, (x, v)
+    assert {-2, -1, 0, 1, 2} <= taus
+    for got, x, v in zip(pde_residual(p, xs[1:], vs[1:6]), xs[1:], vs[1:6]):
+        assert got == pytest.approx(pde_residual(p, float(x), float(v)), rel=1e-14, abs=1e-14)
+    np.testing.assert_allclose(cusp_ratio(p, xs[1:]), [cusp_ratio(p, float(x)) for x in xs[1:]],
+                               rtol=1e-14)
+
+
 def test_eval_rejects_negative_x():
     with pytest.raises(ValueError):
         eval_tricomi(TricomiParams(A=1.0, lam=3), -0.1, 1.0)
@@ -202,3 +253,5 @@ def test_as_field_wraps_axis():
     f = as_field(p, scale=2.0)
     z = KineticPoint(0.3, 0.7, -0.4)
     assert f(z) == 2.0 * eval_tricomi(p, 0.7, -0.4)
+    z2 = KineticPoint(0.1, 0.0, 1.2)
+    np.testing.assert_allclose(f.values([z, z2]), [f(z), f(z2)], rtol=1e-14)

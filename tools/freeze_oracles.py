@@ -2,8 +2,9 @@
 
 Regenerates every golden constant frozen into the test suite:
   * Gamma grid, Kummer M grid, classical-U grid, real-branch U grid
+  * the real-branch U across the 20 <= |z| <= 40 blend window
   * U(-5/3; 2/3; 0) = Gamma(1/3)/Gamma(-4/3)
-  * T_{1,3}(1, 0) and the obstruction normalization checks
+  * T_{1,3}(1, 0), T_{1,3}(1e-300, +-1) and the obstruction normalization checks
   * the PDE residual constant -(lam+1)(lam+2) A^{-lam/2}
   * boundary evenness gap decay gap(x)/x -> const
 
@@ -54,6 +55,10 @@ def main():
     for z in [-0.7, -5.0, -21.0, -300.0]:
         print(f"  z={z!r}: {mp.nstr(u_real(mp.mpf(-5) / 3, mp.mpf(2) / 3, z), 22)}")
 
+    print("# real-branch U in the blend window")
+    for z in [-39.0, -35.0, -30.0, -25.0, 25.0, 30.0, 35.0, 39.0]:
+        print(f"  z={z!r}: {mp.nstr(u_real(mp.mpf(-5) / 3, mp.mpf(2) / 3, z), 22)}")
+
     print("# real-branch sanity: agrees with hyperu on z > 0")
     for z in [0.5, 10.0, 40.0]:
         a, b = mp.mpf(-5) / 3, mp.mpf(2) / 3
@@ -69,6 +74,14 @@ def main():
     print(f"  {mp.nstr(tricomi(3, 1, 1, mp.mpf(1) / 10 ** 25), 25)}")
     print(f"  -2*9^(5/3)*Gamma(1/3)/Gamma(-4/3) = "
           f"{mp.nstr(-2 * mp.mpf(9) ** (mp.mpf(5) / 3) * mp.gamma(mp.mpf(1) / 3) / mp.gamma(mp.mpf(-4) / 3), 25)}")
+
+    print("# T_{1,3} at the grazing limit x = 1e-300 (expect -3); tau > 0 takes hyperu,")
+    print("# because the connection formula cancels e^tau-scale terms there")
+    x, c = mp.mpf(10) ** -300, mp.mpf(5) / 3
+    for v in [1, -1]:
+        tau = -mp.mpf(v) ** 3 / (9 * x)
+        u = mp.hyperu(-c, mp.mpf(2) / 3, tau) if tau > 0 else u_real(-c, mp.mpf(2) / 3, tau)
+        print(f"  v={v}: {mp.nstr(v ** 5 - 2 * mp.mpf(9) ** c * x ** c * u, 25)}")
 
     print("# PDE residual constant (v T_x - A T_vv)/v^3, expect -20 A^(-3/2)")
     for A in [1, 2]:
