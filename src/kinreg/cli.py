@@ -142,8 +142,8 @@ def run_tricomi_verify(args) -> int:
 
 
 def run_liouville(args) -> int:
-    if args.A <= 0:
-        print("error: --A must be positive", file=sys.stderr)
+    if not (args.A > 0 and math.isfinite(args.A)):
+        print("error: --A must be positive and finite", file=sys.stderr)
         return EXIT_CONFIG
     try:
         with open(args.rhs) as fh:

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .geometry import KineticPoint, kinetic_distance, origin
 from .polynomials import (
     KineticPolynomial,
@@ -42,8 +44,8 @@ class HalfSpaceRHS:
     A: float
 
     def __post_init__(self):
-        if self.A <= 0:
-            raise ValueError("A must be positive")
+        if not (self.A > 0 and math.isfinite(self.A)):
+            raise ValueError("A must be positive and finite")
         if self.p.n != 1:
             raise ValueError("half-space classification is one-dimensional")
         if any(b.bt != 0 for b in self.p.terms):
@@ -65,15 +67,18 @@ class ClassificationResult:
         self.is_polynomial = not self.tricomi_terms
 
     def solution(self):
-        """The assembled solution as a callable on (x, v)."""
+        """The assembled solution as a callable on (x, v).
+
+        x and v broadcast; an ndarray comes back for array input and a
+        float for scalars, with one eval_tricomi call per Tricomi term."""
         terms = [(TricomiParams(A=self.A, lam=lam), m) for lam, m in self.tricomi_terms]
         poly = self.particular
 
-        def f(x: float, v: float) -> float:
-            val = poly.eval(KineticPoint(0.0, x, v))
+        def f(x, v):
+            val = _values(poly, x, v)
             for params, m in terms:
-                val += m * eval_tricomi(params, x, v)
-            return val
+                val = val + m * eval_tricomi(params, x, v)
+            return float(val) if np.ndim(val) == 0 else val
 
         return f
 
@@ -85,6 +90,16 @@ class ClassificationResult:
             terms[lam] = terms.get(lam, 0.0) + m
         merged = [(lam, m) for lam, m in sorted(terms.items()) if m != 0.0]
         return ClassificationResult(self.particular + other.particular, merged, A=self.A)
+
+
+def _values(p: KineticPolynomial, x, v) -> np.ndarray:
+    """p(0, x, v) for a one-dimensional p over broadcast arrays x, v."""
+    x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+    out = np.zeros(x.shape)
+    for b, c in p.terms.items():
+        if b.bt == 0:
+            out = out + float(c) * x ** b.bx[0] * v ** b.bv[0]
+    return out
 
 
 def _pochhammer(x: Fraction, k: int) -> Fraction:
@@ -197,49 +212,38 @@ def verify_solution(res: ClassificationResult, rhs: HalfSpaceRHS,
     (iii) growth: |f(z)| <= C (1 + d_ell(z, 0))^(deg + 1) with the sampled
     constant C reported.
     """
-    xs = xs if xs is not None else [0.15, 0.4, 0.8, 1.3, 2.0]
-    vs = vs if vs is not None else [-1.4, -0.9, -0.3, 0.45, 0.9, 1.5]
+    xs = np.asarray(xs if xs is not None else [0.15, 0.4, 0.8, 1.3, 2.0], dtype=float)
+    vs = np.asarray(vs if vs is not None else [-1.4, -0.9, -0.3, 0.45, 0.9, 1.5], dtype=float)
+    X, V = (g.ravel() for g in np.meshgrid(xs, vs, indexing="ij"))
     notes = []
     op = OperatorSpec.make([[_rat(rhs.A)]])
     lp = apply_operator(op, res.particular)
     t_params = [(TricomiParams(A=res.A, lam=lam), m) for lam, m in res.tricomi_terms]
 
-    max_rel = 0.0
-    for x in xs:
-        for v in vs:
-            want = rhs.p.eval(KineticPoint(0.0, x, v))
-            got = lp.eval(KineticPoint(0.0, x, v))
-            for params, m in t_params:
-                got += m * tricomi_residual(params, x, v)
-            scale = max(1.0, abs(want))
-            max_rel = max(max_rel, abs(got - want) / scale)
+    want = _values(rhs.p, X, V)
+    got = _values(lp, X, V)
+    for params, m in t_params:
+        got = got + m * tricomi_residual(params, X, V)
+    max_rel = float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
     pde_ok = max_rel <= tol
     if not pde_ok:
         notes.append(f"pde residual {max_rel:.3e} exceeds {tol:.1e}")
 
     f = res.solution()
     eps = 1e-4
-    gap = 0.0
-    scale = 1.0
-    for x in xs:
-        for v in vs:
-            scale = max(scale, abs(f(x, v)))
-    for v in vs:
-        gap = max(gap, abs(f(eps, v) - f(eps, -v)))
-    trace_rel = gap / scale
+    scale = max(1.0, float(np.max(np.abs(f(X, V)))))
+    pm = f(eps, np.stack([vs, -vs]))
+    trace_rel = float(np.max(np.abs(pm[0] - pm[1]))) / scale
     trace_ok = trace_rel <= 1e-3
     if not trace_ok:
         notes.append(f"trace evenness gap {trace_rel:.3e} exceeds 1e-3")
 
     deg = max(int(res.particular.degree()) if not res.particular.is_zero() else 0,
               max((lam + 2 for lam, _ in res.tricomi_terms), default=0))
-    growth_c = 0.0
     z0 = origin(1)
-    for x in xs:
-        for v in vs:
-            z = KineticPoint(0.0, 4.0 * x, 3.0 * v)
-            d = kinetic_distance(z, z0, tol=1e-8)
-            growth_c = max(growth_c, abs(f(z.x[0], z.v[0])) / (1.0 + d) ** (deg + 1))
+    d = np.array([kinetic_distance(KineticPoint(0.0, x, v), z0, tol=1e-8)
+                  for x, v in zip((4.0 * X).tolist(), (3.0 * V).tolist())])
+    growth_c = float(np.max(np.abs(f(4.0 * X, 3.0 * V)) / (1.0 + d) ** (deg + 1)))
     growth_ok = math.isfinite(growth_c)
 
     return VerificationReport(max_rel, trace_rel, growth_c,

@@ -26,6 +26,8 @@ def _rat(c) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     if isinstance(c, float):
+        if not math.isfinite(c):
+            raise ValueError(f"coefficient {c!r} is not finite")
         return Fraction(c)  # exact binary value
     if isinstance(c, str):
         return Fraction(c)
@@ -435,6 +437,10 @@ def _indices_up_to(k: int, n: int):
     return out
 
 
+def _monomials(n: int, idx: list[MultiIndex]) -> list[KineticPolynomial]:
+    return [KineticPolynomial(n, {b: Fraction(1)}) for b in idx]
+
+
 def _space_indices(spec: PolySpaceSpec) -> list[MultiIndex]:
     """Exponents of the monomial part of the space, in basis order."""
     idx = _indices_up_to(spec.k, spec.n)
@@ -446,7 +452,7 @@ def _space_indices(spec: PolySpaceSpec) -> list[MultiIndex]:
 
 def space_basis(spec: PolySpaceSpec) -> list:
     """Monomial basis of the space; the augmented space appends a marker."""
-    basis: list = [KineticPolynomial(spec.n, {b: Fraction(1)}) for b in _space_indices(spec)]
+    basis: list = _monomials(spec.n, _space_indices(spec))
     if spec.kind == "tricomi_augmented":
         basis.append(TricomiMarker(spec.A, spec.normal_axis))
     return basis
@@ -539,19 +545,21 @@ def _nullspace_from_rref(aug, pivots, cols):
     return basis
 
 
-def _min_norm(x: list[Fraction], null: list[list[Fraction]]):
-    """Project a particular solution to the minimal Euclidean norm one."""
-    if not null:
-        return x
-    m = len(null)
-    G = [[sum(a * b for a, b in zip(null[i], null[j])) for j in range(m)] for i in range(m)]
-    rhs = [sum(a * b for a, b in zip(null[i], x)) for i in range(m)]
-    coef, _ = solve_rational(G, rhs)
-    out = list(x)
-    for i in range(m):
-        for j in range(len(x)):
-            out[j] -= coef[i] * null[i][j]
-    return out
+def _min_norm_solve(M: list[list[Fraction]], rhs: list[Fraction]):
+    """The minimum-norm solution of M x = rhs, or None when inconsistent.
+
+    x = M^T y with (M M^T) y = rhs lies in the row space of M, so it is the
+    unique minimum-norm solution, whichever y solve_rational returns."""
+    rows = [{j: c for j, c in enumerate(row) if c != 0} for row in M]
+    G = [[sum((c * rj[j] for j, c in ri.items() if j in rj), Fraction(0)) for rj in rows] for ri in rows]
+    y, _ = solve_rational(G, rhs)
+    if y is None:
+        return None
+    x = [Fraction(0)] * (len(M[0]) if M else 0)
+    for row, yi in zip(rows, y):
+        for j, c in row.items():
+            x[j] += c * yi
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -595,37 +603,55 @@ def _operator_matrix(op: OperatorSpec, basis: list[KineticPolynomial], image_idx
     return M
 
 
+def _layers(k: int, n: int) -> dict[int, list[MultiIndex]]:
+    """The exponents of degree <= k grouped by kinetic degree, in basis order."""
+    out: dict[int, list[MultiIndex]] = {}
+    for b in _indices_up_to(k, n):
+        out.setdefault(b.kinetic_degree, []).append(b)
+    return out
+
+
 def particular_solve_general(op: OperatorSpec, p: KineticPolynomial,
                              degree_cap_extra: int = 4) -> KineticPolynomial:
-    """Solve apply_operator(op, P) = p exactly on graded monomial bases.
+    """Solve apply_operator(op, P) = p exactly on graded monomial bases,
+    returning the P of minimal Euclidean coefficient norm.
 
-    Tries P of degree deg(p)+2 first, then deg(p)+4; raises if both linear
-    systems are inconsistent. Underdetermined solves return the minimal
-    Euclidean norm coefficient vector.
+    For b = c = 0 each layer of p of degree d is solved on the monomials of
+    degree d + 2 alone: the layer blocks have disjoint rows and columns, so
+    the minimum-norm solution is theirs side by side (0 where p has no
+    layer). Otherwise one square system over every degree up to deg(p) + 2
+    is solved, then up to deg(p) + degree_cap_extra. Raises ValueError when
+    no solution exists.
     """
     if p.is_zero():
         return KineticPolynomial.zero(p.n)
     dp = int(p.degree())
-    last_err = None
-    for extra in (2, degree_cap_extra):
-        k = dp + extra
-        basis_idx = _indices_up_to(k, p.n)
-        basis = [KineticPolynomial(p.n, {b: Fraction(1)}) for b in basis_idx]
-        image_idx = _indices_up_to(k, p.n)
-        M = _operator_matrix(op, basis, image_idx)
-        rhs = [p.coefficient(b) for b in image_idx]
-        x, null = solve_rational(M, rhs)
-        if x is None:
-            last_err = f"no solution of degree <= {k}"
-            continue
-        x = _min_norm(x, null)
-        terms = {b: c for b, c in zip(basis_idx, x) if c != 0}
+    if (op.b is None or not any(op.b)) and not op.c:  # L maps degree d + 2 onto degree d
+        layers = _layers(dp + 2, p.n)
+        terms: dict[MultiIndex, Fraction] = {}
+        for d, layer in p.homogeneous_components().items():
+            cols = layers[d + 2]
+            M = _operator_matrix(op, _monomials(p.n, cols), layers[d])
+            x = _min_norm_solve(M, [layer.coefficient(b) for b in layers[d]])
+            if x is None:
+                raise ValueError(f"particular_solve_general failed: no solution of degree <= {dp + 2}")
+            terms.update(zip(cols, x))
         return KineticPolynomial(p.n, terms)
-    raise ValueError(f"particular_solve_general failed: {last_err}")
+    for extra in (2, degree_cap_extra):
+        idx = _indices_up_to(dp + extra, p.n)
+        x = _min_norm_solve(_operator_matrix(op, _monomials(p.n, idx), idx),
+                            [p.coefficient(b) for b in idx])
+        if x is not None:
+            return KineticPolynomial(p.n, dict(zip(idx, x)))
+    raise ValueError(f"particular_solve_general failed: no solution of degree <= {dp + extra}")
 
 
 def kernel_basis(op: OperatorSpec, spec: PolySpaceSpec) -> list[KineticPolynomial]:
-    """Exact nullspace of the operator restricted to span(spec)."""
+    """Exact nullspace of the operator restricted to span(spec).
+
+    Row-reduces one layer at a time (degree d onto degree d - 2); reduced
+    row echelon forms are unique, so the vectors and their order are those
+    of the row reduction of the whole space."""
     if op.b is not None and any(c != 0 for c in op.b):
         raise ValueError("kernel_basis requires b = 0")
     if op.c is not None and op.c != 0:
@@ -633,18 +659,19 @@ def kernel_basis(op: OperatorSpec, spec: PolySpaceSpec) -> list[KineticPolynomia
     basis = space_basis(spec)
     if any(isinstance(q, TricomiMarker) for q in basis):
         raise ValueError("kernel_basis is defined for polynomial spaces only")
-    image_idx = _indices_up_to(spec.k, spec.n)
-    M = _operator_matrix(op, basis, image_idx)
-    aug = [list(row) for row in M]
-    pivots = _rref(aug)
-    null = _nullspace_from_rref(aug, pivots, len(basis))
+    rows = _layers(spec.k, spec.n)
+    cols: dict[int, list[KineticPolynomial]] = {}
+    for q in basis:
+        cols.setdefault(q.degree(), []).append(q)
     out = []
-    for vec in null:
-        q = KineticPolynomial.zero(spec.n)
-        for c, b in zip(vec, basis):
-            if c != 0:
-                q = q + b * c
-        out.append(q)
+    for d, layer in cols.items():
+        aug = _operator_matrix(op, layer, rows.get(d - 2, []))
+        for vec in _nullspace_from_rref(aug, _rref(aug), len(layer)):
+            q = KineticPolynomial.zero(spec.n)
+            for c, b in zip(vec, layer):
+                if c != 0:
+                    q = q + b * c
+            out.append(q)
     return out
 
 

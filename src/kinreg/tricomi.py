@@ -33,8 +33,8 @@ class TricomiParams:
     lam: int = 3
 
     def __post_init__(self):
-        if self.A <= 0:
-            raise ValueError("A must be positive")
+        if not (self.A > 0 and np.isfinite(self.A)):
+            raise ValueError("A must be positive and finite")
         if self.lam < 3 or (self.lam - 3) % 6 != 0:
             raise ValueError("lam must be of the form 6k + 3")
 

@@ -85,6 +85,18 @@ def test_liouville_classify_bad_config(tmp_path):
     assert rc == 2
 
 
+def test_liouville_classify_non_finite_input_is_config_error(tmp_path, capsys):
+    # bad input exits 2, not 3 (internal error)
+    rhs = tmp_path / "inf.json"
+    rhs.write_text('{"n": 1, "terms": [{"bt": 0, "bx": [0], "bv": [3], "c": Infinity}]}')
+    assert run_main(["liouville-classify", "--rhs", str(rhs)]) == 2
+    good = tmp_path / "v3.json"
+    good.write_text(KineticPolynomial.monomial(1, 1, bv=(3,)).to_json())
+    for A in ("nan", "inf"):
+        assert run_main(["liouville-classify", "--rhs", str(good), "--A", A]) == 2
+        assert run_main(["tricomi-verify", "--A", A]) == 2
+
+
 def test_solve_kfp_convergence(tmp_path):
     out = tmp_path / "solver"
     rc = run_main(["solve-kfp", "--source", "tricomi", "--bc", "specular",

@@ -219,3 +219,45 @@ def test_solution_callable():
 
     want = -0.05 * eval_tricomi(TricomiParams(A=1.0, lam=3), 0.7, 0.9)
     assert f(0.7, 0.9) == pytest.approx(want, rel=1e-12)
+
+
+def test_rhs_rejects_non_finite_A():
+    for A in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            HalfSpaceRHS(poly_1d({(0, 3): 1}), A=A)
+
+
+def test_solution_broadcasts_over_arrays():
+    # a polynomial part plus T_{A,3} and T_{A,9} terms
+    p = poly_1d({(0, 3): 2, (1, 2): -1, (0, 9): 1})
+    res = classify(HalfSpaceRHS(p, 1.5))
+    assert [lam for lam, _ in res.tricomi_terms] == [3, 9]
+    f = res.solution()
+    x = np.array([[0.0], [1e-4], [0.3], [1.7]])
+    v = np.array([-1.2, -0.1, 0.0, 0.8])
+    got = f(x, v)
+    assert got.shape == (4, 4)
+    want = np.array([[f(float(xi), float(vj)) for vj in v] for xi in x[:, 0]])
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+    assert isinstance(f(0.3, 0.8), float)
+
+
+def test_verify_solution_batches_tricomi_calls(monkeypatch):
+    # one residual grid, one scale grid, one trace set, one growth set per term
+    import kinreg.liouville as liouville
+    import kinreg.tricomi as tricomi
+
+    calls = []
+    real = tricomi.eval_tricomi
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tricomi, "eval_tricomi", counted)
+    monkeypatch.setattr(liouville, "eval_tricomi", counted)
+    rhs = HalfSpaceRHS(poly_1d({(0, 3): 2, (1, 6): 1, (0, 9): -1}), 1.0)
+    res = classify(rhs)
+    assert len(res.tricomi_terms) == 2
+    assert verify_solution(res, rhs).passed
+    assert len(calls) == 4 * len(res.tricomi_terms)

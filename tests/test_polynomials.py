@@ -25,6 +25,7 @@ from kinreg.polynomials import (
     transport_derivative,
     tricomi_augmented_space,
 )
+from kinreg.polynomials import _nullspace_from_rref, _operator_matrix, _rref, solve_rational
 
 RNG = np.random.RandomState(7)
 
@@ -223,6 +224,93 @@ def test_particular_solve_general_with_lower_order():
     p = KineticPolynomial(1, {mono(1, bv=(2,)): 1})
     P = particular_solve_general(op, p)
     assert apply_operator(op, P) == p
+
+
+def _dense_particular(op, p):
+    """Reference: one square system over every degree <= deg(p) + 2, then the
+    particular solution projected off the nullspace through its Gram matrix."""
+    idx = _all_indices(int(p.degree()) + 2, p.n)
+    M = _operator_matrix(op, [KineticPolynomial(p.n, {b: 1}) for b in idx], idx)
+    x, null = solve_rational(M, [p.coefficient(b) for b in idx])
+    assert x is not None
+    if null:
+        G = [[sum(a * b for a, b in zip(u, w)) for w in null] for u in null]
+        coef, _ = solve_rational(G, [sum(a * b for a, b in zip(u, x)) for u in null])
+        x = [xj - sum(c * u[j] for c, u in zip(coef, null)) for j, xj in enumerate(x)]
+    return KineticPolynomial(p.n, dict(zip(idx, x)))
+
+
+def _dense_kernel(op, spec):
+    """Reference: the RREF nullspace of the operator on the whole space."""
+    basis = space_basis(spec)
+    aug = _operator_matrix(op, basis, _all_indices(spec.k, spec.n))
+    vecs = _nullspace_from_rref(aug, _rref(aug), len(basis))
+    return [sum((q * c for c, q in zip(vec, basis) if c != 0), KineticPolynomial.zero(spec.n))
+            for vec in vecs]
+
+
+def _mixed_rhs(n, k, seed, nterms=6):
+    """Random rational right-hand side with terms of several degrees, top degree k."""
+    rng = np.random.RandomState(seed)
+    idx = _all_indices(k, n)
+    top = [b for b in idx if b.kinetic_degree == k]
+    terms = {top[rng.randint(len(top))]: Fraction(int(rng.randint(1, 10)), int(rng.randint(1, 5)))}
+    for _ in range(nterms - 1):
+        terms[idx[rng.randint(len(idx))]] = Fraction(int(rng.randint(-9, 10)), int(rng.randint(1, 5)))
+    return KineticPolynomial(n, terms)
+
+
+@pytest.mark.parametrize("a, k", [
+    ([[1]], 5),
+    ([[Fraction(5, 3)]], 4),
+    ([[1, 0], [0, 1]], 3),
+    ([[2, 1], [1, 3]], 3),
+])
+def test_particular_solve_general_matches_dense_min_norm(a, k):
+    op = OperatorSpec.make(a)
+    n = op.n
+    for seed in range(3):
+        p = _mixed_rhs(n, k, seed)
+        assert len(p.homogeneous_components()) > 1
+        P = particular_solve_general(op, p)
+        assert P == _dense_particular(op, p)
+        assert apply_operator(op, P) == p
+        # minimum norm: orthogonal to the kernel of L on the solution space
+        for q in kernel_basis(op, full_space(k + 2, n)):
+            assert sum(P.coefficient(b) * c for b, c in q.terms.items()) == 0
+
+
+def test_particular_solve_general_degree_6_in_two_dimensions():
+    for op in (kolmogorov_operator(2), OperatorSpec.make([[2, 1], [1, 3]])):
+        p = _mixed_rhs(2, 6, seed=4)
+        P = particular_solve_general(op, p)
+        assert P.degree() == 8
+        assert apply_operator(op, P) == p
+
+
+def test_particular_solve_general_dense_path_with_zeroth_order_term():
+    for op, p in [
+        (OperatorSpec.make([[1]], c=Fraction(-1, 2)), _mixed_rhs(1, 4, seed=5)),
+        (OperatorSpec.make([[1]], b=[Fraction(1, 2)]), _mixed_rhs(1, 3, seed=7)),
+        (OperatorSpec.make([[2, 1], [1, 3]], b=[1, 0], c=2), _mixed_rhs(2, 2, seed=6)),
+    ]:
+        P = particular_solve_general(op, p)
+        assert apply_operator(op, P) == p
+        assert P == _dense_particular(op, p)
+
+
+@pytest.mark.parametrize("spec", [full_space(4, 2), specular_space(6, 2)])
+def test_kernel_basis_matches_dense_rref(spec):
+    for op in (kolmogorov_operator(2), OperatorSpec.make([[2, 1], [1, 3]])):
+        assert kernel_basis(op, spec) == _dense_kernel(op, spec)
+
+
+def test_non_finite_coefficient_raises_value_error():
+    for c in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            KineticPolynomial.monomial(1, c)
+    with pytest.raises(ValueError):
+        KineticPolynomial.from_json('{"n": 1, "terms": [{"bt": 0, "bx": [0], "bv": [3], "c": Infinity}]}')
 
 
 def test_kernel_basis_p1_is_everything():
