@@ -177,76 +177,51 @@ def run_liouville(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _tricomi_problem(A: float, grid: HalfStripGrid, bc_mode: str):
-    """Source, boundary data and the exact solution T on the grid.
-
-    T is evaluated on the whole grid in one call; the boundary callables
-    read their values from it (the solver asks for grid points)."""
-    params = TricomiParams(A=A, lam=3)
+def _tricomi_problem(params: TricomiParams, grid: HalfStripGrid, bc_mode: str):
+    """Source, boundary data and the exact solution T on the grid."""
     C = residual_constant(params)
     h = lambda x, v: C * v ** 3
-    exact = eval_tricomi(params, grid.xs[:, None], grid.vs[None, :])
-    table = {(x, v): val for x, row in zip(grid.xs.tolist(), exact.tolist())
-             for v, val in zip(grid.vs.tolist(), row)}
-
-    def T(x, v):
-        val = table.get((x, v))
-        return eval_tricomi(params, x, v) if val is None else val
-
-    if bc_mode == "specular":
-        bc = BoundaryCondition(at_x0="specular",
-                               at_xmax=lambda t, v: T(grid.x_max, v),
-                               at_vmax=lambda t, x, v: T(x, v))
-    else:
-        bc = BoundaryCondition(at_x0="inflow",
-                               inflow_profile=lambda t, v: T(0.0, v),
-                               at_xmax=lambda t, v: T(grid.x_max, v),
-                               at_vmax=lambda t, x, v: T(x, v))
+    T = lambda x, v: eval_tricomi(params, x, v)
+    exact = T(grid.xs[:, None], grid.vs[None, :])
+    bc = BoundaryCondition(at_x0=bc_mode,
+                           inflow_profile=(lambda t, v: T(0.0, v)) if bc_mode == "inflow" else None,
+                           at_xmax=lambda t, v: T(grid.x_max, v),
+                           at_vmax=lambda t, x, v: T(x, v))
     return h, bc, exact
 
 
 def run_solver(args) -> int:
-    if args.A <= 0 or args.nx < 16 or args.nv < 16:
-        print("error: need A > 0 and nx, nv >= 16", file=sys.stderr)
+    # every input is checked before the first solve: a bad one exits 2
+    try:
+        sizes = ([(args.nx, args.nv)] if not args.convergence
+                 else [(int(s), int(s)) for s in args.convergence.split(",")])
+        grids = [HalfStripGrid(x_max=args.x_max, v_max=args.v_max, nx=nx, nv=nv)
+                 for nx, nv in sizes]
+        opts = SolverOptions(tol=args.tol)
+        params = TricomiParams(A=args.A, lam=3)   # checks --A for every source
+        if args.source == "tricomi":
+            problems = [_tricomi_problem(params, grid, args.bc) for grid in grids]
+        else:
+            if args.source == "zero":
+                h = lambda x, v: 0.0
+            elif args.source.startswith("file:"):
+                h = Field.from_binary(args.source[5:]).interpolator(kind=1).ev
+            else:
+                raise ValueError(f"unknown source {args.source!r}")
+            zero = lambda t, *xv: 0.0
+            bc = BoundaryCondition(at_x0=args.bc, inflow_profile=zero if args.bc == "inflow" else None,
+                                   at_xmax=zero, at_vmax=zero)
+            problems = [(h, bc, None)] * len(grids)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     report = {"A": args.A, "bc": args.bc, "source": args.source}
-    try:
-        sizes = [args.nx] if not args.convergence else [int(s) for s in args.convergence.split(",")]
-    except ValueError:
-        print("error: bad --convergence", file=sys.stderr)
-        return EXIT_CONFIG
     rows = []
     last_field = None
-    for n in sizes:
-        grid = HalfStripGrid(x_max=args.x_max, v_max=args.v_max, nx=n, nv=n)
-        if args.source == "tricomi":
-            h, bc, exact = _tricomi_problem(args.A, grid, args.bc)
-        elif args.source == "zero":
-            h = lambda x, v: 0.0
-            exact = None
-            bc = BoundaryCondition(at_x0=args.bc,
-                                   inflow_profile=(lambda t, v: 0.0) if args.bc == "inflow" else None,
-                                   at_xmax=lambda t, v: 0.0,
-                                   at_vmax=lambda t, x, v: 0.0)
-        elif args.source.startswith("file:"):
-            try:
-                src_field = Field.from_binary(args.source[5:])
-            except (OSError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
-            spline = src_field.interpolator(kind=1)
-            h = lambda x, v: float(spline(x, v)[0, 0])
-            exact = None
-            bc = BoundaryCondition(at_x0=args.bc,
-                                   inflow_profile=(lambda t, v: 0.0) if args.bc == "inflow" else None,
-                                   at_xmax=lambda t, v: 0.0,
-                                   at_vmax=lambda t, x, v: 0.0)
-        else:
-            print(f"error: unknown source {args.source!r}", file=sys.stderr)
-            return EXIT_CONFIG
-        fld = solve_stationary(h, bc, args.A, grid, SolverOptions(tol=args.tol))
+    for grid, (h, bc, exact) in zip(grids, problems):
+        fld = solve_stationary(h, bc, args.A, grid, opts)
         last_field = fld
-        row = {"n": n, "sweeps": fld.metadata["sweeps"]}
+        row = {"n": grid.nx, "sweeps": fld.metadata["sweeps"]}
         if exact is not None:
             row["max_error"] = float(np.max(np.abs(fld.values - exact)))
         rows.append(row)
@@ -278,6 +253,17 @@ _SPACES = {
 }
 
 
+def _spline_field(spline):
+    """A solved field's spline as a probe field, z -> spline(x, v); its
+    values(pts) evaluates a whole point list in one call."""
+
+    def f(z: KineticPoint) -> float:
+        return float(spline.ev(z.x[0], z.v[0]))
+
+    f.values = lambda pts: spline.ev([z.x[0] for z in pts], [z.v[0] for z in pts])
+    return f
+
+
 def run_probe(args) -> int:
     if args.space not in _SPACES:
         print(f"error: unknown space {args.space!r}", file=sys.stderr)
@@ -297,8 +283,7 @@ def run_probe(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        spline = fld.interpolator()
-        f = lambda z: float(spline(z.x[0], z.v[0])[0, 0])
+        f = _spline_field(fld.interpolator())
     spec = _SPACES[args.space](args.A)
     report = {"field": args.field, "space": args.space, "z0": [t0, x0, v0]}
     if len(set(radii)) >= 4:

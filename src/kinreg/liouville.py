@@ -102,13 +102,6 @@ def _values(p: KineticPolynomial, x, v) -> np.ndarray:
     return out
 
 
-def _pochhammer(x: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(k):
-        out *= x + i
-    return out
-
-
 def _kummer_basis_polynomial(lam: int, A: Fraction, which: int) -> KineticPolynomial:
     """The terminating Kummer basis solution of v h_x - A h_vv = 0.
 

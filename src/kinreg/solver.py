@@ -8,18 +8,21 @@ a degenerate upwind direction. Transport is upwind, first order at the
 boundary rows and minmod-limited second order inside (applied as a
 deferred correction so each x-station stays tridiagonal in v); diffusion
 in v is implicit. The stationary solver is a Gauss-Seidel sweep along the
-transport direction; a monolithic first-order sparse solve provides an
-independent cross-check on coarse grids. The time stepper is IMEX
-(explicit transport under a CFL bound, implicit diffusion) and shares the
-transport stencil with the stationary path, so its long-time limit is the
-stationary fixed point.
+transport direction. The time stepper is IMEX (explicit transport under a
+CFL bound, implicit diffusion) and shares the transport stencil with the
+stationary path, so its long-time limit is the stationary fixed point.
+
+Source and boundary data are array callables: the solver calls
+h(xs[:, None], vs[None, :]) once per solve, and each boundary callable
+once per solve (stationary) or once per time step (IMEX) on the grid
+points it needs. A result is broadcast to the shape asked for, so a
+callable may return a scalar; NaN or inf in it raises ValueError.
 
 Every interior station has the same v-tridiagonal (its diagonal does not
 depend on x), so each solve LU-factors it once, plus the half-size block
 of station 0, and a station solve is one triangular back-substitution.
-The stationary boundary data are evaluated once before the first sweep;
-the IMEX step re-evaluates them at each new time level and diffuses all
-full stations in one multi-right-hand-side solve.
+The IMEX step diffuses all full stations in one multi-right-hand-side
+solve.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.sparse import lil_matrix, csr_matrix
-from scipy.sparse.linalg import spsolve
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,10 @@ class HalfStripGrid:
     x_min: float = 0.0
 
     def __post_init__(self):
+        if not -np.inf < self.x_min < self.x_max < np.inf:
+            raise ValueError("need finite x_min < x_max")
+        if not 0.0 < self.v_max < np.inf:
+            raise ValueError("need finite v_max > 0")
         if self.nx < 16 or self.nv < 16:
             raise ValueError("need nx, nv >= 16")
         if self.nv % 2 != 0:
@@ -71,17 +76,20 @@ class HalfStripGrid:
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """at_x0: 'specular', 'inflow', or 'periodic'.
+    """at_x0: 'specular', 'inflow', 'dirichlet' or 'periodic'.
 
     inflow_profile(t, v) supplies the incoming trace (v > 0 at the left
-    edge); at_xmax(t, v) is the Dirichlet profile on the right edge;
-    at_vmax is either a profile (t, x, v) or the string 'noflux'.
+    edge, every v for 'dirichlet'); at_xmax(t, v) is the Dirichlet profile
+    on the right edge; at_vmax is either a profile (t, x, v) or the string
+    'noflux'. The callables take a float t and numpy arrays of coordinates
+    (at_vmax gets x as a column and the two wall velocities as a row) and
+    return values that broadcast against them; a scalar return is fine.
     """
 
     at_x0: str = "specular"
-    inflow_profile: Callable[[float, float], float] | None = None
-    at_xmax: Callable[[float, float], float] | None = None
-    at_vmax: Callable[[float, float, float], float] | str | None = None
+    inflow_profile: Callable[[float, np.ndarray], np.ndarray] | None = None
+    at_xmax: Callable[[float, np.ndarray], np.ndarray] | None = None
+    at_vmax: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | str | None = None
 
     def __post_init__(self):
         if self.at_x0 not in ("specular", "inflow", "dirichlet", "periodic"):
@@ -147,7 +155,14 @@ class SolverOptions:
     tol: float = 1e-10
     max_iter: int = 100_000
     order: int = 2
-    method: str = "sweep"   # or 'direct' (first-order sparse cross-check)
+
+    def __post_init__(self):
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if self.order not in (1, 2):
+            raise ValueError("order must be 1 or 2")
 
 
 class SolverError(RuntimeError):
@@ -200,11 +215,21 @@ def _transport_correction(f: np.ndarray, vs: np.ndarray, hx: float) -> np.ndarra
 
 
 def _finite(values, what: str) -> np.ndarray:
-    """values as a float array; ValueError if any entry is NaN or inf."""
-    arr = np.asarray(values, dtype=float)
+    """values as a new float array; ValueError if any entry is NaN or inf."""
+    arr = np.array(values, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite values")
     return arr
+
+
+def _data(fn, shape: tuple, what: str, *args) -> np.ndarray:
+    """One call fn(*args) on coordinate arrays, broadcast to shape."""
+    values = fn(*args)
+    try:
+        values = np.broadcast_to(values, shape)
+    except ValueError:
+        raise ValueError(f"{what} of shape {np.shape(values)} does not fit {shape}") from None
+    return _finite(values, what)
 
 
 def _source_array(h, grid: HalfStripGrid) -> np.ndarray:
@@ -214,9 +239,8 @@ def _source_array(h, grid: HalfStripGrid) -> np.ndarray:
     if h is None:
         return np.zeros(shape)
     if callable(h):
-        H = np.array([[h(x, v) for v in grid.vs] for x in grid.xs])
-    else:
-        H = np.asarray(h, dtype=float)
+        return _data(h, shape, "source", grid.xs[:, None], grid.vs[None, :])
+    H = np.asarray(h, dtype=float)
     if H.shape != shape:
         raise ValueError(f"source array has wrong shape {H.shape} != {shape}")
     return _finite(H, "source")
@@ -224,9 +248,8 @@ def _source_array(h, grid: HalfStripGrid) -> np.ndarray:
 
 def _wall_columns(bc: BoundaryCondition, t: float, grid: HalfStripGrid) -> np.ndarray:
     """at_vmax data on the rows v_0 and v_{nv-1} at every station, (nx+1, 2)."""
-    lo, hi = grid.vs[0], grid.vs[-1]
-    return _finite([(bc.at_vmax(t, x, lo), bc.at_vmax(t, x, hi)) for x in grid.xs],
-                   "at_vmax data")
+    return _data(bc.at_vmax, (grid.nx + 1, 2), "at_vmax data",
+                 t, grid.xs[:, None], grid.vs[[0, -1]])
 
 
 def _station_factor(diag_base: np.ndarray, c: float, noflux: bool, top: str):
@@ -263,20 +286,18 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
                      opts: SolverOptions = SolverOptions()) -> Field:
     """Solve v f_x - A f_vv = h on the strip with the given boundary data.
 
-    h may be an (nx+1, nv) array, a callable h(x, v) or None (zero
-    source), as in solve_timedep. Raises ValueError
-    on non-finite source or boundary data, and SolverError with the
-    residual history on non-convergence.
+    h may be an (nx+1, nv) array, a callable h(x, v) called once on the
+    grid's coordinate arrays, or None (zero source), as in solve_timedep.
+    Raises ValueError on non-finite source or boundary data, and
+    SolverError with the residual history on non-convergence.
     """
-    if A <= 0:
-        raise ValueError("diffusion A must be positive")
+    if not 0.0 < A < np.inf:
+        raise ValueError("diffusion A must be positive and finite")
     if bc.at_x0 == "periodic":
         raise ValueError("periodic runs are time-dependent only")
     if bc.at_xmax is None:
         raise ValueError("stationary solve needs Dirichlet data at x_max")
     H = _source_array(h, grid)
-    if opts.method == "direct":
-        return _solve_direct(H, bc, A, grid)
 
     vs, hx = grid.vs, grid.hx
     nxp1, nv = grid.nx + 1, grid.nv
@@ -288,18 +309,18 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
     aneg = np.where(vs < 0, a, 0.0)
     interior = _station_factor(a, k, noflux, "wall")
 
-    # boundary data enter at t = 0 only: evaluate them once
+    # boundary data enter at t = 0 only
     f = np.zeros((nxp1, nv))
-    f[-1, :] = _finite([bc.at_xmax(0.0, v) for v in vs], "at_xmax data")
+    f[-1, :] = _data(bc.at_xmax, (nv,), "at_xmax data", 0.0, vs)
     walls = None if noflux else _wall_columns(bc, 0.0, grid)
     if walls is not None:
         f[:, [0, -1]] = walls
         # wall rows are Dirichlet rows: their right-hand side is the wall value
         apos[[0, -1]] = aneg[[0, -1]] = 0.0
     if bc.at_x0 == "dirichlet":
-        f[0, :] = _finite([bc.inflow_profile(0.0, v) for v in vs], "inflow data")
+        f[0, :] = _data(bc.inflow_profile, (nv,), "inflow data", 0.0, vs)
     elif bc.at_x0 == "inflow":  # v>0 rows prescribed, v<0 block solved one-sided
-        g = _finite([bc.inflow_profile(0.0, v) for v in vs[m:]], "inflow data")
+        g = _data(bc.inflow_profile, (nv - m,), "inflow data", 0.0, vs[m:])
         station0 = _station_factor(a[:m], k, noflux, "open")
         inflow_coupling = k * g[0]
         if walls is not None:
@@ -343,68 +364,6 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
             return fld
     raise SolverError(f"stationary sweep did not converge in {opts.max_iter} iterations",
                       history)
-
-
-def _solve_direct(H, bc: BoundaryCondition, A, grid: HalfStripGrid) -> Field:
-    """Monolithic first-order sparse solve (cross-check path)."""
-    nxp1, nv = grid.nx + 1, grid.nv
-    if nxp1 * nv > 2 ** 14:
-        raise ValueError("direct solve limited to nx*nv <= 2^14")
-    xs, vs = grid.xs, grid.vs
-    hx, hv = grid.hx, grid.hv
-    k = A / hv ** 2
-    noflux = bc.at_vmax == "noflux" or bc.at_vmax is None
-
-    def idx(i, j):
-        return i * nv + j
-
-    Mt = lil_matrix((nxp1 * nv, nxp1 * nv))
-    rhs = np.zeros(nxp1 * nv)
-
-    for i in range(nxp1):
-        for j in range(nv):
-            r = idx(i, j)
-            v = vs[j]
-            if i == nxp1 - 1:
-                Mt[r, r] = 1.0
-                rhs[r] = bc.at_xmax(0.0, v)
-                continue
-            if not noflux and (j == 0 or j == nv - 1):
-                Mt[r, r] = 1.0
-                rhs[r] = bc.at_vmax(0.0, xs[i], v)
-                continue
-            if i == 0 and bc.at_x0 == "dirichlet":
-                Mt[r, r] = 1.0
-                rhs[r] = bc.inflow_profile(0.0, v)
-                continue
-            if i == 0 and v > 0:
-                if bc.at_x0 == "specular":
-                    Mt[r, r] = 1.0
-                    Mt[r, idx(0, nv - 1 - j)] = -1.0
-                    rhs[r] = 0.0
-                else:
-                    Mt[r, r] = 1.0
-                    rhs[r] = bc.inflow_profile(0.0, v)
-                continue
-            # upwind transport + implicit diffusion
-            Mt[r, r] = abs(v) / hx + 2.0 * k
-            if v > 0:
-                Mt[r, idx(i - 1, j)] = -abs(v) / hx
-            else:
-                Mt[r, idx(i + 1, j)] = -abs(v) / hx
-            if j > 0:
-                Mt[r, idx(i, j - 1)] = -k
-            else:
-                Mt[r, r] -= k  # noflux ghost
-            if j < nv - 1:
-                Mt[r, idx(i, j + 1)] = -k
-            else:
-                Mt[r, r] -= k
-            rhs[r] = H[i, j]
-    sol = spsolve(csr_matrix(Mt), rhs)
-    fld = Field(grid, sol.reshape(nxp1, nv), {"A": A, "bc": bc.at_x0, "method": "direct"})
-    fld.check_finite()
-    return fld
 
 
 def mirror_extend(fld: Field) -> Field:
@@ -468,11 +427,12 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float,
     m = grid.nv // 2
     # station-0 rows prescribed by inflow_profile after every step
     x0_rows = {"inflow": vs > 0, "dirichlet": slice(None)}.get(bc.at_x0)
+    v_in = None if x0_rows is None else vs[x0_rows]
     noflux = bc.at_vmax == "noflux" or bc.at_vmax is None
     nsteps = int(round(T / dt))
     H = _source_array(h, grid)
 
-    f = _finite(f0.values, "initial field").copy()
+    f = _finite(f0.values, "initial field")
     out = [Field(grid, f.copy(), dict(f0.metadata, t=0.0))]
     c = dt * (A / grid.hv ** 2)
     full = _station_factor(np.ones(grid.nv), c, noflux, "wall")
@@ -494,10 +454,9 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float,
         if bc.at_x0 == "periodic":
             f[-1, :] = f[0, :]
         else:
-            f[-1, :] = _finite([bc.at_xmax(t_next, v) for v in vs], "at_xmax data")
+            f[-1, :] = _data(bc.at_xmax, vs.shape, "at_xmax data", t_next, vs)
             if x0_rows is not None:
-                f[0, x0_rows] = _finite([bc.inflow_profile(t_next, v) for v in vs[x0_rows]],
-                                        "inflow data")
+                f[0, x0_rows] = _data(bc.inflow_profile, v_in.shape, "inflow data", t_next, v_in)
         t = t_next
         if store_every and (step + 1) % store_every == 0:
             out.append(Field(grid, f.copy(), dict(f0.metadata, t=t)))

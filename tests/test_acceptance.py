@@ -253,7 +253,7 @@ def test_criterion_6_solver():
     bcf = BoundaryCondition(at_x0="dirichlet",
                             inflow_profile=lambda t, v: eval_tricomi(tp, 1.0, -v),
                             at_xmax=lambda t, v: eval_tricomi(tp, 1.0, v),
-                            at_vmax=lambda t, x, v: eval_tricomi(tp, abs(x), v if x >= 0 else -v))
+                            at_vmax=lambda t, x, v: eval_tricomi(tp, np.abs(x), np.where(x >= 0, v, -v)))
     H_full = np.empty((2 * n + 1, n))
     H_full[n:, :] = H_half
     H_full[n, gh.vs > 0] = H_half[0, ::-1][gh.vs > 0]

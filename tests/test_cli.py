@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from kinreg.cli import main
 from kinreg.polynomials import KineticPolynomial, mono
 
@@ -55,6 +57,18 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 
 def test_solve_kfp_bad_convergence_is_config_error(capsys):
     assert run_main(["solve-kfp", "--convergence", "32,x"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["--A", "nan"], ["--A", "0"], ["--x-max", "nan"],
+                                  ["--v-max", "inf"], ["--x-max", "-1"],
+                                  ["--convergence", "8,16"], ["--nx", "17", "--nv", "17"],
+                                  ["--nv", "8"], ["--tol", "nan"], ["--tol", "0"],
+                                  ["--source", "bogus"]])
+def test_solve_kfp_bad_input_is_config_error(argv, capsys):
+    # checked before the first solve: exit 2 with a message, no traceback
+    assert run_main(["solve-kfp", "--nx", "16", "--nv", "16", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_liouville_classify_tricomi_case(tmp_path):

@@ -31,9 +31,21 @@ def test_grid_validation():
         HalfStripGrid(x_max=1, v_max=1, nx=8, nv=32)
     with pytest.raises(ValueError):
         HalfStripGrid(x_max=1, v_max=1, nx=32, nv=31)
+    for bad in (dict(x_max=math.nan), dict(x_max=math.inf), dict(x_max=-1.0),
+                dict(x_max=1.0, x_min=1.0), dict(x_min=-math.inf), dict(v_max=math.nan),
+                dict(v_max=math.inf), dict(v_max=0.0)):
+        with pytest.raises(ValueError):
+            HalfStripGrid(**{"x_max": 1.0, "v_max": 1.0, "nx": 32, "nv": 32, **bad})
     g = HalfStripGrid(x_max=1, v_max=1, nx=32, nv=32)
     assert 0.0 not in set(g.vs)                    # v = 0 is a face
     assert np.allclose(g.vs, -g.vs[::-1])          # symmetric rows
+
+
+@pytest.mark.parametrize("bad", [dict(tol=math.nan), dict(tol=0.0), dict(tol=-1e-10),
+                                 dict(tol=math.inf), dict(max_iter=0), dict(order=3)])
+def test_solver_options_validation(bad):
+    with pytest.raises(ValueError):
+        SolverOptions(**bad)
 
 
 def test_bc_validation():
@@ -92,8 +104,55 @@ def _noflux_case(at_x0):
     bc = BoundaryCondition(at_x0=at_x0, at_vmax="noflux",
                            inflow_profile=(lambda t, v: 0.0) if at_x0 == "inflow" else None,
                            at_xmax=lambda t, v: 0.0)
-    return (lambda x, v: v * math.exp(-x), bc,
+    return (lambda x, v: v * np.exp(-x), bc,
             HalfStripGrid(x_max=1.0, v_max=2.0, nx=16, nv=16))
+
+
+def _direct_first_order(h, bc, A, g):
+    """The first-order scheme as one sparse linear system: an independent
+    reference for the sweep with order=1. Row precedence: the x_max column,
+    then Dirichlet walls, then station 0's prescribed rows, then upwind
+    transport plus implicit diffusion (no-flux walls as ghost rows)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import spsolve
+
+    nxp1, nv = g.nx + 1, g.nv
+    idx = np.arange(nxp1 * nv).reshape(nxp1, nv)
+    I, J = np.meshgrid(np.arange(nxp1), np.arange(nv), indexing="ij")
+    X, V = np.meshgrid(g.xs, g.vs, indexing="ij")
+    a, k = np.abs(V) / g.hx, A / g.hv ** 2
+    noflux = bc.at_vmax in (None, "noflux")
+    edge_v = (J == 0) | (J == nv - 1)
+
+    xmax = I == nxp1 - 1
+    wall = ~xmax & edge_v & (not noflux)
+    x0 = ~xmax & ~wall & (I == 0) & ((V > 0) | (bc.at_x0 == "dirichlet"))
+    pde = ~(xmax | wall | x0)
+    mirror = x0 & (bc.at_x0 == "specular")
+
+    rhs = np.where(pde, np.broadcast_to(h(X, V), X.shape), 0.0)
+    rhs[xmax] = bc.at_xmax(0.0, V[xmax])
+    if wall.any():
+        rhs[wall] = bc.at_vmax(0.0, X[wall], V[wall])
+    inflow = x0 & ~mirror
+    if inflow.any():
+        rhs[inflow] = bc.inflow_profile(0.0, V[inflow])
+
+    diag = np.where(pde, a + 2.0 * k - k * edge_v, 1.0)
+    couplings = [(np.ones_like(pde), idx, diag),
+                 (mirror, idx[0, nv - 1 - J], -1.0),   # f(0, v) = f(0, -v)
+                 (pde & (V > 0), idx - nv, -a),        # upwind: x_{i-1}
+                 (pde & (V < 0), idx + nv, -a),        # upwind: x_{i+1}
+                 (pde & (J > 0), idx - 1, -k),
+                 (pde & (J < nv - 1), idx + 1, -k)]
+    rows, cols, vals = [], [], []
+    for mask, col, val in couplings:
+        rows.append(idx[mask])
+        cols.append(col[mask])
+        vals.append(np.broadcast_to(val, idx.shape)[mask])
+    M = csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(nxp1 * nv,) * 2)
+    return spsolve(M, rhs.ravel()).reshape(nxp1, nv)
 
 
 def test_sweep_matches_direct():
@@ -103,8 +162,8 @@ def test_sweep_matches_direct():
     bc = dirichlet_everywhere(fstar, 1.0)
     for h, bc, g in [(h, bc, g), _noflux_case("inflow")]:
         s1 = solve_stationary(h, bc, 1.0, g, SolverOptions(order=1, tol=1e-12))
-        s2 = solve_stationary(h, bc, 1.0, g, SolverOptions(method="direct"))
-        assert np.max(np.abs(s1.values - s2.values)) < 1e-9
+        s2 = _direct_first_order(h, bc, 1.0, g)
+        assert np.max(np.abs(s1.values - s2)) < 1e-9
 
 
 def test_sweep_matches_direct_specular():
@@ -116,8 +175,8 @@ def test_sweep_matches_direct_specular():
                            at_vmax=lambda t, x, v: eval_tricomi(tp, x, v))
     for h, bc, g in [(lambda x, v: C * v ** 3, bc, g), _noflux_case("specular")]:
         s1 = solve_stationary(h, bc, 1.0, g, SolverOptions(order=1, tol=1e-12))
-        s2 = solve_stationary(h, bc, 1.0, g, SolverOptions(method="direct"))
-        assert np.max(np.abs(s1.values - s2.values)) < 1e-9
+        s2 = _direct_first_order(h, bc, 1.0, g)
+        assert np.max(np.abs(s1.values - s2)) < 1e-9
 
 
 def test_tricomi_convergence_monotone_order_ge_1():
@@ -140,7 +199,7 @@ def test_tricomi_convergence_monotone_order_ge_1():
 def test_maximum_principle():
     # h = 0 with Dirichlet data: solution bounded by boundary extremes
     g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=24, nv=24)
-    prof = lambda x, v: math.sin(3 * x) + math.cos(2 * v)
+    prof = lambda x, v: np.sin(3 * x) + np.cos(2 * v)
     bc = BoundaryCondition(at_x0="inflow",
                            inflow_profile=lambda t, v: prof(0.0, v),
                            at_xmax=lambda t, v: prof(1.0, v),
@@ -168,7 +227,7 @@ def test_mirror_consistency_first_order():
     bcf = BoundaryCondition(at_x0="dirichlet",
                             inflow_profile=lambda t, v: eval_tricomi(tp, 1.0, -v),
                             at_xmax=lambda t, v: eval_tricomi(tp, 1.0, v),
-                            at_vmax=lambda t, x, v: eval_tricomi(tp, abs(x), v if x >= 0 else -v))
+                            at_vmax=lambda t, x, v: eval_tricomi(tp, np.abs(x), np.where(x >= 0, v, -v)))
     # mirror-extended source; the interface row is sampled from the
     # upwind side, which mirrors the v<0 values onto v>0
     H_full = np.empty((2 * n + 1, n))
@@ -194,6 +253,44 @@ def test_mirror_extend_shapes_and_symmetry():
     assert np.max(np.abs(ext.values - full_exact)) < 1e-14
 
 
+def test_solver_data_called_on_arrays():
+    # each data callable is called on coordinate arrays: once per
+    # stationary solve, at most once per IMEX step
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            assert np.ndim(args[-1]) >= 1, name       # arrays, not points
+            return fn(*args)
+        return wrapper
+
+    fstar = lambda x, v: x * v * v
+    bc = BoundaryCondition(at_x0="inflow",
+                           inflow_profile=counted("inflow_profile", lambda t, v: fstar(0.0, v)),
+                           at_xmax=counted("at_xmax", lambda t, v: fstar(1.0, v)),
+                           at_vmax=counted("at_vmax", lambda t, x, v: fstar(x, v)))
+    h = counted("h", lambda x, v: v ** 3 - 2.0 * x)
+    n = 16
+    solve_stationary(h, bc, 1.0, HalfStripGrid(x_max=1.0, v_max=1.5, nx=n, nv=n))
+    assert calls == {"h": 1, "inflow_profile": 1, "at_xmax": 1, "at_vmax": 1}
+
+    calls.clear()
+    g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=n, nv=n, nt=1, dt=0.25 * (1 / n) / 1.5)
+    nsteps = 20
+    solve_timedep(Field(g, np.zeros((n + 1, n))), h, bc, 1.0, T=nsteps * g.dt)
+    assert calls["h"] == 1
+    assert all(calls[name] <= nsteps for name in ("inflow_profile", "at_xmax", "at_vmax"))
+
+
+def test_solver_data_of_wrong_shape_raises():
+    g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=16, nv=16)
+    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: np.zeros(3),
+                           at_vmax=lambda t, x, v: 0.0)
+    with pytest.raises(ValueError, match="at_xmax data of shape"):
+        solve_stationary(None, bc, 1.0, g)
+
+
 def test_solver_error_on_nonconvergence():
     g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=16, nv=16)
     bc = BoundaryCondition(at_x0="specular",
@@ -213,7 +310,7 @@ def test_stationary_rejects_non_finite_data():
     with pytest.raises(ValueError, match="source"):
         solve_stationary(H, bc, 1.0, g)
     nan_wall = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0,
-                                 at_vmax=lambda t, x, v: math.nan if x > 0.5 else 0.0)
+                                 at_vmax=lambda t, x, v: np.where(x > 0.5, np.nan, 0.0))
     with pytest.raises(ValueError, match="at_vmax"):
         solve_stationary(lambda x, v: v, nan_wall, 1.0, g)
 
