@@ -21,7 +21,7 @@ import numpy as np
 from .geometry import KineticPoint
 from .liouville import HalfSpaceRHS, classify, verify_solution
 from .polynomials import KineticPolynomial, full_space, tricomi_augmented_space
-from .probe import exponent_fit, best_approx_error, gamma0_tricomi_coefficient
+from .probe import exponent_fit, best_approx_error, gamma0_tricomi_coefficient, phase_field
 from .solver import (
     BoundaryCondition,
     Field,
@@ -253,37 +253,22 @@ _SPACES = {
 }
 
 
-def _spline_field(spline):
-    """A solved field's spline as a probe field, z -> spline(x, v); its
-    values(pts) evaluates a whole point list in one call."""
-
-    def f(z: KineticPoint) -> float:
-        return float(spline.ev(z.x[0], z.v[0]))
-
-    f.values = lambda pts: spline.ev([z.x[0] for z in pts], [z.v[0] for z in pts])
-    return f
-
-
 def run_probe(args) -> int:
-    if args.space not in _SPACES:
-        print(f"error: unknown space {args.space!r}", file=sys.stderr)
-        return EXIT_CONFIG
+    # every input is checked before the first fit: a bad one exits 2
     try:
+        if args.space not in _SPACES:
+            raise ValueError(f"unknown space {args.space!r}")
         t0, x0, v0 = (float(c) for c in args.z0.split(","))
+        z0 = KineticPoint(t0, x0, v0)
         radii = [float(r) for r in args.radii.split(",")]
-    except ValueError:
-        print("error: bad --z0 or --radii", file=sys.stderr)
+        if not all(0.0 < r < math.inf for r in radii):
+            raise ValueError(f"--radii must be finite and positive, got {args.radii}")
+        params = TricomiParams(A=args.A, lam=3)
+        f = (as_field(params) if args.field == "builtin:tricomi"
+             else phase_field(Field.from_binary(args.field).interpolator().ev))
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    z0 = KineticPoint(t0, x0, v0)
-    if args.field == "builtin:tricomi":
-        f = as_field(TricomiParams(A=args.A, lam=3))
-    else:
-        try:
-            fld = Field.from_binary(args.field)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        f = _spline_field(fld.interpolator())
     spec = _SPACES[args.space](args.A)
     report = {"field": args.field, "space": args.space, "z0": [t0, x0, v0]}
     if len(set(radii)) >= 4:
@@ -310,19 +295,19 @@ def run_probe(args) -> int:
 
 
 def run_counterexample(args) -> int:
-    if args.gamma == "builtin:parabola":
-        dom = _flatten.parabola_domain(args.curvature)
-    elif args.gamma == "builtin:flat":
-        dom = _flatten.flat_domain()
-    else:
-        print(f"error: unknown domain {args.gamma!r}", file=sys.stderr)
-        return EXIT_CONFIG
+    # every input is checked before the flattening is built: a bad one exits 2
     try:
+        if args.gamma == "builtin:parabola":
+            dom = _flatten.parabola_domain(args.curvature)
+        elif args.gamma == "builtin:flat":
+            dom = _flatten.flat_domain()
+        else:
+            raise ValueError(f"unknown domain {args.gamma!r}")
         fvv = np.array(json.loads(args.f_hessian), dtype=float)
-        if fvv.shape[0] != fvv.shape[1]:
-            raise ValueError("hessian must be square")
+        if fvv.ndim != 2 or fvv.shape[0] != fvv.shape[1]:
+            raise ValueError(f"--f-hessian must be a square matrix, got {args.f_hessian}")
     except (ValueError, TypeError) as exc:
-        print(f"error: bad --f-hessian: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     fm = _flatten.build_flatten(dom)
     hess = fm.d2_phi(np.zeros(2))

@@ -59,6 +59,8 @@ def flat_domain() -> GraphDomain:
 
 
 def parabola_domain(curvature: float = 1.0) -> GraphDomain:
+    if not math.isfinite(curvature):
+        raise ValueError(f"curvature must be finite, got {curvature}")
     return GraphDomain(lambda x: 0.5 * curvature * x * x,
                        lambda x: curvature * x,
                        lambda x: curvature + 0.0 * x)
@@ -78,10 +80,6 @@ class FlattenMap:
         """Phi(t, x, v) = (t, phi(x), Dphi(x) v)."""
         x = np.asarray(x, dtype=float)
         return t, self.phi(x), self.d_phi(x) @ np.asarray(v, dtype=float)
-
-    def unmap_phase(self, t: float, y: np.ndarray, w: np.ndarray):
-        y = np.asarray(y, dtype=float)
-        return t, self.phi_inverse(y), self.d_phi_inverse(y) @ np.asarray(w, dtype=float)
 
 
 def build_flatten(dom: GraphDomain, patch_radius: float = 0.25) -> FlattenMap:

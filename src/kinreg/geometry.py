@@ -16,6 +16,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
+
 def _as_tuple(u) -> tuple[float, ...]:
     if isinstance(u, (int, float)):
         return (float(u),)
@@ -50,44 +53,59 @@ class KineticPoint:
         """Euclidean norm of the raw coordinate vector (t, x, v)."""
         return math.sqrt(self.t ** 2 + sum(c * c for c in self.x) + sum(c * c for c in self.v))
 
-    def __iter__(self):
-        yield self.t
-        yield self.x
-        yield self.v
-
 
 def origin(n: int) -> KineticPoint:
     return KineticPoint(0.0, (0.0,) * n, (0.0,) * n)
 
 
-def compose(a: KineticPoint, b: KineticPoint) -> KineticPoint:
-    """Group law a o b; not commutative."""
-    if a.n != b.n:
+def _split(z):
+    """The t, x and v column blocks of a KineticPoint or of rows (t, x..., v...)."""
+    rz = np.array((z.t, *z.x, *z.v)) if isinstance(z, KineticPoint) else np.asarray(z, dtype=float)
+    n, odd = divmod(rz.shape[-1] - 1, 2) if rz.ndim else (0, 0)
+    if n < 1 or odd:
+        raise ValueError(f"rows (t, x..., v...) need an odd length >= 3, got shape {rz.shape}")
+    return rz[..., :1], rz[..., 1:1 + n], rz[..., 1 + n:]
+
+
+def _join(t, x, v, *args):
+    """A KineticPoint when every argument was one, else the rows; never non-finite."""
+    out = np.concatenate([t, x, v], axis=-1)
+    if not np.isfinite(out).all():
+        raise ValueError("non-finite component in kinetic point")
+    if all(isinstance(a, KineticPoint) for a in args):
+        return KineticPoint(t[0], x, v)
+    return out
+
+
+def compose(a, b):
+    """Group law a o b; not commutative. a and b are KineticPoints or
+    arrays of rows (t, x..., v...) that broadcast against each other."""
+    (ta, xa, va), (tb, xb, vb) = _split(a), _split(b)
+    if xa.shape[-1] != xb.shape[-1]:
         raise ValueError("dimension mismatch in compose")
-    x = tuple(xb + xa + b.t * va for xa, xb, va in zip(a.x, b.x, a.v))
-    v = tuple(vb + va for va, vb in zip(a.v, b.v))
-    return KineticPoint(a.t + b.t, x, v)
+    return _join(ta + tb, xb + xa + tb * va, vb + va, a, b)
 
 
-def inverse(z: KineticPoint) -> KineticPoint:
+def inverse(z):
     """Group inverse: compose(inverse(z), z) = identity = (0, 0, 0)."""
-    x = tuple(-xc + z.t * vc for xc, vc in zip(z.x, z.v))
-    return KineticPoint(-z.t, x, tuple(-vc for vc in z.v))
+    t, x, v = _split(z)
+    return _join(-t, -x + t * v, -v, z)
 
 
-def scale(r: float, z: KineticPoint) -> KineticPoint:
-    """S_r z = (r^2 t, r^3 x, r v), r > 0."""
-    if r <= 0:
-        raise ValueError(f"scale factor must be positive, got {r}")
-    return KineticPoint(r * r * z.t, tuple(r ** 3 * c for c in z.x), tuple(r * c for c in z.v))
+def scale(r: float, z):
+    """S_r z = (r^2 t, r^3 x, r v), 0 < r < inf."""
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"scale factor must be positive and finite, got {r}")
+    t, x, v = _split(z)
+    return _join(r * r * t, np.float64(r) ** 3 * x, r * v, z)   # overflows to inf, not OverflowError
 
 
-def frame_map(z0: KineticPoint, r: float, z: KineticPoint) -> KineticPoint:
+def frame_map(z0: KineticPoint, r: float, z):
     """z0 o S_r z, the zoom-in frame centered at z0 with scale r."""
     return compose(z0, scale(r, z))
 
 
-def frame_unmap(z0: KineticPoint, r: float, z: KineticPoint) -> KineticPoint:
+def frame_unmap(z0: KineticPoint, r: float, z):
     """Exact inverse of frame_map: S_{1/r}(z0^{-1} o z)."""
     return scale(1.0 / r, compose(inverse(z0), z))
 

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -462,14 +462,14 @@ def space_dim(spec: PolySpaceSpec) -> int:
     return len(_space_indices(spec)) + (spec.kind == "tricomi_augmented")
 
 
-def basis_matrix(spec: PolySpaceSpec, pts: Sequence[KineticPoint],
-                 marker_pts: Sequence[KineticPoint] | None = None) -> np.ndarray:
-    """One row per point of pts, one column per space_basis(spec) element.
+def basis_matrix(spec: PolySpaceSpec, pts: np.ndarray,
+                 marker_pts: np.ndarray | None = None) -> np.ndarray:
+    """One row per row (t, x..., v...) of pts, one column per space_basis(spec) element.
 
     Monomial columns are one broadcast over the exponent table; the Tricomi
     column of the augmented space is evaluated at marker_pts (default pts)."""
     e = np.array([(b.bt, *b.bx, *b.bv) for b in _space_indices(spec)], dtype=float)
-    z = np.array([(p.t, *p.x, *p.v) for p in pts], dtype=float).reshape(len(pts), e.shape[1])
+    z = np.asarray(pts, dtype=float).reshape(len(pts), e.shape[1])
     B = np.prod(z[:, None, :] ** e, axis=2)
     if spec.kind != "tricomi_augmented":
         return B
@@ -477,8 +477,8 @@ def basis_matrix(spec: PolySpaceSpec, pts: Sequence[KineticPoint],
 
     params = TricomiParams(A=spec.A, lam=3)
     ax = spec.normal_axis
-    at = pts if marker_pts is None else marker_pts
-    marker = eval_tricomi(params, [p.x[ax] for p in at], [p.v[ax] for p in at])
+    at = z if marker_pts is None else np.asarray(marker_pts, dtype=float)
+    marker = eval_tricomi(params, at[:, 1 + ax], at[:, 1 + spec.n + ax])
     return np.column_stack([B, marker])
 
 
@@ -680,56 +680,47 @@ def kernel_basis(op: OperatorSpec, spec: PolySpaceSpec) -> list[KineticPolynomia
 # ---------------------------------------------------------------------------
 
 
-def cylinder_quadrature(z0: KineticPoint, r: float, nodes: int,
-                        half_space: bool = True):
-    """Tensor Gauss-Legendre nodes/weights on H_r(z0), n = 1.
+def cylinder_quadrature(z0: KineticPoint, r: float, nodes: int):
+    """Tensor Gauss-Legendre nodes, as rows (t, x, v), and weights on
+    H_r(z0), n = 1; t-major, then x, then v.
 
     The x integration runs over the moving interval
-    x in (x0 + (t-t0) v0 - r^3, x0 + (t-t0) v0 + r^3), clipped at x = 0
-    when half_space is set.
+    x in (x0 + (t-t0) v0 - r^3, x0 + (t-t0) v0 + r^3), clipped at x = 0.
     """
     if z0.n != 1:
         raise ValueError("cylinder quadrature implemented for n = 1")
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+    g, gw = np.polynomial.legendre.leggauss(nodes)
     t0, x0, v0 = z0.t, z0.x[0], z0.v[0]
-    pts = []
-    wts = []
-    for ti, wi in zip(gl_x, gl_w):
-        t = t0 + r * r * ti
-        wt_t = r * r * wi
-        xc = x0 + (t - t0) * v0
-        lo, hi = xc - r ** 3, xc + r ** 3
-        if half_space:
-            lo = max(lo, 0.0)
-        if hi <= lo:
-            continue
-        for xj, wj in zip(gl_x, gl_w):
-            x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xj
-            wt_x = 0.5 * (hi - lo) * wj
-            for vk, wk in zip(gl_x, gl_w):
-                v = v0 + r * vk
-                pts.append(KineticPoint(t, x, v))
-                wts.append(wt_t * wt_x * r * wk)
-    return pts, np.array(wts)
+    t = t0 + r * r * g
+    wt_t = r * r * gw
+    xc = x0 + (t - t0) * v0
+    lo, hi = np.maximum(xc - r ** 3, 0.0), xc + r ** 3
+    keep = hi > lo
+    t, wt_t, lo, hi = t[keep], wt_t[keep], lo[keep, None], hi[keep, None]
+    x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * g
+    wt_x = 0.5 * (hi - lo) * gw
+    pts = np.column_stack([np.repeat(t, nodes * nodes), np.repeat(x, nodes), np.tile(v0 + r * g, x.size)])
+    return pts, np.outer(wt_t[:, None] * wt_x * r, gw).ravel()
 
 
 def l2_project(f: Callable[[KineticPoint], float], z0: KineticPoint, r: float,
-               spec: PolySpaceSpec, quad_order: int | None = None,
-               half_space: bool = True) -> np.ndarray:
+               spec: PolySpaceSpec, quad_order: int | None = None) -> np.ndarray:
     """Coefficients of the L^2(H_r(z0)) projection of f onto span(spec).
 
     Gram solve on tensor Gauss-Legendre quadrature; raises on a singular
     Gram matrix (degenerate domain).
     """
+    from .probe import field_values
+
     if spec.n != 1:
         raise ValueError("l2_project implemented for n = 1")
     nodes = quad_order if quad_order is not None else spec.k + 2
     nodes = max(nodes, spec.k + 1)
-    pts, w = cylinder_quadrature(z0, r, nodes, half_space=half_space)
+    pts, w = cylinder_quadrature(z0, r, nodes)
     if len(pts) == 0:
         raise ValueError("degenerate projection domain")
     B = basis_matrix(spec, pts)
-    fv = np.array([f(z) for z in pts])
+    fv = field_values(f, pts)
     scal = np.sqrt(np.maximum((B * B * w[:, None]).sum(axis=0), 1e-300))
     Bs = B / scal
     G = (Bs * w[:, None]).T @ Bs

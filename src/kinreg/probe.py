@@ -8,6 +8,9 @@ disappears once the Tricomi function is added to the space. All fitting
 happens in the zoom frame z = z0 o S_r zhat so the Gram matrices stay
 conditioned at tiny radii; pulled-back polynomials span the same space,
 which makes the scaling covariance exact by construction.
+
+A point set is one (N, 3) array of rows (t, x, v) from the sampler to the
+fit; field_values is the one adapter that evaluates a field on it.
 """
 
 from __future__ import annotations
@@ -27,53 +30,63 @@ _EXACT_FIT_FLOOR = 1e-13
 _HALTON_PRIMES = (2, 3, 5)
 
 
-def _halton(index: int, base: int) -> float:
-    out = 0.0
+def _radical_inverse(idx: np.ndarray, base: int) -> np.ndarray:
+    """The base-b Halton coordinate of every index, digit by digit."""
+    out = np.zeros(idx.shape)
     f = 1.0
-    i = index
-    while i > 0:
+    while idx.any():
         f /= base
-        out += f * (i % base)
-        i //= base
+        idx, digit = np.divmod(idx, base)
+        out += f * digit
     return out
 
 
-def sample_cylinder(z0: KineticPoint, r: float, count: int, seed: int = 0,
-                    half_space: bool = True) -> list[KineticPoint]:
-    """count low-discrepancy points of H_r(z0) = Q_r(z0) (cap x > 0).
+def sample_cylinder(z0: KineticPoint, r: float, count: int, seed: int = 0) -> np.ndarray:
+    """count low-discrepancy points of H_r(z0) = Q_r(z0) (cap x > 0), as a
+    (count, 3) array of rows (t, x, v).
 
     Halton points in the normalized cylinder mapped by the zoom frame;
     rejection keeps the scan deterministic for a given seed.
     """
     if z0.n != 1:
         raise ValueError("sampling implemented for n = 1")
-    pts = []
-    idx = 1 + 1000 * seed
-    guard = 0
+    start = 1 + 1000 * seed
+    end = start + 1000 * count
+    pts = np.empty((0, 3))
     while len(pts) < count:
-        unit = [_halton(idx, b) for b in _HALTON_PRIMES]
-        idx += 1
-        guard += 1
-        if guard > 1000 * count:
+        if start >= end:
             raise RuntimeError("rejection sampling starved; cylinder mostly outside domain")
-        that = 2.0 * unit[0] - 1.0
-        xhat = 2.0 * unit[1] - 1.0
-        vhat = 2.0 * unit[2] - 1.0
-        z = frame_map(z0, r, KineticPoint(that, xhat, vhat))
-        if half_space and z.x[0] <= 0.0:
-            continue
-        pts.append(z)
-    return pts
+        idx = np.arange(start, min(start + 2 * count, end))
+        start += len(idx)
+        unit = np.stack([_radical_inverse(idx, b) for b in _HALTON_PRIMES], axis=1)
+        z = frame_map(z0, r, 2.0 * unit - 1.0)
+        pts = np.concatenate([pts, z[z[:, 1] > 0.0]])
+    return pts[:count]
 
 
-def field_values(f: Callable[[KineticPoint], float], pts: Sequence[KineticPoint]) -> np.ndarray:
-    """f at every point of pts: one f.values(pts) call when the field has
-    that method (CylinderFit and tricomi.as_field fields do), otherwise f
-    point by point."""
+def field_values(f: Callable[[KineticPoint], float], pts: np.ndarray) -> np.ndarray:
+    """f at every row (t, x, v) of pts: one f.values(pts) call when the
+    field has that method (CylinderFit and phase_field fields do),
+    otherwise f(KineticPoint) row by row."""
     batch = getattr(f, "values", None)
     if batch is not None:
         return np.asarray(batch(pts), dtype=float)
-    return np.array([f(z) for z in pts], dtype=float)
+    return np.array([f(KineticPoint(*row)) for row in pts.tolist()], dtype=float)
+
+
+def phase_field(g: Callable, normal_axis: int = 0) -> Callable[[KineticPoint], float]:
+    """The field z -> g(x[axis], v[axis]) for a g that broadcasts over
+    arrays; its values(pts) is one g call on two columns of the rows."""
+
+    def f(z: KineticPoint) -> float:
+        return float(g(z.x[normal_axis], z.v[normal_axis]))
+
+    def values(pts: np.ndarray) -> np.ndarray:
+        n = (pts.shape[1] - 1) // 2
+        return g(pts[:, 1 + normal_axis], pts[:, 1 + n + normal_axis])
+
+    f.values = values
+    return f
 
 
 class CylinderFit:
@@ -91,25 +104,24 @@ class CylinderFit:
             return float(self.coeffs[-1])
         return None
 
-    def values(self, pts: Sequence[KineticPoint]) -> np.ndarray:
-        """The fit at every point of pts: polynomials in the zoom frame,
+    def values(self, pts: np.ndarray) -> np.ndarray:
+        """The fit at every row of pts: polynomials in the zoom frame,
         the Tricomi marker (5-homogeneous, so it scales out) at pts."""
-        pts_hat = [frame_unmap(self.z0, self.r, z) for z in pts]
-        return basis_matrix(self.spec, pts_hat, pts) @ self.coeffs
+        return basis_matrix(self.spec, frame_unmap(self.z0, self.r, pts), pts) @ self.coeffs
 
     def __call__(self, z: KineticPoint) -> float:
-        return float(self.values([z])[0])
+        return float(self.values(np.array([(z.t, *z.x, *z.v)]))[0])
 
 
 def polyfit_on_cylinder(f: Callable[[KineticPoint], float], z0: KineticPoint,
                         r: float, spec: PolySpaceSpec, samples: int | None = None,
-                        seed: int = 0, half_space: bool = True) -> CylinderFit:
+                        seed: int = 0) -> CylinderFit:
     dim = space_dim(spec)
     count = samples if samples is not None else 20 * dim
     if count < 10 * dim:
         raise ValueError(f"need at least {10 * dim} samples for dim {dim}")
-    pts = sample_cylinder(z0, r, count, seed=seed, half_space=half_space)
-    B = basis_matrix(spec, [frame_unmap(z0, r, z) for z in pts], pts)
+    pts = sample_cylinder(z0, r, count, seed=seed)
+    B = basis_matrix(spec, frame_unmap(z0, r, pts), pts)
     scale = np.maximum(np.abs(B).max(axis=0), 1e-300)
     fv = field_values(f, pts)
     sol, _, rank, _ = np.linalg.lstsq(B / scale, fv, rcond=None)
@@ -120,15 +132,14 @@ def polyfit_on_cylinder(f: Callable[[KineticPoint], float], z0: KineticPoint,
 
 def best_approx_error(f: Callable[[KineticPoint], float], z0: KineticPoint,
                       r: float, spec: PolySpaceSpec, samples: int | None = None,
-                      seed: int = 0, half_space: bool = True) -> float:
+                      seed: int = 0) -> float:
     """sup |f - best span(spec) fit| over H_r(z0): a least-squares proxy
     for the minimax error, evaluated on a 4x denser residual grid. Upper
     bound up to a dimension-dependent factor; all downstream acceptance
     checks compare ratios, which cancels the factor."""
-    fit = polyfit_on_cylinder(f, z0, r, spec, samples=samples, seed=seed,
-                              half_space=half_space)
+    fit = polyfit_on_cylinder(f, z0, r, spec, samples=samples, seed=seed)
     count = 4 * (samples if samples is not None else 20 * space_dim(spec))
-    dense = sample_cylinder(z0, r, count, seed=seed + 7, half_space=half_space)
+    dense = sample_cylinder(z0, r, count, seed=seed + 7)
     return float(np.max(np.abs(field_values(f, dense) - fit.values(dense))))
 
 
@@ -147,8 +158,7 @@ class ExponentFit:
 
 def exponent_fit(f: Callable[[KineticPoint], float], z0: KineticPoint,
                  spec: PolySpaceSpec, radii: Sequence[float],
-                 samples: int | None = None, seed: int = 0,
-                 half_space: bool = True) -> ExponentFit:
+                 samples: int | None = None, seed: int = 0) -> ExponentFit:
     """Least-squares slope of log(error) against log(r).
 
     Exact fits (all errors at the numerical floor) report the +inf slope
@@ -157,8 +167,7 @@ def exponent_fit(f: Callable[[KineticPoint], float], z0: KineticPoint,
     radii = tuple(sorted(set(float(r) for r in radii), reverse=True))
     if len(radii) < 4:
         raise ValueError("need at least 4 radii")
-    errs = [best_approx_error(f, z0, r, spec, samples=samples, seed=seed,
-                              half_space=half_space) for r in radii]
+    errs = [best_approx_error(f, z0, r, spec, samples=samples, seed=seed) for r in radii]
     scale = float(np.max(np.abs(field_values(f, sample_cylinder(z0, radii[0], 64, seed=seed)))))
     if all(e <= _EXACT_FIT_FLOOR * max(1.0, scale) for e in errs):
         return ExponentFit(radii, tuple(errs), EXACT_FIT_SENTINEL, -math.inf, 1.0)

@@ -54,8 +54,8 @@ class HalfStripGrid:
             raise ValueError("need nx, nv >= 16")
         if self.nv % 2 != 0:
             raise ValueError("nv must be even so that v = 0 is a cell face")
-        if self.nt > 0 and (self.dt is None or self.dt <= 0):
-            raise ValueError("time-dependent grid needs dt > 0")
+        if self.nt > 0 and (self.dt is None or not 0.0 < self.dt < np.inf):
+            raise ValueError("time-dependent grid needs finite dt > 0")
 
     @property
     def hx(self) -> float:
@@ -415,9 +415,11 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float,
     dt <= 0.5 hx / v_max, and raises ValueError on non-finite source,
     initial or boundary data. Returns the trajectory (at least initial and
     final slices)."""
+    if not 0.0 < A < np.inf:
+        raise ValueError("diffusion A must be positive and finite")
     grid = f0.grid
-    if grid.dt is None or grid.dt <= 0:
-        raise ValueError("grid needs dt > 0")
+    if grid.dt is None or not 0.0 < grid.dt < np.inf:
+        raise ValueError("grid needs finite dt > 0")
     dt, hx = grid.dt, grid.hx
     if dt > 0.5 * hx / grid.v_max + 1e-15:
         raise ValueError(f"CFL violation: dt = {dt} > 0.5 hx / v_max = {0.5 * hx / grid.v_max}")

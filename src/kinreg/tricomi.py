@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import KineticPoint
+from .probe import phase_field, polyfit_on_cylinder, sample_cylinder
 # tricomi_u is re-exported: perfbench/tracing.py wraps kinreg.tricomi.tricomi_u.
 from .specfun import gamma_real, kummer_m_series_array, real_kummer_combo, tricomi_u  # noqa: F401
 
@@ -93,19 +94,9 @@ def _interior(p: TricomiParams, x, v):
 
 
 def as_field(p: TricomiParams, normal_axis: int = 0, scale: float = 1.0) -> Callable[[KineticPoint], float]:
-    """T as a function on phase space: z -> scale * T(x[axis], v[axis]).
-
-    The field's values(pts) evaluates a whole point list in one call."""
-
-    def f(z: KineticPoint) -> float:
-        return scale * eval_tricomi(p, z.x[normal_axis], z.v[normal_axis])
-
-    def values(pts) -> np.ndarray:
-        return scale * eval_tricomi(p, [z.x[normal_axis] for z in pts],
-                                    [z.v[normal_axis] for z in pts])
-
-    f.values = values
-    return f
+    """T as a function on phase space: z -> scale * T(x[axis], v[axis]),
+    with a values(pts) that evaluates a whole array of rows in one call."""
+    return phase_field(lambda x, v: scale * eval_tricomi(p, x, v), normal_axis)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +224,6 @@ def c41_seminorm_probe(p: TricomiParams, z_star: KineticPoint, r: float,
         raise ValueError("z_star must lie in the closed half space")
     from .geometry import kinetic_distance
     from .polynomials import full_space
-    from .probe import sample_cylinder, polyfit_on_cylinder
 
     f = as_field(p)
     spec = full_space(4, 1)
@@ -241,8 +231,8 @@ def c41_seminorm_probe(p: TricomiParams, z_star: KineticPoint, r: float,
     pts = sample_cylinder(z_star, r, max(samples, 200), seed=seed + 1)
     resid = np.abs(f.values(pts) - fit.values(pts))
     worst = 0.0
-    for z, e in zip(pts, resid):
-        d = kinetic_distance(z, z_star, tol=1e-10)
+    for row, e in zip(pts.tolist(), resid):
+        d = kinetic_distance(KineticPoint(*row), z_star, tol=1e-10)
         if d < 1e-6:
             continue
         worst = max(worst, float(e) / d ** 5)

@@ -71,6 +71,21 @@ def test_solve_kfp_bad_input_is_config_error(argv, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["probe-exponent", "--A", "nan", "--space", "p5+tricomi"],
+    ["probe-exponent", "--A", "inf", "--space", "p5+tricomi"],
+    ["probe-exponent", "--radii", "nan,0.5"], ["probe-exponent", "--radii=0,0.5,0.25,0.1"],
+    ["probe-exponent", "--radii=-1,0.5,0.25,0.1"], ["probe-exponent", "--z0", "nan,0,0"],
+    ["probe-exponent", "--space", "p9"], ["probe-exponent", "--field", "missing.kfp"],
+    ["counterexample-check", "--curvature", "nan"], ["counterexample-check", "--curvature", "inf"],
+    ["counterexample-check", "--gamma", "bogus"], ["counterexample-check", "--f-hessian", "3"]])
+def test_probe_and_counterexample_bad_input_is_config_error(argv, capsys):
+    # checked before any fit or flattening: exit 2 with a message, no traceback
+    assert run_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_liouville_classify_tricomi_case(tmp_path):
     rhs = tmp_path / "v3.json"
     rhs.write_text(KineticPolynomial.monomial(1, 1, bv=(3,)).to_json())

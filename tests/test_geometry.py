@@ -240,3 +240,46 @@ def test_grazing_center_reflection_symmetric():
     for _ in range(200):
         z = rand_point()
         assert cylinder_contains(c, z) == cylinder_contains(c, reflect_velocity(z, dom))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_group_ops_on_rows_match_points(n):
+    # an (N, 1 + 2n) array of rows (t, x..., v...) is a batch of points
+    rng = np.random.RandomState(70 + n)   # own stream, so other tests' draws do not shift
+    A, B = rng.uniform(-2.0, 2.0, size=(2, 25, 1 + 2 * n))
+    P, Q = ([KineticPoint(z[0], z[1:1 + n], z[1 + n:]) for z in M] for M in (A, B))
+    z0, r = Q[0], 0.7
+
+    def rows(zs):
+        return np.array([(z.t, *z.x, *z.v) for z in zs])
+
+    np.testing.assert_array_equal(compose(A, B), rows(map(compose, P, Q)))
+    np.testing.assert_array_equal(compose(z0, A), rows(compose(z0, p) for p in P))
+    np.testing.assert_array_equal(compose(A, z0), rows(compose(p, z0) for p in P))
+    np.testing.assert_array_equal(inverse(A), rows(map(inverse, P)))
+    np.testing.assert_array_equal(scale(r, A), rows(scale(r, p) for p in P))
+    np.testing.assert_array_equal(frame_map(z0, r, A), rows(frame_map(z0, r, p) for p in P))
+    np.testing.assert_array_equal(frame_unmap(z0, r, A), rows(frame_unmap(z0, r, p) for p in P))
+
+
+def test_group_ops_reject_non_finite_and_bad_rows():
+    z = KineticPoint(0.1, 0.2, 0.3)
+    good, bad = np.array([[0.1, 0.2, 0.3]]), np.array([[0.1, 0.2, 0.3], [0.0, np.nan, 1.0]])
+    for r in (np.nan, np.inf, 0.0, -1.0):
+        for w in (z, good):
+            with pytest.raises(ValueError):
+                scale(r, w)
+            with pytest.raises(ValueError):
+                frame_map(z, r, w)
+    for op in (lambda w: compose(z, w), lambda w: compose(w, z), inverse,
+               lambda w: scale(2.0, w), lambda w: frame_map(z, 0.5, w),
+               lambda w: frame_unmap(z, 0.5, w)):
+        with pytest.raises(ValueError):
+            op(bad)
+    for r, w in ((1e200, z), (1e200, good), (1e100, np.array([[1e300, 0.0, 0.0]]))):
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            scale(r, w)                     # finite input, overflowing result
+    with pytest.raises(ValueError):
+        compose(good, np.zeros((1, 5)))     # n = 1 against n = 2
+    with pytest.raises(ValueError):
+        inverse(np.zeros((2, 4)))           # not (t, x..., v...)

@@ -154,8 +154,9 @@ def test_basis_matrix_matches_pointwise_eval(spec):
                              rng.uniform(-2, 2, spec.n)) for _ in range(count)]
 
     pts, marker_pts = draw(40), draw(40)
+    rows, marker_rows = (np.array([(z.t, *z.x, *z.v) for z in ps]) for ps in (pts, marker_pts))
     basis = space_basis(spec)
-    B = basis_matrix(spec, pts, marker_pts)
+    B = basis_matrix(spec, rows, marker_rows)
     assert B.shape == (len(pts), len(basis)) == (len(pts), space_dim(spec))
     tp = TricomiParams(A=spec.A or 1.0, lam=3)
     want = np.array([[q.eval(z) if isinstance(q, KineticPolynomial)
@@ -163,7 +164,7 @@ def test_basis_matrix_matches_pointwise_eval(spec):
                       for q in basis] for z, zm in zip(pts, marker_pts)])
     np.testing.assert_allclose(B, want, rtol=1e-14, atol=0)
     # the marker column defaults to the points themselves
-    np.testing.assert_array_equal(basis_matrix(spec, pts), basis_matrix(spec, pts, pts))
+    np.testing.assert_array_equal(basis_matrix(spec, rows), basis_matrix(spec, rows, rows))
 
 
 def test_pullback_stays_in_class_and_matches_eval():
@@ -384,6 +385,7 @@ def test_l2_project_constant_is_average():
     from kinreg.polynomials import cylinder_quadrature
 
     pts, w = cylinder_quadrature(z0, 0.5, 16)
+    pts = [KineticPoint(*row) for row in pts]
     avg = sum(wi * f(z) for z, wi in zip(pts, w)) / w.sum()
     assert c == pytest.approx(avg, rel=1e-8)
 
@@ -397,6 +399,7 @@ def test_l2_project_orthogonality():
     from kinreg.polynomials import cylinder_quadrature
 
     pts, w = cylinder_quadrature(z0, 0.6, 14)
+    pts = [KineticPoint(*row) for row in pts]
     resid = np.array([f(z) for z in pts]) - sum(
         c * np.array([q.eval(z) for z in pts]) for c, q in zip(coef, basis))
     fnorm = math.sqrt(float(w @ np.array([f(z) ** 2 for z in pts])))

@@ -22,12 +22,42 @@ RADII = [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]
 
 
 def test_sampler_deterministic_and_in_domain():
-    a = sample_cylinder(Z0, 0.5, 50, seed=3)
-    b = sample_cylinder(Z0, 0.5, 50, seed=3)
+    a = [KineticPoint(*row) for row in sample_cylinder(Z0, 0.5, 50, seed=3)]
+    b = [KineticPoint(*row) for row in sample_cylinder(Z0, 0.5, 50, seed=3)]
     assert all(p == q for p, q in zip(a, b))
     for z in a:
         assert z.x[0] > 0.0
         assert abs(z.t) < 0.25 and abs(z.v[0]) < 0.5
+
+
+def _scalar_sampler(z0, r, count, seed):
+    """The sampler as it was written point by point, as the reference."""
+    def halton(index, base):
+        out, f = 0.0, 1.0
+        while index > 0:
+            f /= base
+            out += f * (index % base)
+            index //= base
+        return out
+
+    pts, idx = [], 1 + 1000 * seed
+    while len(pts) < count:
+        t, x, v = (2.0 * halton(idx, b) - 1.0 for b in (2, 3, 5))
+        idx += 1
+        st = r * r * t                   # z0 o S_r (t, x, v), in the group law's order
+        z = (z0.t + st, r ** 3 * x + z0.x[0] + st * z0.v[0], r * v + z0.v[0])
+        if z[1] > 0.0:
+            pts.append(z)
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("z0", [Z0, KineticPoint(0.3, 0.1, -0.2)], ids=["origin", "interior"])
+def test_sampler_matches_scalar_reference(z0, seed):
+    got = sample_cylinder(z0, 0.5, 150, seed=seed)
+    np.testing.assert_array_equal(got, _scalar_sampler(z0, 0.5, 150, seed))
+    with pytest.raises(RuntimeError, match="starved"):   # the cylinder misses x > 0
+        sample_cylinder(KineticPoint(0.0, -5.0, 0.0), 0.5, 3, seed=seed)
 
 
 def test_in_space_function_recovered():
@@ -40,10 +70,10 @@ def test_fit_values_match_pointwise_call():
     for spec in (full_space(5, 1), tricomi_augmented_space(1.0, 1)):
         fit = polyfit_on_cylinder(T_FIELD, Z0, 0.25, spec, seed=1)
         pts = sample_cylinder(Z0, 0.25, 64, seed=5)
-        want = np.array([fit(z) for z in pts])
+        want = np.array([fit(KineticPoint(*z)) for z in pts])
         np.testing.assert_allclose(fit.values(pts), want, rtol=0, atol=1e-14 * np.abs(want).max())
     # the Tricomi field's one-call values agree with its point-by-point calls
-    want = np.array([T_FIELD(z) for z in pts])
+    want = np.array([T_FIELD(KineticPoint(*z)) for z in pts])
     np.testing.assert_allclose(field_values(T_FIELD, pts), want, rtol=1e-14, atol=0)
 
 
@@ -146,7 +176,7 @@ def test_gamma_plus_solver_field_slope():
     z0 = KineticPoint(0.0, 0.0, -1.0)   # gamma_+: boundary point, incoming normal velocity
     # sanity: the probed field matches the manufactured solution to the
     # O(h^2) seam error of the boundary-adjacent centered faces
-    for z in sample_cylinder(z0, 0.5, 32, seed=1):
+    for z in map(lambda row: KineticPoint(*row), sample_cylinder(z0, 0.5, 32, seed=1)):
         assert f(z) == pytest.approx(fstar(z.x[0], z.v[0]), abs=5e-3)
     ef = exponent_fit(f, z0, full_space(5, 1), [1.0, 0.5, 0.25, 0.125])
     assert ef.slope >= 5.3, (ef.slope, ef.errors)

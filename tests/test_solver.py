@@ -33,7 +33,8 @@ def test_grid_validation():
         HalfStripGrid(x_max=1, v_max=1, nx=32, nv=31)
     for bad in (dict(x_max=math.nan), dict(x_max=math.inf), dict(x_max=-1.0),
                 dict(x_max=1.0, x_min=1.0), dict(x_min=-math.inf), dict(v_max=math.nan),
-                dict(v_max=math.inf), dict(v_max=0.0)):
+                dict(v_max=math.inf), dict(v_max=0.0), dict(nt=1, dt=math.nan),
+                dict(nt=1, dt=math.inf)):
         with pytest.raises(ValueError):
             HalfStripGrid(**{"x_max": 1.0, "v_max": 1.0, "nx": 32, "nv": 32, **bad})
     g = HalfStripGrid(x_max=1, v_max=1, nx=32, nv=32)
@@ -445,6 +446,9 @@ def test_timedep_rejects_bad_input():
     no_xmax = BoundaryCondition(at_x0="specular", at_vmax="noflux")
     with pytest.raises(ValueError, match="x_max"):
         solve_timedep(f0, None, no_xmax, 1.0, T=0.05)
+    for A in (-1.0, 0.0, math.nan, math.inf):   # as solve_stationary: no anti-diffusion
+        with pytest.raises(ValueError, match="diffusion A"):
+            solve_timedep(f0, None, bc, A, T=0.05)
 
 
 def test_field_serialization_roundtrip(tmp_path):

@@ -240,7 +240,7 @@ def test_c41_probe_zero_for_polynomial():
     z0 = KineticPoint(0.0, 0.3, 0.0)
     fit = polyfit_on_cylinder(f, z0, 0.5, full_space(5, 1), seed=3)
     worst = 0.0
-    for z in sample_cylinder(z0, 0.5, 200, seed=5):
+    for z in map(lambda row: KineticPoint(*row), sample_cylinder(z0, 0.5, 200, seed=5)):
         d = kinetic_distance(z, z0, tol=1e-10)
         if d < 1e-6:
             continue
@@ -254,4 +254,5 @@ def test_as_field_wraps_axis():
     z = KineticPoint(0.3, 0.7, -0.4)
     assert f(z) == 2.0 * eval_tricomi(p, 0.7, -0.4)
     z2 = KineticPoint(0.1, 0.0, 1.2)
-    np.testing.assert_allclose(f.values([z, z2]), [f(z), f(z2)], rtol=1e-14)
+    np.testing.assert_allclose(f.values(np.array([(0.3, 0.7, -0.4), (0.1, 0.0, 1.2)])),
+                               [f(z), f(z2)], rtol=1e-14)
