@@ -21,7 +21,13 @@ import numpy as np
 from .geometry import KineticPoint
 from .liouville import HalfSpaceRHS, classify, verify_solution
 from .polynomials import KineticPolynomial, full_space, tricomi_augmented_space
-from .probe import exponent_fit, best_approx_error, gamma0_tricomi_coefficient, phase_field
+from .probe import (
+    EXACT_FIT_SENTINEL,
+    best_approx_error,
+    exponent_fit,
+    gamma0_tricomi_coefficient,
+    phase_field,
+)
 from .solver import (
     BoundaryCondition,
     Field,
@@ -274,7 +280,7 @@ def run_probe(args) -> int:
     if len(set(radii)) >= 4:
         fit = exponent_fit(f, z0, spec, radii, seed=_seed(args))
         report.update(radii=list(fit.radii), errors=list(fit.errors),
-                      slope=fit.slope if math.isfinite(fit.slope) else "exact-fit",
+                      slope="exact-fit" if fit.slope == EXACT_FIT_SENTINEL else fit.slope,
                       r_squared=fit.r_squared)
     else:
         rs = sorted(set(radii), reverse=True)

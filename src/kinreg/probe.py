@@ -67,11 +67,16 @@ def sample_cylinder(z0: KineticPoint, r: float, count: int, seed: int = 0) -> np
 def field_values(f: Callable[[KineticPoint], float], pts: np.ndarray) -> np.ndarray:
     """f at every row (t, x, v) of pts: one f.values(pts) call when the
     field has that method (CylinderFit and phase_field fields do),
-    otherwise f(KineticPoint) row by row."""
+    otherwise f(KineticPoint) row by row. ValueError if a value is NaN or
+    inf."""
     batch = getattr(f, "values", None)
     if batch is not None:
-        return np.asarray(batch(pts), dtype=float)
-    return np.array([f(KineticPoint(*row)) for row in pts.tolist()], dtype=float)
+        out = np.asarray(batch(pts), dtype=float)
+    else:
+        out = np.array([f(KineticPoint(*row)) for row in pts.tolist()], dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("field has non-finite values on the sample points")
+    return out
 
 
 def phase_field(g: Callable, normal_axis: int = 0) -> Callable[[KineticPoint], float]:

@@ -19,10 +19,14 @@ points it needs. A result is broadcast to the shape asked for, so a
 callable may return a scalar; NaN or inf in it raises ValueError.
 
 Every interior station has the same v-tridiagonal (its diagonal does not
-depend on x), so each solve LU-factors it once, plus the half-size block
-of station 0, and a station solve is one triangular back-substitution.
-The IMEX step diffuses all full stations in one multi-right-hand-side
-solve.
+depend on x), so each solve inverts it once, densely, plus the half-size
+block of station 0 (at nv <= 256 an inverse holds at most 512 KB). A
+station solve is then a matrix-vector product. In each pass of a sweep,
+the part of every station's right-hand side that is known before the
+pass goes through the inverse in one matrix product, and only the half
+of the rows that carries fresh values to the next station is solved
+station by station. The IMEX step diffuses all full stations in one
+matrix product. Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,76 @@ class BoundaryCondition:
             raise ValueError("inflow/dirichlet modes need an inflow_profile")
 
 
+def _knots(x: np.ndarray, k: int) -> np.ndarray:
+    """FITPACK's interpolating (s = 0) knots for odd degree k: k + 1 copies
+    of each end and the interior knots x[(k+1)/2 : -(k+1)/2], i.e.
+    not-a-knot for k = 3."""
+    h = (k + 1) // 2
+    return np.concatenate([np.repeat(x[0], k + 1), x[h:-h], np.repeat(x[-1], k + 1)])
+
+
+def _bspline_basis(t: np.ndarray, k: int, x: np.ndarray):
+    """(first, B) for points x: the k + 1 B-splines of degree k that are
+    nonzero at each point are numbers first .. first + k, with values
+    B[:, 0 .. k]. Points outside [t[k], t[-k-1]] are clamped to it, as
+    FITPACK's fpbisp does; the values come from de Boor's recurrence."""
+    x = np.clip(x, t[k], t[-k - 1])[:, None]
+    l = np.clip(np.searchsorted(t, x[:, 0], side="right") - 1, k, len(t) - k - 2)
+    T = t[l[:, None] + np.arange(1 - k, k + 1)]  # t[l - k + 1] .. t[l + k]
+    B = np.ones((len(x), 1))
+    for j in range(1, k + 1):
+        left = x - T[:, k - j:k]        # x - t[l + 1 - j + r], r = 0 .. j - 1
+        right = T[:, k:k + j] - x       # t[l + 1 + r] - x
+        temp = B / (right + left)
+        B = np.zeros((len(x), j + 1))
+        B[:, :j] = right * temp
+        B[:, 1:] += left * temp
+    return l - k, B
+
+
+def _basis_matrix(t: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
+    """Dense (len(x), len(t) - k - 1) matrix of every B-spline at x."""
+    first, B = _bspline_basis(t, k, x)
+    M = np.zeros((len(x), len(t) - k - 1))
+    M[np.arange(len(x))[:, None], first[:, None] + np.arange(k + 1)] = B
+    return M
+
+
+class TensorSpline:
+    """Tensor-product interpolating spline of degree k (1 or 3) through
+    values on the grid xs x vs, with FITPACK's s = 0 knots: bilinear for
+    k = 1, not-a-knot bicubic for k = 3. Coefficients come from one
+    collocation solve per axis.
+
+    ev(x, v) evaluates at the points of the broadcast arrays x, v;
+    spline(x, v) evaluates on the tensor grid x x v as a 2-D array. Points
+    outside the grid are clamped to its boundary. Evaluate on arrays: every
+    call has a fixed cost of about 0.1 ms, whatever its size.
+    """
+
+    def __init__(self, xs: np.ndarray, vs: np.ndarray, values: np.ndarray, k: int):
+        self.k = k
+        self.tx, self.tv = _knots(xs, k), _knots(vs, k)
+        coef = np.linalg.solve(_basis_matrix(self.tx, k, xs), values)
+        self.coef = np.linalg.solve(_basis_matrix(self.tv, k, vs), coef.T).T
+
+    def ev(self, x, v) -> np.ndarray:
+        x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+        fx, Bx = _bspline_basis(self.tx, self.k, x.ravel())
+        fv, Bv = _bspline_basis(self.tv, self.k, v.ravel())
+        ncv = self.coef.shape[1]
+        span = np.arange(self.k + 1)
+        # the (k + 1) x (k + 1) coefficient block of each point, flat-indexed
+        C = self.coef.ravel()[(fx * ncv + fv)[:, None, None]
+                              + (span[:, None] * ncv + span)]
+        return ((C @ Bv[:, :, None])[:, :, 0] * Bx).sum(axis=1).reshape(x.shape)
+
+    def __call__(self, x, v) -> np.ndarray:
+        Mx = _basis_matrix(self.tx, self.k, np.atleast_1d(np.asarray(x, dtype=float)))
+        Mv = _basis_matrix(self.tv, self.k, np.atleast_1d(np.asarray(v, dtype=float)))
+        return Mx @ self.coef @ Mv.T
+
+
 @dataclass
 class Field:
     """Gridded solution; values[i, j] lives at (x_i, v_j)."""
@@ -115,12 +188,12 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise FloatingPointError("field contains non-finite values")
 
-    def interpolator(self, kind: int = 3):
-        """Spline interpolant f(x, v) over the grid (for probing)."""
-        from scipy.interpolate import RectBivariateSpline
-
-        return RectBivariateSpline(self.grid.xs, self.grid.vs, self.values,
-                                   kx=kind, ky=kind)
+    def interpolator(self, kind: int = 3) -> TensorSpline:
+        """Spline interpolant f(x, v) over the grid (for probing): bicubic
+        for kind 3, bilinear for kind 1."""
+        if kind not in (1, 3):
+            raise ValueError(f"interpolator kind must be 1 or 3, got {kind!r}")
+        return TensorSpline(self.grid.xs, self.grid.vs, self.values, kind)
 
     def to_csv(self, path: str):
         # plain floats: the repr of a numpy scalar is np.float64(...)
@@ -140,14 +213,23 @@ class Field:
 
     @classmethod
     def from_binary(cls, path: str) -> "Field":
+        """Read a to_binary file. ValueError on a bad magic or header, a
+        body that is not (nx + 1) * nv doubles, or non-finite values."""
         with open(path, "rb") as fh:
             magic = fh.read(4)
             if magic != b"KFP1":
                 raise ValueError("bad magic in field file")
-            nx, nv, x_min, x_max, v_max = struct.unpack("<iiddd", fh.read(32))
-            vals = np.frombuffer(fh.read(8 * (nx + 1) * nv), dtype="<f8").reshape(nx + 1, nv)
+            header = fh.read(32)
+            if len(header) != 32:
+                raise ValueError(f"field file header is {len(header)} bytes, not 32")
+            nx, nv, x_min, x_max, v_max = struct.unpack("<iiddd", header)
             grid = HalfStripGrid(x_max=x_max, v_max=v_max, nx=nx, nv=nv, x_min=x_min)
-            return cls(grid, vals.copy())
+            body = fh.read()
+        if len(body) != 8 * (nx + 1) * nv:
+            raise ValueError(f"field file body is {len(body)} bytes, "
+                             f"not {8 * (nx + 1) * nv} for nx = {nx}, nv = {nv}")
+        vals = np.frombuffer(body, dtype="<f8").reshape(nx + 1, nv)
+        return cls(grid, _finite(vals, "field file"))
 
 
 @dataclass(frozen=True)
@@ -252,34 +334,33 @@ def _wall_columns(bc: BoundaryCondition, t: float, grid: HalfStripGrid) -> np.nd
                  t, grid.xs[:, None], grid.vs[[0, -1]])
 
 
-def _station_factor(diag_base: np.ndarray, c: float, noflux: bool, top: str):
-    """dgttrf factors of one station's v-tridiagonal: diagonal
-    diag_base + 2c, off-diagonals -c.
+def _station_factor(diag_base: np.ndarray, c: float, noflux: bool, top: str) -> np.ndarray:
+    """The dense inverse of one station's v-tridiagonal (diagonal
+    diag_base + 2c, off-diagonals -c), so that a station solve is inv @ rhs.
 
     Row 0 is the v = -v_max wall: a no-flux ghost or a Dirichlet row.
     top picks the last row: 'wall' (the v = v_max wall, treated like row 0),
     'fold' (the mirror fold u_m = u_{m-1} at the v = 0 face) or 'open'
     (the coupling to prescribed rows beyond it goes to the right-hand side).
+    A Dirichlet row is a unit row of the matrix and of its inverse; the
+    inverse gets it exactly, so a solve returns the wall data bit for bit.
     """
-    d = diag_base + 2.0 * c
-    dl = np.full(len(d) - 1, -c)
-    du = np.full(len(d) - 1, -c)
+    n = len(diag_base)
+    M = np.zeros((n, n))
+    idx = np.arange(n)
+    M[idx, idx] = diag_base + 2.0 * c
+    M[idx[1:], idx[:-1]] = M[idx[:-1], idx[1:]] = -c
     if top == "fold":
-        d[-1] -= c
+        M[-1, -1] -= c
+    walls = [0, n - 1] if top == "wall" else [0]
     if noflux:
-        d[0] -= c
-        if top == "wall":
-            d[-1] -= c
-    else:
-        d[0] = 1.0
-        du[0] = 0.0
-        if top == "wall":
-            d[-1] = 1.0
-            dl[-1] = 0.0
-    *factors, info = dgttrf(dl, d, du)
-    if info != 0:
-        raise np.linalg.LinAlgError("singular station matrix")
-    return factors
+        M[walls, walls] -= c
+        return np.linalg.inv(M)
+    M[walls] = 0.0
+    M[walls, walls] = 1.0
+    inv = np.linalg.inv(M)
+    inv[walls] = M[walls]
+    return inv
 
 
 def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
@@ -327,6 +408,10 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
             g[-1] = walls[0, 1]
     else:
         station0 = _station_factor(a[:m], k, noflux, "fold")
+    # the inverse applied to the upwind coupling: of the v > 0 rows into
+    # the v > 0 rows, and of the v < 0 rows into each half
+    pos_to_pos = interior[m:, m:] * apos[m:]
+    neg_to_neg, neg_to_pos = np.split(interior[:, :m] * aneg[:m], 2)
 
     history = []
     for sweep in range(opts.max_iter):
@@ -339,19 +424,25 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
             rhs = R[0, :m] + aneg[:m] * f[1, :m]
             if bc.at_x0 == "inflow":
                 rhs[m - 1] += inflow_coupling
-            f[0, :m] = dgttrs(*station0, rhs, overwrite_b=1)[0]
+            f[0, :m] = station0 @ rhs
             if bc.at_x0 == "specular":
                 f[0, m:] = f[0, m - 1::-1]
             else:
                 f[0, m:] = g
-                if walls is not None:  # pivoting may perturb the wall row
-                    f[0, 0] = walls[0, 0]
 
-        # forward sweep (v > 0 rows get fresh upstream values), then
-        # backward sweep (v < 0 rows get fresh downstream values)
-        for i in (*range(1, nxp1 - 1), *range(nxp1 - 2, 0, -1)):
-            rhs = R[i] + apos * f[i - 1] + aneg * f[i + 1]
-            f[i, :] = dgttrs(*interior, rhs, overwrite_b=1)[0]
+        # What a pass knows before it starts goes through the inverse in one
+        # product; station by station, only the fresh upwind values remain.
+        # The forward pass gives the v > 0 rows fresh upstream values. The
+        # backward pass overwrites every row, and reads only the v > 0 rows
+        # of the forward pass, so the forward pass solves only those.
+        known = (R[1:-1] + aneg * f[2:]) @ interior[m:].T
+        for i in range(1, nxp1 - 1):
+            f[i, m:] = known[i - 1] + pos_to_pos @ f[i - 1, m:]
+        # the backward pass gives the v < 0 rows fresh downstream values
+        known = (R[1:-1] + apos * f[:-2]) @ interior.T
+        for i in range(nxp1 - 2, 0, -1):
+            f[i, :m] = known[i - 1, :m] + neg_to_neg @ f[i + 1, :m]
+        f[1:-1, m:] = known[:, m:] + f[2:, :m] @ neg_to_pos.T
 
         delta = float(np.max(np.abs(f - f_old)))
         scale = max(1.0, float(np.max(np.abs(f))))
@@ -449,10 +540,10 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float,
         if not noflux:
             f[:, [0, -1]] = _wall_columns(bc, t_next, grid)
         if fold is not None:
-            f[0, :m] = dgttrs(*fold, f[0, :m], overwrite_b=1)[0]
+            f[0, :m] = fold @ f[0, :m]
             f[0, m:] = f[0, m - 1::-1]
-        # one solve for all full stations: the right-hand sides are columns
-        f[first_full:] = dgttrs(*full, f[first_full:].T, overwrite_b=1)[0].T
+        # one product for all full stations: each row is a right-hand side
+        f[first_full:] = f[first_full:] @ full.T
         if bc.at_x0 == "periodic":
             f[-1, :] = f[0, :]
         else:

@@ -35,7 +35,7 @@ from kinreg.polynomials import (
     space_basis,
     tricomi_augmented_space,
 )
-from kinreg.probe import best_approx_error, exponent_fit, gamma0_tricomi_coefficient
+from kinreg.probe import best_approx_error, exponent_fit, gamma0_tricomi_coefficient, phase_field
 from kinreg.solver import BoundaryCondition, HalfStripGrid, SolverOptions, solve_stationary
 from kinreg.specfun import asymptotic_m, kummer_m, kummer_m_series, tricomi_u
 from kinreg.tricomi import TricomiParams, as_field, cusp_ratio, eval_tricomi, pde_residual, residual_constant
@@ -289,8 +289,7 @@ def test_criterion_7_regularity_probe():
                            at_xmax=lambda t, v: fstar(2.2, v),
                            at_vmax=lambda t, x, v: fstar(x, v))
     fld = solve_stationary(hsrc, bc, 1.0, grid)
-    spline = fld.interpolator()
-    fsolve = lambda z: float(spline(z.x[0], z.v[0])[0, 0])
+    fsolve = phase_field(fld.interpolator().ev)
     ef = exponent_fit(fsolve, KineticPoint(0.0, 0.0, -1.0), full_space(5, 1),
                       [1.0, 0.5, 0.25, 0.125])
     ok &= ef.slope >= 5.3

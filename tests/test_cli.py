@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -219,3 +220,69 @@ def test_solve_kfp_file_source_and_probe_field_file(tmp_path):
     assert rc == 0
     rep = json.loads(probe_out.read_text())
     assert "errors" in rep and len(rep["errors"]) == 4
+
+
+def _first_value(x):
+    """Field file bytes with the body's first value set to x."""
+    return lambda data: data[:36] + struct.pack("<d", x) + data[44:]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda data: data[:10],         # short header
+    lambda data: data[:-8],         # body one value short
+    lambda data: data + bytes(8),   # one value too many
+    _first_value(float("nan")),
+    _first_value(float("inf")),
+], ids=["short-header", "short-body", "long-body", "nan", "inf"])
+@pytest.mark.parametrize("cmd", ["probe-exponent", "solve-kfp"])
+def test_bad_field_file_is_config_error(corrupt, cmd, tmp_path, capsys):
+    import numpy as np
+    from kinreg.solver import Field, HalfStripGrid
+
+    path = tmp_path / "bad.kfp"
+    Field(HalfStripGrid(x_max=1.0, v_max=1.0, nx=16, nv=16), np.zeros((17, 16))).to_binary(str(path))
+    path.write_bytes(corrupt(path.read_bytes()))
+    argv = (["probe-exponent", "--field", str(path), "--z0", "0,0.4,0", "--space", "p3",
+             "--radii", "0.4,0.3,0.2,0.1"] if cmd == "probe-exponent"
+            else ["solve-kfp", "--nx", "16", "--nv", "16", "--source", f"file:{path}"])
+    assert run_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "field file" in err and "Traceback" not in err
+
+
+def test_probe_exponent_nan_slope_is_not_exact_fit(tmp_path, monkeypatch):
+    # only the +inf sentinel means an exact fit; a NaN slope is written as NaN
+    import math
+
+    import kinreg.cli as cli
+    from kinreg.probe import ExponentFit
+
+    monkeypatch.setattr(cli, "exponent_fit", lambda *a, **k: ExponentFit(
+        (0.4, 0.3, 0.2, 0.1), (1.0, 1.0, 1.0, 1.0), math.nan, math.nan, math.nan))
+    out = tmp_path / "probe.json"
+    assert run_main(["probe-exponent", "--radii", "0.4,0.3,0.2,0.1", "--out", str(out)]) == 0
+    assert math.isnan(json.loads(out.read_text())["slope"])
+
+
+def test_runtime_does_not_import_scipy():
+    # numpy is the only runtime dependency: scipy is for the tests alone
+    import kinreg
+
+    code = """
+import sys
+import numpy as np
+import kinreg, kinreg.cli
+from kinreg.solver import BoundaryCondition, Field, HalfStripGrid, solve_stationary, solve_timedep
+g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=16, nv=16, nt=1, dt=0.01)
+bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0)
+fld = solve_stationary(lambda x, v: v, bc, 1.0, g)
+solve_timedep(Field(g, np.zeros((17, 16))), None, bc, 1.0, 0.05)
+fld.interpolator().ev(0.5, 0.1)
+fld.interpolator(kind=1)(0.5, 0.1)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = os.path.dirname(os.path.dirname(kinreg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -9,6 +9,7 @@ from kinreg.probe import (
     exponent_fit,
     field_values,
     gamma0_tricomi_coefficient,
+    phase_field,
     polyfit_on_cylinder,
     sample_cylinder,
 )
@@ -128,6 +129,16 @@ def test_scaling_covariance():
         assert eg == pytest.approx(ef, rel=1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_field_values_reject_non_finite(bad):
+    pts = sample_cylinder(Z0, 0.5, 8, seed=1)
+    pointwise = lambda z: bad if z.x[0] > 0.0 else 0.0
+    batched = phase_field(lambda x, v: np.where(x > 0.0, bad, 0.0))
+    for f in (pointwise, batched):
+        with pytest.raises(ValueError, match="non-finite"):
+            field_values(f, pts)
+
+
 def test_tau_recovery_synthetic():
     from fractions import Fraction
 
@@ -167,8 +178,7 @@ def _solve_smooth_gamma_plus_field():
                            at_xmax=lambda t, v: fstar(2.2, v),
                            at_vmax=lambda t, x, v: fstar(x, v))
     fld = solve_stationary(h, bc, 1.0, grid)
-    spline = fld.interpolator()
-    return lambda z: float(spline(z.x[0], z.v[0])[0, 0]), fstar
+    return phase_field(fld.interpolator().ev), fstar
 
 
 def test_gamma_plus_solver_field_slope():
@@ -194,7 +204,6 @@ def test_gamma0_tau_from_solver_field():
                            at_xmax=lambda t, v: mult * eval_tricomi(TP, 1.2, v),
                            at_vmax=lambda t, x, v: mult * eval_tricomi(TP, x, v))
     fld = solve_stationary(lambda x, v: C * v ** 3, bc, 1.0, grid)
-    spline = fld.interpolator()
-    f = lambda z: float(spline(z.x[0], z.v[0])[0, 0])
+    f = phase_field(fld.interpolator().ev)
     rep = gamma0_tricomi_coefficient(f, Z0, 1.0, [1.0, 0.7, 0.5])
     assert rep.tau == pytest.approx(mult, rel=0.05)

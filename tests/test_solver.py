@@ -14,6 +14,7 @@ from kinreg.solver import (
     solve_timedep,
     v_marginal_moments,
     _minmod,
+    _station_factor,
     _transport_apply,
 )
 from kinreg.tricomi import TricomiParams, eval_tricomi, residual_constant
@@ -467,3 +468,97 @@ def test_field_serialization_roundtrip(tmp_path):
     assert len(lines) == 1 + 17 * 16
     rows = np.array([[float(f) for f in line.split(",")] for line in lines[1:]])
     assert np.array_equal(rows[:, 2], vals.ravel())
+
+
+def _dense_station(base, c, noflux, top):
+    """A station's v-tridiagonal entry by entry: diagonal base + 2c and
+    off-diagonals -c, with a no-flux ghost or a Dirichlet unit row at the
+    v = -v_max end, and at the other end the same ('wall'), the mirror
+    fold u_m = u_{m-1} ('fold') or nothing ('open')."""
+    n = len(base)
+    M = np.zeros((n, n))
+    for j in range(n):
+        M[j, j] = base[j] + 2.0 * c
+        if j > 0:
+            M[j, j - 1] = -c
+        if j < n - 1:
+            M[j, j + 1] = -c
+    if top == "fold":
+        M[-1, -1] -= c
+    for j in ((0, n - 1) if top == "wall" else (0,)):
+        if noflux:
+            M[j, j] -= c
+        else:
+            M[j] = 0.0
+            M[j, j] = 1.0
+    return M
+
+
+@pytest.mark.parametrize("nv", [16, 64, 256])
+@pytest.mark.parametrize("noflux", [True, False], ids=["noflux", "dirichlet"])
+@pytest.mark.parametrize("top", ["wall", "fold", "open"])
+def test_station_inverse_matches_dense_solve(nv, noflux, top):
+    g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=nv, nv=nv, nt=1, dt=0.25 * (1.0 / nv) / 1.5)
+    size = nv if top == "wall" else nv // 2
+    rng = np.random.default_rng(nv)
+    # the stationary block (|v| / hx + diffusion) and the IMEX block (1 + dt diffusion)
+    for base, c in ((np.abs(g.vs[:size]) / g.hx, 1.0 / g.hv ** 2),
+                    (np.ones(size), g.dt / g.hv ** 2)):
+        rhs = rng.standard_normal((size, 8))
+        want = np.linalg.solve(_dense_station(base, c, noflux, top), rhs)
+        got = _station_factor(base, c, noflux, top) @ rhs
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        if not noflux:   # Dirichlet wall rows return the wall data bit for bit
+            for j in ((0, -1) if top == "wall" else (0,)):
+                assert np.array_equal(got[j], rhs[j])
+
+
+@pytest.mark.parametrize("at_x0", ["inflow", "specular", "dirichlet"])
+def test_dirichlet_wall_rows_exact(at_x0):
+    # even in v at x = 0, so that the specular fold agrees with the wall data
+    fstar = lambda x, v: np.cos(2.0 * v) + x * v + np.sin(3.0 * x)
+    g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=32, nv=32)
+    bc = BoundaryCondition(at_x0=at_x0,
+                           inflow_profile=None if at_x0 == "specular" else lambda t, v: fstar(0.0, v),
+                           at_xmax=lambda t, v: fstar(1.0, v),
+                           at_vmax=lambda t, x, v: fstar(x, v))
+    fld = solve_stationary(lambda x, v: v * np.cos(x), bc, 1.0, g)
+    assert np.array_equal(fld.values[:, [0, -1]], fstar(g.xs[:, None], g.vs[[0, -1]]))
+
+
+@pytest.fixture(scope="module")
+def tricomi_field_64():
+    from kinreg.cli import _tricomi_problem
+
+    g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=64, nv=64)
+    h, bc, _ = _tricomi_problem(TricomiParams(A=1.0, lam=3), g, "specular")
+    return solve_stationary(h, bc, 1.0, g)
+
+
+@pytest.mark.parametrize("kind", [1, 3])
+def test_interpolator_matches_fitpack(kind, tricomi_field_64):
+    from scipy.interpolate import RectBivariateSpline
+
+    fld = tricomi_field_64
+    g = fld.grid
+    ref = RectBivariateSpline(g.xs, g.vs, fld.values, kx=kind, ky=kind)
+    spline = fld.interpolator(kind)
+    rng = np.random.default_rng(kind)
+    inside = rng.uniform([0.0, -1.0], [1.0, 1.0], (500, 2)).T
+    # every point has x or v (or both) outside the grid and is clamped
+    outside = rng.uniform([-0.5, -1.5], [1.5, 1.5], (4000, 2)).T
+    outside = outside[:, (outside[0] < 0) | (outside[0] > 1) | (np.abs(outside[1]) > 1)]
+    scale = np.max(np.abs(fld.values))   # relative to the field's size
+    for x, v in (inside, outside, (g.xs[:, None], g.vs[None, :])):
+        assert np.max(np.abs(spline.ev(x, v) - ref.ev(x, v))) <= 1e-12 * scale
+    xs, vs = np.sort(inside[0, :40]), np.sort(outside[1, :30])
+    assert spline(xs, vs).shape == (40, 30)
+    assert np.max(np.abs(spline(xs, vs) - ref(xs, vs))) <= 1e-12 * scale
+    assert spline(0.3, -0.2).shape == (1, 1) and spline.ev(0.3, -0.2).shape == ()
+    assert spline(0.3, -0.2)[0, 0] == pytest.approx(ref(0.3, -0.2)[0, 0], rel=1e-12)
+
+
+def test_interpolator_rejects_other_kinds(tricomi_field_64):
+    for kind in (0, 2, 4, 5):
+        with pytest.raises(ValueError, match="kind"):
+            tricomi_field_64.interpolator(kind)
