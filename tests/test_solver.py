@@ -13,9 +13,12 @@ from kinreg.solver import (
     solve_stationary,
     solve_timedep,
     v_marginal_moments,
+    _doubling_powers,
     _minmod,
     _station_factor,
     _transport_apply,
+    _transport_correction,
+    _upwind_scan,
 )
 from kinreg.tricomi import TricomiParams, eval_tricomi, residual_constant
 
@@ -35,19 +38,22 @@ def test_grid_validation():
     for bad in (dict(x_max=math.nan), dict(x_max=math.inf), dict(x_max=-1.0),
                 dict(x_max=1.0, x_min=1.0), dict(x_min=-math.inf), dict(v_max=math.nan),
                 dict(v_max=math.inf), dict(v_max=0.0), dict(nt=1, dt=math.nan),
-                dict(nt=1, dt=math.inf)):
+                dict(nt=1, dt=math.inf), dict(nx=16.5), dict(nv=32.0)):
         with pytest.raises(ValueError):
             HalfStripGrid(**{"x_max": 1.0, "v_max": 1.0, "nx": 32, "nv": 32, **bad})
+    assert HalfStripGrid(x_max=1, v_max=1, nx=np.int64(32), nv=np.int32(16)).nv == 16
     g = HalfStripGrid(x_max=1, v_max=1, nx=32, nv=32)
     assert 0.0 not in set(g.vs)                    # v = 0 is a face
     assert np.allclose(g.vs, -g.vs[::-1])          # symmetric rows
 
 
 @pytest.mark.parametrize("bad", [dict(tol=math.nan), dict(tol=0.0), dict(tol=-1e-10),
-                                 dict(tol=math.inf), dict(max_iter=0), dict(order=3)])
+                                 dict(tol=math.inf), dict(max_iter=0), dict(order=3),
+                                 dict(max_iter=math.nan), dict(max_iter=2.5)])
 def test_solver_options_validation(bad):
     with pytest.raises(ValueError):
         SolverOptions(**bad)
+    assert SolverOptions(max_iter=np.int64(5)).max_iter == 5
 
 
 def test_bc_validation():
@@ -452,6 +458,23 @@ def test_timedep_rejects_bad_input():
             solve_timedep(f0, None, bc, A, T=0.05)
 
 
+@pytest.mark.parametrize("T", [math.inf, math.nan, -1.0])
+def test_timedep_rejects_bad_horizon(T):
+    g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=16, nv=16, nt=1, dt=0.01)
+    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0, at_vmax="noflux")
+    with pytest.raises(ValueError, match="horizon T"):
+        solve_timedep(Field(g, np.zeros((17, 16))), None, bc, 1.0, T=T)
+
+
+@pytest.mark.parametrize("store_every", [-1, -2])
+def test_timedep_rejects_negative_store_every(store_every):
+    g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=16, nv=16, nt=1, dt=0.01)
+    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0, at_vmax="noflux")
+    with pytest.raises(ValueError, match="store_every"):
+        solve_timedep(Field(g, np.zeros((17, 16))), None, bc, 1.0, T=0.05,
+                      store_every=store_every)
+
+
 def test_field_serialization_roundtrip(tmp_path):
     g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=16, nv=16)
     vals = np.arange(17 * 16, dtype=float).reshape(17, 16) / 7.0
@@ -562,3 +585,131 @@ def test_interpolator_rejects_other_kinds(tricomi_field_64):
     for kind in (0, 2, 4, 5):
         with pytest.raises(ValueError, match="kind"):
             tricomi_field_64.interpolator(kind)
+
+
+# ---------------------------------------------------------------------------
+# the sweep's kernels against the station-by-station forms they replaced
+# ---------------------------------------------------------------------------
+
+
+def _sweep_couplings(g, noflux):
+    """The two upwind couplings of solve_stationary with A = 1: the inverse
+    applied to the v > 0 rows (into the v > 0 rows) and to the v < 0 rows
+    (into the v < 0 rows)."""
+    m = g.nv // 2
+    a = np.abs(g.vs) / g.hx
+    apos, aneg = np.where(g.vs > 0, a, 0.0), np.where(g.vs < 0, a, 0.0)
+    if not noflux:
+        apos[[0, -1]] = aneg[[0, -1]] = 0.0
+    interior = _station_factor(a, 1.0 / g.hv ** 2, noflux, "wall")
+    return interior[m:, m:] * apos[m:], interior[:m, :m] * aneg[:m]
+
+
+@pytest.mark.parametrize("nx, nv", [(16, 16), (64, 64), (128, 128), (256, 256), (100, 16)])
+@pytest.mark.parametrize("noflux", [True, False], ids=["noflux", "dirichlet"])
+def test_upwind_scan_matches_station_loop(nx, nv, noflux):
+    g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=nx, nv=nv)
+    m = nv // 2
+    pos_to_pos, neg_to_neg = _sweep_couplings(g, noflux)
+    rng = np.random.default_rng(nx + nv)
+    f = rng.standard_normal((nx + 1, nv))
+    known = rng.standard_normal((nx - 1, nv))
+    # reference: the loops of the sweep, one station at a time
+    ref = f.copy()
+    for i in range(1, nx):
+        ref[i, m:] = known[i - 1, m:] + pos_to_pos @ ref[i - 1, m:]
+    for i in range(nx - 1, 0, -1):
+        ref[i, :m] = known[i - 1, :m] + neg_to_neg @ ref[i + 1, :m]
+    forward = _upwind_scan(known[:, m:], f[0, m:], _doubling_powers(pos_to_pos, nx - 1))
+    backward = _upwind_scan(known[::-1, :m], f[-1, :m], _doubling_powers(neg_to_neg, nx - 1))
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(forward - ref[1:-1, m:])) <= 1e-14 * scale
+    assert np.max(np.abs(backward[::-1] - ref[1:-1, :m])) <= 1e-14 * scale
+
+
+def _minmod_where(a, b):
+    s = np.where((a > 0) & (b > 0), 1.0, np.where((a < 0) & (b < 0), -1.0, 0.0))
+    return s * np.minimum(np.abs(a), np.abs(b))
+
+
+def _correction_full_width(f, vs, hx):
+    """The deferred correction with full-width masks and two minmod calls."""
+    nxp1, nv = f.shape
+    corr = np.zeros_like(f)
+    pos = vs > 0
+    neg = ~pos
+    d = np.diff(f, axis=0)
+    delta_p = np.zeros((nxp1, nv))
+    delta_p[1:nxp1 - 1] = 0.5 * _minmod_where(d[:-1], d[1:])
+    delta_p[0] = 0.5 * d[0]
+    corr[1:nxp1 - 1, :] += np.where(pos, (vs / hx) * (delta_p[1:nxp1 - 1] - delta_p[0:nxp1 - 2]), 0.0)
+    delta_m = np.zeros((nxp1, nv))
+    delta_m[0:nxp1 - 2] = -0.5 * _minmod_where(d[:-1], d[1:])
+    delta_m[nxp1 - 2] = -0.5 * d[nxp1 - 2]
+    corr[1:nxp1 - 1, :] += np.where(neg, (vs / hx) * (delta_m[1:nxp1 - 1] - delta_m[0:nxp1 - 2]), 0.0)
+    corr[0, neg] = -(vs[neg] / (2.0 * hx)) * (f[0, neg] - 2.0 * f[1, neg] + f[2, neg])
+    return corr
+
+
+def _transport_full_width(f, vs, hx, bc_mode):
+    nxp1 = f.shape[0]
+    pos = vs > 0
+    if bc_mode == "periodic":
+        fp = np.vstack([f[-3:-1], f, f[1:3]])
+        d = np.diff(fp, axis=0)
+        half = 0.5 * _minmod_where(d[:-1], d[1:])
+        face = np.where(pos, fp[1:nxp1 + 2] + half[0:nxp1 + 1],
+                        fp[2:nxp1 + 3] - half[1:nxp1 + 2])
+        return vs * (face[1:] - face[:-1]) / hx
+    d = np.diff(f, axis=0)
+    first = np.zeros_like(f)
+    first[1:, pos] = vs[pos] * d[:, pos] / hx
+    first[:-1, ~pos] = vs[~pos] * d[:, ~pos] / hx
+    first[0, pos] = vs[pos] * d[0, pos] / hx
+    first[-1, ~pos] = vs[~pos] * d[-1, ~pos] / hx
+    return first + _correction_full_width(f, vs, hx)
+
+
+@pytest.mark.parametrize("nx, nv", [(16, 16), (33, 24), (128, 128)])
+def test_transport_kernels_match_full_width_forms(nx, nv):
+    g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=nx, nv=nv)
+    rng = np.random.default_rng(nx * nv)
+    # half-integer steps: many exact ties, zero differences and sign changes
+    steps = 0.5 * rng.integers(-3, 4, (nx + 1, nv))
+    smooth = rng.standard_normal((nx + 1, nv)).cumsum(axis=0)
+    for f in (steps, smooth, np.cumsum(steps, axis=0)):
+        d = np.diff(f, axis=0)
+        assert np.array_equal(_minmod(d[:-1], d[1:]), _minmod_where(d[:-1], d[1:]))
+        assert np.array_equal(_transport_correction(f, g.vs, g.hx),
+                              _correction_full_width(f, g.vs, g.hx))
+        for mode in ("inflow", "specular", "periodic"):
+            fm = f.copy()
+            if mode == "periodic":
+                fm[-1] = fm[0]
+            assert np.array_equal(_transport_apply(fm, g.vs, g.hx, mode),
+                                  _transport_full_width(fm, g.vs, g.hx, mode))
+
+
+def test_minmod_signs_and_ties():
+    a = np.array([1.0, -1.0, 2.0, -2.0, 0.0, 1.0, 0.0, -0.5, 3.0, 0.0])
+    b = np.array([2.0, -3.0, 2.0, -2.0, 1.0, -1.0, 0.0, 0.5, 0.5, -1.0])
+    want = np.array([1.0, -1.0, 2.0, -2.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0])
+    assert np.array_equal(_minmod(a, b), want)
+    assert np.array_equal(_minmod(a, b), _minmod_where(a, b))
+
+
+def test_sweep_counts_pinned(tricomi_field_64):
+    # the mms_inflow benchmark inputs (acceptance 6) and the Tricomi specular solve
+    fstar = lambda x, v: x ** 3 + v ** 6
+    h = lambda x, v: 3 * x * x * v - 30.0 * v ** 4
+    bc = BoundaryCondition(at_x0="inflow", inflow_profile=lambda t, v: fstar(0.0, v),
+                           at_xmax=lambda t, v: fstar(1.0, v), at_vmax=lambda t, x, v: fstar(x, v))
+    for n, sweeps in ((64, 126), (128, 219)):
+        g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=n, nv=n)
+        assert solve_stationary(h, bc, 1.0, g).metadata["sweeps"] == sweeps
+    from kinreg.cli import _tricomi_problem
+
+    g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=32, nv=32)
+    h, bc, _ = _tricomi_problem(TricomiParams(A=1.0, lam=3), g, "specular")
+    assert solve_stationary(h, bc, 1.0, g).metadata["sweeps"] == 53
+    assert tricomi_field_64.metadata["sweeps"] == 95
