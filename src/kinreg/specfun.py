@@ -9,11 +9,14 @@ obstruction function; Poincare series summed to their smallest term
 (DLMF 13.7) provide the large-argument regime.
 
 The series work lane by lane over numpy arrays, one lane per argument z,
-following Pearson, Olver & Porter, Numer. Algorithms 74 (2017). Blocks of
-at most _BLOCK lanes form (lanes x terms) matrices whose row-wise
-cumulative products and sums give every term and partial sum at once, so
-memory stays bounded whatever the number of lanes. The scalar functions
-are one-lane calls of the array functions.
+following Pearson, Olver & Porter, Numer. Algorithms 74 (2017). Lanes are
+grouped by the number of terms their own |z| needs, and each group is
+summed in blocks of at most _BLOCK lanes: (lanes x terms) matrices whose
+row-wise cumulative products and sums give every term and partial sum at
+once. A block is as wide as its own lanes need, not as the largest |z| of
+the call, and memory stays bounded whatever the number of lanes. Every
+scan runs along a lane, so a lane's result does not depend on its block.
+The scalar functions are one-lane calls of the array functions.
 """
 
 from __future__ import annotations
@@ -59,10 +62,11 @@ def gamma_real(x: float) -> float:
     """Gamma(x) for real x, relative error below 1e-12 on [-20, 20].
 
     Poles at nonpositive integers raise; negative non-integers go through
-    the reflection formula with careful sin(pi x).
+    the reflection formula with careful sin(pi x). NaN, inf and arguments
+    whose Lanczos power overflows (x above about 142) raise ValueError.
     """
-    if x != x:
-        raise ValueError("gamma_real: nan argument")
+    if not math.isfinite(x):
+        raise ValueError(f"gamma_real: non-finite argument {x}")
     if x <= 0.0 and x == math.floor(x):
         raise ValueError(f"gamma_real: pole at {x}")
     if x < 0.5:
@@ -73,12 +77,18 @@ def gamma_real(x: float) -> float:
     for i in range(1, 9):
         s += _LANCZOS_C[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * s
+    try:
+        g = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * s
+    except OverflowError:
+        g = math.inf
+    if not math.isfinite(g):
+        raise ValueError(f"gamma_real: x = {x} is too large, its Lanczos power overflows")
+    return g
 
 
 def rgamma(x: float) -> float:
     """1 / Gamma(x); zero at the poles instead of raising."""
-    if x <= 0.0 and x == math.floor(x):
+    if x <= 0.0 and math.isfinite(x) and x == math.floor(x):
         return 0.0
     return 1.0 / gamma_real(x)
 
@@ -132,18 +142,26 @@ def _finite_lanes(z, who: str) -> np.ndarray:
     return z
 
 
+def _finite_params(who: str, **params: float):
+    """ValueError naming the first of params that is NaN or inf. Called
+    before the lru_caches keyed by parameters: NaN keys always miss."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{who}: {name} = {value} is not finite")
+
+
 # Rows per block: a block's term matrix holds _BLOCK x (terms) doubles.
 _BLOCK = 256
 _SERIES_CAP = 10_000
 _POINCARE_TERMS = 61  # s = 0 .. 60
 
 
-def _by_block(fn, z, size=_BLOCK):
-    """fn over blocks of at most size lanes of z, its outputs joined along
+def _by_block(fn, z):
+    """fn over blocks of at most _BLOCK lanes of z, its outputs joined along
     their last axis."""
-    if z.size <= size:
+    if z.size <= _BLOCK:
         return fn(z)
-    parts = [fn(z[lo:lo + size]) for lo in range(0, z.size, size)]
+    parts = [fn(z[lo:lo + _BLOCK]) for lo in range(0, z.size, _BLOCK)]
     return tuple(np.concatenate(col, axis=-1) for col in zip(*parts))
 
 
@@ -193,17 +211,34 @@ def _taylor(pairs: tuple, z):
     the roundoff floor from cancellation (scale of the largest term).
     Returns (value, est_abs_error, terms_used), each of shape
     (len(pairs), z.size).
+
+    Lanes are grouped by their own starting width and summed in blocks of
+    at most _BLOCK // len(pairs) lanes of one width (module docstring).
     """
-    return _by_block(lambda zb: _taylor_block(pairs, zb), z, _BLOCK // len(pairs))
+    deg = [_poly_degree(a) for a, _ in pairs]
+    size = _BLOCK // len(pairs)
+    # each lane's starting width: about 2.7 |z| + 20 terms reach the stop
+    # rule, in steps of 16 columns; a lane that needs more is summed again
+    # with twice the width
+    width = np.minimum(16.0 * np.ceil((24.0 + 3.0 * np.abs(z)) / 16.0), _SERIES_CAP)
+    if z.size <= size and (z.size < 2 or width.min() == width.max()):
+        return _taylor_block(pairs, deg, z, width.max(initial=32.0))  # 32: |z| = 0
+    order = np.argsort(width, kind="stable")
+    shape = (len(pairs), z.size)
+    val, err, used = np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int64)
+    for group in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
+        for lo in range(0, group.size, size):
+            lanes = group[lo:lo + size]
+            val[:, lanes], err[:, lanes], used[:, lanes] = _taylor_block(
+                pairs, deg, z[lanes], width[lanes[0]])
+    return val, err, used
 
 
-def _taylor_block(pairs, z):
+def _taylor_block(pairs, deg, z, width):
+    """_taylor on lanes z that all start at the given width."""
     n = z.size
-    deg = np.repeat([_poly_degree(a) for a, _ in pairs], n)
-    # about 2.7 |z| + 20 terms reach the stop rule; lanes that need more
-    # are summed again with twice the width
-    width = 16 * math.ceil((24 + 3 * np.abs(z).max(initial=0.0)) / 16)
-    width = max(min(width, _SERIES_CAP), int(deg.max(initial=0)))
+    width = max(int(width), *deg)
+    deg = np.repeat(deg, n)
     factors = _ratios(pairs, width)[:, None, :] * z[:, None]
     done, val, err, used = _taylor_terms(factors.reshape(-1, width), deg)
     while not done.all():
@@ -219,8 +254,8 @@ def _taylor_terms(factors, deg):
     n, width = factors.shape
     X = np.empty((n, width + 1))
     X[:, 0] = 1.0
-    np.cumprod(factors, axis=1, out=X[:, 1:])
-    S = np.cumsum(X, axis=1)
+    factors.cumprod(axis=1, out=X[:, 1:])
+    S = X.cumsum(axis=1)
     aX = np.abs(X)
     small = aX[:, 1:] < 1e-17 * np.maximum(np.abs(S[:, 1:]), 1e-300)
     run = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
@@ -229,11 +264,12 @@ def _taylor_terms(factors, deg):
     stopped = run[lanes, first]
     poly = deg >= 0
     used = np.where(poly, deg, np.where(stopped, first + 3, width))
-    # Sum2: add the accumulated TwoSum errors of the k additions to S_k
-    S[:, 1:] += np.cumsum(_two_sum(S[:, :-1], X[:, 1:])[1], axis=1)
-    max_abs = np.maximum.accumulate(aX, axis=1)[lanes, used]
-    err = np.where(poly, 4.0 * _EPS * max_abs * (used + 1),
-                   2.0 * aX[lanes, used] + 4.0 * _EPS * max_abs * np.sqrt(used + 1.0))
+    # Sum2 up to the last term used: add the accumulated TwoSum errors of
+    # the k additions to S_k
+    m = used.max(initial=0) + 1
+    S[:, 1:m] += _two_sum(S[:, :m - 1], X[:, 1:m])[1].cumsum(axis=1)
+    floor = 4.0 * _EPS * np.maximum.accumulate(aX[:, :m], axis=1)[lanes, used]
+    err = np.where(poly, floor * (used + 1), 2.0 * aX[lanes, used] + floor * np.sqrt(used + 1.0))
     return poly | stopped | (width >= _SERIES_CAP), S[lanes, used], err, used
 
 
@@ -263,6 +299,7 @@ def _m_lanes(a: float, b: float, z, transform: bool):
     With transform, lanes with z < -1 go through Kummer's transformation
     M(a;b;z) = e^z M(b-a;b;-z), so the summed series has positive terms.
     """
+    _finite_params("kummer_m", a=a, b=b)
     if _is_nonpositive_int(b):
         raise ValueError(f"kummer_m: b = {b} is a nonpositive integer")
     flip = z < -1.0 if transform and _poly_degree(a) < 0 else np.zeros(z.size, dtype=bool)
@@ -374,6 +411,7 @@ def _u_lanes(a: float, b: float, z, scale, offset, scaled_pow=None, scaled_root=
     scaled_root: near the grazing set that avoids overflow, and it keeps
     roundings that vary with z out of the result.
     """
+    _finite_params("tricomi_u", a=a, b=b)
     if abs(b - round(b)) < 1e-12:
         raise ValueError("tricomi_u: integer b (logarithmic case) not supported")
     if abs(abs(1.0 - b) - 1.0 / 3.0) >= 1e-12 and (z < 0.0).any():
@@ -434,6 +472,7 @@ def asymptotic_m(a: float, b: float, z: float) -> float:
     eq-type  Gamma(b) [ e^z z^(a-b)/Gamma(a) + (-z)^(-a)/Gamma(b-a) ],
     each branch summed adaptively; only the real, dominant branch
     contributes for each sign of z."""
+    _finite_params("asymptotic_m", a=a, b=b, z=z)
     if abs(z) < 30.0:
         raise ValueError("asymptotic_m requires |z| >= 30")
     if a == round(a) and a <= 0.0:
@@ -449,6 +488,7 @@ def asymptotic_u_kinetic(a: float, tau: float) -> float:
     """Leading-order U(-a; 2/3; -tau^3) for |tau| >= 5:
     K |tau|^(3a) as tau -> +inf with K = 2 cos(pi (a + 1/3)), and
     |tau|^(3a) as tau -> -inf."""
+    _finite_params("asymptotic_u_kinetic", a=a, tau=tau)
     if abs(tau) < 5.0:
         raise ValueError("asymptotic_u_kinetic requires |tau| >= 5")
     if tau > 0:
@@ -472,25 +512,34 @@ def real_kummer_combo(lam: int, A: float, x, v, scale: float = 1.0, offset=0.0):
     broadcast; an ndarray comes back for array input, a float for
     scalars. Near the grazing set (|tau| >= 20) x^c |tau|^c is formed as
     (|v|^3 / 9A)^c, which stays finite as x -> 0+. offset + scale * h is
-    summed with compensation and rounded once.
+    summed with compensation and rounded once. ValueError names a
+    non-finite or nonpositive A, a non-finite scale or offset, and x <= 0.
     """
+    if not (A > 0.0 and math.isfinite(A)):
+        raise ValueError(f"real_kummer_combo: A = {A} must be positive and finite")
+    if not math.isfinite(scale):
+        raise ValueError(f"real_kummer_combo: scale = {scale} must be finite")
     x, v = _finite_lanes(x, "real_kummer_combo"), _finite_lanes(v, "real_kummer_combo")
+    offset = _finite_lanes(offset, "real_kummer_combo: offset")
     if x.shape != v.shape:
         x, v = np.broadcast_arrays(x, v)
     if (x <= 0.0).any():
         raise ValueError("real_kummer_combo requires x > 0")
-    if A <= 0.0:
-        raise ValueError("A must be positive")
-    c = (lam + 2.0) / 3.0
-    xf, vf = x.ravel(), v.ravel()
-    offset = np.asarray(offset, dtype=float)
     if offset.shape != x.shape:
         offset = np.broadcast_to(offset, x.shape)
-    with np.errstate(over="ignore"):  # tau = -inf at subnormal x: the asymptotic limit
-        tau = -(vf ** 3) / (9.0 * A * xf)
-    h = _u_lanes(-c, 2.0 / 3.0, tau, scale * xf ** c, offset.ravel(),
-                 scaled_pow=scale * (np.abs(vf) ** 3 / (9.0 * A)) ** c,
-                 scaled_root=-scale * (9.0 * A) ** (-1.0 / 3.0) * xf ** (c - 1.0 / 3.0) * vf)[0]
+    h = _kummer_combo_lanes(lam, A, x.ravel(), v.ravel(), scale, offset.ravel())
     if not np.isfinite(h).all():
         raise ValueError("real_kummer_combo: the result overflows double precision")
     return float(h[0]) if x.ndim == 0 else h.reshape(x.shape)
+
+
+def _kummer_combo_lanes(lam: int, A: float, x, v, scale: float, offset):
+    """real_kummer_combo over 1-D lanes the caller has checked: x > 0,
+    and A, x, v, scale and offset finite. The result is not checked for
+    overflow."""
+    c = (lam + 2.0) / 3.0
+    with np.errstate(over="ignore"):  # tau = -inf at subnormal x: the asymptotic limit
+        tau = -(v ** 3) / (9.0 * A * x)
+    return _u_lanes(-c, 2.0 / 3.0, tau, scale * x ** c, offset,
+                    scaled_pow=scale * (np.abs(v) ** 3 / (9.0 * A)) ** c,
+                    scaled_root=-scale * (9.0 * A) ** (-1.0 / 3.0) * x ** (c - 1.0 / 3.0) * v)[0]

@@ -15,6 +15,7 @@ the obstruction to C^5 regularity this package measures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,7 +24,7 @@ import numpy as np
 from .geometry import KineticPoint
 from .probe import phase_field, polyfit_on_cylinder, sample_cylinder
 # tricomi_u is re-exported: perfbench/tracing.py wraps kinreg.tricomi.tricomi_u.
-from .specfun import gamma_real, kummer_m_series_array, real_kummer_combo, tricomi_u  # noqa: F401
+from .specfun import _kummer_combo_lanes, gamma_real, kummer_m_series_array, tricomi_u  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,8 @@ def residual_constant(p: TricomiParams) -> float:
 
 def boundary_trace(p: TricomiParams, v):
     """One-sided limit T(0+, v) = -3 A^(-(lam+2)/2) |v|^(lam+2)."""
+    if not np.isfinite(v).all():
+        raise ValueError("boundary_trace: v must be finite")
     return -3.0 * p.A ** (-(p.lam + 2) / 2.0) * np.abs(v) ** (p.lam + 2)
 
 
@@ -66,31 +69,34 @@ def eval_tricomi(p: TricomiParams, x, v):
     x and v broadcast against each other; an ndarray comes back for array
     input and a float for scalars. NaN or inf in any lane raises
     ValueError. Points near the grazing set stay finite: the hypergeometric
-    part is real_kummer_combo, which forms x^c |tau|^c as (|v|^3 / 9A)^c.
+    part is summed as in real_kummer_combo, which forms x^c |tau|^c as
+    (|v|^3 / 9A)^c. The lanes are checked once, here.
     """
     x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
     if x.shape != v.shape:
         x, v = np.broadcast_arrays(x, v)
     if not (np.isfinite(x).all() and np.isfinite(v).all()):
         raise ValueError("eval_tricomi: x and v must be finite")
-    if (x < 0.0).any():
-        raise ValueError("eval_tricomi requires x >= 0")
-    inner = x > 0.0
+    xf, vf = x.ravel(), v.ravel()
+    inner = xf > 0.0
     if inner.all():
-        out = _interior(p, x, v)
+        out = _interior(p, xf, vf)
     else:
-        out = np.array(boundary_trace(p, v), dtype=float)
+        if (xf < 0.0).any():
+            raise ValueError("eval_tricomi requires x >= 0")
+        out = np.array(boundary_trace(p, vf), dtype=float)
         if inner.any():
-            out[inner] = _interior(p, x[inner], v[inner])
+            out[inner] = _interior(p, xf[inner], vf[inner])
     if not np.isfinite(out).all():
         raise ValueError("eval_tricomi: T overflows double precision")
-    return float(out) if np.ndim(out) == 0 else out
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def _interior(p: TricomiParams, x, v):
+    """T at 1-D lanes with x > 0, unchecked."""
     lam, A = p.lam, p.A
     K = 2.0 * 9.0 ** ((lam + 2.0) / 3.0) * A ** (-(lam + 2) / 6.0)
-    return real_kummer_combo(lam, A, x, v, scale=-K, offset=A ** (-(lam + 2) / 2.0) * v ** (lam + 2))
+    return _kummer_combo_lanes(lam, A, x, v, -K, A ** (-(lam + 2) / 2.0) * v ** (lam + 2))
 
 
 def as_field(p: TricomiParams, normal_axis: int = 0, scale: float = 1.0) -> Callable[[KineticPoint], float]:
@@ -167,6 +173,8 @@ def pde_residual(p: TricomiParams, x, v, h: float = 1e-4,
     method 'analytic': chain rule through the Kummer basis (series regime,
     |tau| <= 20).
     """
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError(f"pde_residual: step h = {h} must be positive and finite")
     x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
     if (x <= 0.0).any():
         raise ValueError("pde_residual requires x > 0")

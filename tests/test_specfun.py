@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from kinreg import specfun
+from kinreg.geometry import origin
+from kinreg.probe import sample_cylinder
 from kinreg.specfun import (
     Regime,
     asymptotic_m,
@@ -16,6 +19,7 @@ from kinreg.specfun import (
     tricomi_u,
     tricomi_u_array,
 )
+from kinreg.tricomi import TricomiParams, eval_tricomi
 
 # golden values frozen from a 40-digit run of tools/freeze_oracles.py
 GAMMA_GOLDEN = {
@@ -78,6 +82,8 @@ def test_gamma_classics():
     assert gamma_real(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
     for k in range(1, 12):
         assert gamma_real(k + 1) == pytest.approx(math.factorial(k), rel=1e-13)
+    # just below where the Lanczos power overflows
+    assert gamma_real(142.0) == pytest.approx(math.factorial(141), rel=1e-12)
 
 
 def test_gamma_golden_grid():
@@ -303,3 +309,133 @@ def test_error_estimates_nonnegative_and_regimes():
     assert tricomi_u(-5 / 3, 2 / 3, 100.0).regime is Regime.ASYMPTOTIC
     for ev in (kummer_m(0.4, 1.3, 5.0), tricomi_u(-5 / 3, 2 / 3, -8.0)):
         assert ev.est_abs_error >= 0.0
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: kummer_m(0.5, math.nan, 0.5), "b = nan", id="M-b-nan"),
+    pytest.param(lambda: kummer_m(math.nan, 0.5, 0.5), "a = nan", id="M-a-nan"),
+    pytest.param(lambda: kummer_m_series(0.5, math.inf, 0.5), "b = inf", id="M-series-b-inf"),
+    pytest.param(lambda: tricomi_u(-5 / 3, math.nan, 0.5), "b = nan", id="U-b-nan"),
+    pytest.param(lambda: gamma_real(math.inf), "non-finite", id="gamma-inf"),
+    pytest.param(lambda: gamma_real(-math.inf), "non-finite", id="gamma-minus-inf"),
+    pytest.param(lambda: gamma_real(200.0), "overflows", id="gamma-200"),
+    pytest.param(lambda: rgamma(-math.inf), "non-finite", id="rgamma-minus-inf"),
+    # the combo names its bad parameter: a NaN A, scale or offset once
+    # surfaced only as "the result overflows double precision"
+    pytest.param(lambda: real_kummer_combo(3, math.inf, 0.3, 0.2), "A = inf", id="combo-A-inf"),
+    pytest.param(lambda: real_kummer_combo(3, math.nan, 0.3, 0.2), "A = nan", id="combo-A-nan"),
+    pytest.param(lambda: real_kummer_combo(3, 1.0, 0.3, 0.2, scale=math.nan), "scale",
+                 id="combo-scale-nan"),
+    pytest.param(lambda: real_kummer_combo(3, 1.0, 0.3, 0.2, offset=math.nan), "offset",
+                 id="combo-offset-nan"),
+    pytest.param(lambda: real_kummer_combo(3, 1.0, np.array([0.3, 0.5]), 0.2,
+                                           offset=np.array([0.0, math.inf])), "offset",
+                 id="combo-offset-lane-inf"),
+    pytest.param(lambda: asymptotic_m(0.4, 1.3, math.nan), "z = nan", id="asym-m-nan"),
+    pytest.param(lambda: asymptotic_m(0.4, 1.3, math.inf), "z = inf", id="asym-m-inf"),
+    pytest.param(lambda: asymptotic_m(0.4, 1.3, -math.inf), "z = -inf", id="asym-m-minus-inf"),
+    pytest.param(lambda: asymptotic_u_kinetic(5 / 3, math.nan), "tau = nan", id="asym-u-nan"),
+    pytest.param(lambda: asymptotic_u_kinetic(5 / 3, math.inf), "tau = inf", id="asym-u-inf"),
+    pytest.param(lambda: asymptotic_u_kinetic(5 / 3, -math.inf), "tau = -inf",
+                 id="asym-u-minus-inf"),
+])
+def test_bad_parameters_raise_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+# The Taylor core before lanes were grouped by width: every block of up to
+# _BLOCK // len(pairs) lanes took the width of its largest |z|. Kept as the
+# reference the grouped core must reproduce bit for bit.
+
+def _ref_taylor(pairs, z):
+    size = specfun._BLOCK // len(pairs)
+    if z.size <= size:
+        return _ref_taylor_block(pairs, z)
+    parts = [_ref_taylor_block(pairs, z[lo:lo + size]) for lo in range(0, z.size, size)]
+    return tuple(np.concatenate(col, axis=-1) for col in zip(*parts))
+
+
+def _ref_taylor_block(pairs, z):
+    n = z.size
+    deg = np.repeat([specfun._poly_degree(a) for a, _ in pairs], n)
+    width = 16 * math.ceil((24 + 3 * np.abs(z).max(initial=0.0)) / 16)
+    width = max(min(width, specfun._SERIES_CAP), int(deg.max(initial=0)))
+    factors = specfun._ratios(pairs, width)[:, None, :] * z[:, None]
+    done, val, err, used = _ref_taylor_terms(factors.reshape(-1, width), deg)
+    while not done.all():
+        width = min(2 * width, specfun._SERIES_CAP)
+        redo = np.flatnonzero(~done)
+        done[redo], val[redo], err[redo], used[redo] = _ref_taylor_terms(
+            specfun._ratios(pairs, width)[redo // n] * z[redo % n, None], deg[redo])
+    shape = (len(pairs), n)
+    return val.reshape(shape), err.reshape(shape), used.reshape(shape)
+
+
+def _ref_taylor_terms(factors, deg):
+    n, width = factors.shape
+    X = np.empty((n, width + 1))
+    X[:, 0] = 1.0
+    np.cumprod(factors, axis=1, out=X[:, 1:])
+    S = np.cumsum(X, axis=1)
+    aX = np.abs(X)
+    small = aX[:, 1:] < 1e-17 * np.maximum(np.abs(S[:, 1:]), 1e-300)
+    run = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
+    lanes = np.arange(n)
+    first = run.argmax(axis=1)
+    stopped = run[lanes, first]
+    poly = deg >= 0
+    used = np.where(poly, deg, np.where(stopped, first + 3, width))
+    S[:, 1:] += np.cumsum(specfun._two_sum(S[:, :-1], X[:, 1:])[1], axis=1)
+    max_abs = np.maximum.accumulate(aX, axis=1)[lanes, used]
+    err = np.where(poly, 4.0 * specfun._EPS * max_abs * (used + 1),
+                   2.0 * aX[lanes, used] + 4.0 * specfun._EPS * max_abs * np.sqrt(used + 1.0))
+    return poly | stopped | (width >= specfun._SERIES_CAP), S[lanes, used], err, used
+
+
+_U_PAIRS = ((-5 / 3, 2 / 3), (-5 / 3 - 2 / 3 + 1.0, 2.0 - 2 / 3))  # as _u_connection calls it
+_CORE_RNG = np.random.default_rng(20)
+_CORE_CASES = {
+    # |z| from 0 to 700, shuffled: about 130 width classes in one call
+    "shuffled-to-700": (((0.4, 1.3),), _CORE_RNG.permutation(np.linspace(-700.0, 700.0, 2001))),
+    "connection-pairs": (_U_PAIRS, _CORE_RNG.uniform(-40.0, 40.0, 1500)),
+    "terminating": (((-2.0, 0.7), (0.4, 1.3)), _CORE_RNG.uniform(-50.0, 50.0, 700)),
+    # one width class, 1000 lanes: 8 blocks of at most 128
+    "one-class-many-blocks": (_U_PAIRS, _CORE_RNG.uniform(-0.3, 0.3, 1000)),
+    # a = 60 needs far more terms than 2.7 |z| + 20: the doubling redo path
+    "doubling-redo": (((60.0, 0.5),), _CORE_RNG.permutation(np.linspace(-10.0, 10.0, 301))),
+    "empty": (_U_PAIRS, np.empty(0)),
+    "one-lane": (_U_PAIRS, np.array([-0.003])),
+}
+
+
+@pytest.mark.parametrize("case", list(_CORE_CASES))
+def test_grouped_taylor_core_matches_single_width_core(case):
+    pairs, z = _CORE_CASES[case]
+    got, want = specfun._taylor(pairs, z), _ref_taylor(pairs, z)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (len(pairs), z.size)
+        assert np.array_equal(g, w), case
+    if case == "doubling-redo":
+        start = 16 * math.ceil((24 + 3 * np.abs(z).max()) / 16)
+        assert got[2].max() > start
+
+
+def test_taylor_work_tracks_terms_used(monkeypatch):
+    # a work count, not a wall-clock time: matrix cells filled per term a
+    # finished lane used, for T on the p5 probe's unit cylinder (5.7 when
+    # a block took the width of its largest |z|)
+    count = {"cells": 0, "terms": 0}
+    terms = specfun._taylor_terms
+
+    def counting(factors, deg):
+        out = terms(factors, deg)
+        count["cells"] += factors.size
+        count["terms"] += int(out[3][out[0]].sum())
+        return out
+
+    monkeypatch.setattr(specfun, "_taylor_terms", counting)
+    pts = sample_cylinder(origin(1), 1.0, 1680, seed=7)
+    eval_tricomi(TricomiParams(A=1.0), pts[:, 1], pts[:, 2])
+    assert count["terms"] > 0
+    assert count["cells"] <= 4 * count["terms"]

@@ -202,6 +202,20 @@ def test_eval_rejects_negative_x():
         eval_tricomi(TricomiParams(A=1.0, lam=3), -0.1, 1.0)
 
 
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda p: boundary_trace(p, np.nan), "v must be finite", id="trace-nan"),
+    pytest.param(lambda p: boundary_trace(p, np.array([1.0, -np.inf])), "v must be finite",
+                 id="trace-lane-inf"),
+    pytest.param(lambda p: pde_residual(p, 0.5, 0.3, h=np.nan), "step h", id="residual-h-nan"),
+    pytest.param(lambda p: pde_residual(p, 0.5, 0.3, h=np.inf), "step h", id="residual-h-inf"),
+    pytest.param(lambda p: pde_residual(p, 0.5, 0.3, h=0.0), "step h", id="residual-h-zero"),
+    pytest.param(lambda p: pde_residual(p, 0.5, 0.3, h=-1e-4), "step h", id="residual-h-negative"),
+])
+def test_bad_trace_and_step_raise_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(TricomiParams(A=1.0, lam=3))
+
+
 def test_lambda9_basics():
     p = TricomiParams(A=1.0, lam=9)
     # 11-homogeneous
