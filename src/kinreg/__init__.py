@@ -51,7 +51,6 @@ from .specfun import (
     asymptotic_u_kinetic,
     gamma_real,
     kummer_m,
-    real_kummer_combo,
     tricomi_u,
 )
 from .tricomi import TricomiParams, as_field, cusp_ratio, eval_tricomi, pde_residual, residual_constant

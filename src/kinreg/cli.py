@@ -85,9 +85,6 @@ def _status(report: dict) -> int:
 
 
 def run_tricomi_verify(args) -> int:
-    if args.A <= 0:
-        print("error: --A must be positive", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         params = TricomiParams(A=args.A, lam=args.lam)
     except ValueError as exc:
@@ -148,9 +145,6 @@ def run_tricomi_verify(args) -> int:
 
 
 def run_liouville(args) -> int:
-    if not (args.A > 0 and math.isfinite(args.A)):
-        print("error: --A must be positive and finite", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         with open(args.rhs) as fh:
             p = KineticPolynomial.from_json(fh.read())

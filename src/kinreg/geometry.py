@@ -149,18 +149,13 @@ def cylinder_contains(c: CylinderSpec, z: KineticPoint) -> bool:
 
 @dataclass(frozen=True)
 class HalfSpaceDomain:
-    """Spatial half-space {x[normal_axis] > 0} with an open time window.
+    """Spatial half-space {x[normal_axis] > 0}.
 
     The outward unit normal on the boundary is -e_{normal_axis}; the grazing
     set gamma_0 is where the normal velocity vanishes.
     """
 
     normal_axis: int = 0
-    time_window: tuple[float, float] = (-math.inf, math.inf)
-
-    def contains_x(self, z: KineticPoint) -> bool:
-        t0, t1 = self.time_window
-        return z.x[self.normal_axis] > 0.0 and t0 < z.t < t1
 
 
 def reflect_velocity(z: KineticPoint, d: HalfSpaceDomain) -> KineticPoint:

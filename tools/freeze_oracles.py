@@ -1,7 +1,8 @@
 """Dev-time arbitrary-precision oracle (mpmath). Not a runtime dependency.
 
 Regenerates every golden constant frozen into the test suite:
-  * Gamma grid, Kummer M grid, classical-U grid, real-branch U grid
+  * Gamma grid, 1/Gamma(150) and 1/Gamma(-150.5)
+  * Kummer M grid, classical-U grid, real-branch U grid
   * the real-branch U across the 20 <= |z| <= 40 blend window
   * U(-5/3; 2/3; 0) = Gamma(1/3)/Gamma(-4/3)
   * T_{1,3}(1, 0), T_{1,3}(1e-300, +-1) and the obstruction normalization checks
@@ -37,6 +38,10 @@ def main():
     print("# gamma grid")
     for x in [0.5, 0.001, 3.7, 12.25, 19.5, -0.5, -4.3, -19.77, -6.5, 7.0]:
         print(f"  {x!r}: {mp.nstr(mp.gamma(x), 22)}")
+
+    print("# 1/Gamma where Gamma overflows the Lanczos power")
+    for x in [150, -150.5]:
+        print(f"  {x!r}: {mp.nstr(mp.rgamma(x), 22)}")
 
     print("# kummer M grid")
     grid = [(-5 / 3, 2 / 3, -30.0), (-5 / 3, 2 / 3, 30.0), (-4 / 3, 4 / 3, -50.0),
