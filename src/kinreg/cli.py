@@ -352,8 +352,9 @@ def run_suite(args) -> int:
     combined["liouville_v3"] = _load(ns.out)
 
     ns = argparse.Namespace(A=1.0, nx=64, nv=64, bc="specular", source="tricomi",
-                            convergence="32,64", x_max=1.0, v_max=1.0, tol=1e-10,
-                            seed=_seed(args), out=os.path.join(outdir, "solver_tricomi"))
+                            convergence="32,64", x_max=1.0, v_max=1.0,
+                            tol=SolverOptions().tol, seed=_seed(args),
+                            out=os.path.join(outdir, "solver_tricomi"))
     rc_all = max(rc_all, run_solver(ns))
     combined["solver_tricomi"] = _load(ns.out + ".json")
 
@@ -404,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", default="tricomi", help="tricomi | zero | file:<path.kfp>")
     p.add_argument("--x-max", type=float, default=1.0)
     p.add_argument("--v-max", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=SolverOptions().tol)
     p.add_argument("--convergence", default=None, help="comma list of grid sizes")
     p.add_argument("--out", default=None, help="output prefix (.json/.csv/.kfp)")
     p.set_defaults(func=run_solver)

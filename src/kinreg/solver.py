@@ -27,9 +27,20 @@ pass goes through the inverse in one matrix product. What is left, the
 half of the rows that carries fresh values to the next station, is the
 linear recurrence y[i] = known[i] + P y[i-1] with one fixed matrix P per
 pass. A doubling scan solves it on whole arrays: log2(nx) matrix products
-with the powers P, P^2, P^4, ..., which each solve builds once. The IMEX
-step diffuses all full stations in one matrix product. Only numpy is
-needed.
+with the powers P, P^2, P^4, ..., which each solve builds once. Only
+numpy is needed.
+
+An IMEX step at the sizes the lab uses (n ~ 24) works on arrays of a few
+hundred entries, so its cost is set by the number of numpy calls, not by
+the arithmetic. A step forms the limited transport from one difference
+array and one minmod over the whole field, adds the first-order upwind
+differences into the correction in place, diffuses all full stations in
+one matrix product and calls each boundary callable once, filling a new
+array that is checked for fit and finiteness. The grid coordinates,
+dt * h and the inverse are formed once per run. Every rewrite of the step
+keeps the floating-point operations and their order, so results are
+bit-identical to the full-width forms that tests/test_solver.py keeps as
+references.
 """
 
 from __future__ import annotations
@@ -260,14 +271,17 @@ class SolverError(RuntimeError):
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a branch-free sign: np.where on a data-dependent mask is several times slower
-    s = ((a > 0) & (b > 0)).astype(float) - ((a < 0) & (b < 0))
-    return s * np.minimum(np.abs(a), np.abs(b))
+    """a clipped to the interval between 0 and b: minmod(a, b) exactly,
+    since the result is always a, b or 0. Four ufuncs: np.clip's wrapper
+    costs more, and a sign times the smaller modulus takes twelve."""
+    return np.minimum(np.maximum(a, np.minimum(b, 0.0)), np.maximum(b, 0.0))
 
 
-def _transport_correction(f: np.ndarray, vs: np.ndarray, hx: float) -> np.ndarray:
+def _transport_correction(f: np.ndarray, vs: np.ndarray, hx: float,
+                          d: np.ndarray | None = None) -> np.ndarray:
     """Deferred correction lifting first-order upwind to limited second
     order: corr[i, j] such that v df/dx ~ v (f_i - f_upwind)/hx + corr.
+    d is f[1:] - f[:-1] if the caller already has it.
 
     The mirror extension of a specular solution generically has an
     x-derivative kink at the wall (the extended source is discontinuous),
@@ -278,19 +292,25 @@ def _transport_correction(f: np.ndarray, vs: np.ndarray, hx: float) -> np.ndarra
     v < 0 columns are the first half and the v > 0 columns the second.
     """
     m = len(vs) // 2
-    c = vs / hx
-    corr = np.zeros_like(f)
-    d = np.diff(f, axis=0)  # d[i] = f[i+1] - f[i]
-    half = 0.5 * _minmod(d[:-1], d[1:])  # limited half-slope at stations 1 .. nx-1
-    # v > 0: the face i+1/2 takes half[i-1] from its upwind (left) station;
-    # the face next to the inflow node is centered instead of limited.
-    corr[1, m:] = c[m:] * (half[0, m:] - 0.5 * d[0, m:])
-    corr[2:-1, m:] = c[m:] * (half[1:, m:] - half[:-1, m:])
-    # v < 0: upwind side is the right; the face next to the Dirichlet
-    # node x_max is centered.
-    down = -half[:, :m]
-    corr[1:-2, :m] = c[:m] * (down[1:] - down[:-1])
-    corr[-2, :m] = c[:m] * (-0.5 * d[-1, :m] - down[-1])
+    if d is None:
+        d = f[1:] - f[:-1]  # d[i] = f[i+1] - f[i]
+    # slope[k]: the half-slope that face k+1/2 adds to the value of its
+    # upwind station, k for v > 0 and k+1 for v < 0 (there with a minus
+    # sign). It is the minmod of the station's two differences, except at
+    # the faces next to the inflow node and next to x_max: those are
+    # centered.
+    mm = _minmod(d[:-1], d[1:])
+    slope = np.empty_like(d)
+    slope[1:, m:] = mm[:, m:]
+    slope[0, m:] = d[0, m:]
+    slope[:-1, :m] = mm[:, :m]
+    slope[-1, :m] = d[-1, :m]
+    slope *= np.copysign(0.5, vs)
+    corr = np.empty_like(f)
+    np.subtract(slope[1:], slope[:-1], out=corr[1:-1])
+    corr[1:-1] *= vs / hx
+    corr[-1] = 0.0
+    corr[0, m:] = 0.0
     # one-sided second-order correction at the outflow station
     corr[0, :m] = -(vs[:m] / (2.0 * hx)) * (f[0, :m] - 2.0 * f[1, :m] + f[2, :m])
     return corr
@@ -299,19 +319,27 @@ def _transport_correction(f: np.ndarray, vs: np.ndarray, hx: float) -> np.ndarra
 def _finite(values, what: str) -> np.ndarray:
     """values as a new float array; ValueError if any entry is NaN or inf."""
     arr = np.array(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite values")
     return arr
 
 
 def _data(fn, shape: tuple, what: str, *args) -> np.ndarray:
-    """One call fn(*args) on coordinate arrays, broadcast to shape."""
+    """One call fn(*args) on coordinate arrays, broadcast to shape, as a
+    new float array; ValueError if it does not fit or is not finite."""
     values = fn(*args)
+    arr = np.empty(shape)
     try:
-        values = np.broadcast_to(values, shape)
+        # np.broadcast_to's rule: an assignment alone would also drop
+        # leading unit axes, e.g. fit (1, nv) into (nv,)
+        if np.ndim(values) > len(shape):
+            raise ValueError
+        arr[...] = values
     except ValueError:
         raise ValueError(f"{what} of shape {np.shape(values)} does not fit {shape}") from None
-    return _finite(values, what)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} contains non-finite values")
+    return arr
 
 
 def _source_array(h, grid: HalfStripGrid) -> np.ndarray:
@@ -326,12 +354,6 @@ def _source_array(h, grid: HalfStripGrid) -> np.ndarray:
     if H.shape != shape:
         raise ValueError(f"source array has wrong shape {H.shape} != {shape}")
     return _finite(H, "source")
-
-
-def _wall_columns(bc: BoundaryCondition, t: float, grid: HalfStripGrid) -> np.ndarray:
-    """at_vmax data on the rows v_0 and v_{nv-1} at every station, (nx+1, 2)."""
-    return _data(bc.at_vmax, (grid.nx + 1, 2), "at_vmax data",
-                 t, grid.xs[:, None], grid.vs[[0, -1]])
 
 
 def _station_factor(diag_base: np.ndarray, c: float, noflux: bool, top: str) -> np.ndarray:
@@ -420,9 +442,12 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
     # boundary data enter at t = 0 only
     f = np.zeros((nxp1, nv))
     f[-1, :] = _data(bc.at_xmax, (nv,), "at_xmax data", 0.0, vs)
-    walls = None if noflux else _wall_columns(bc, 0.0, grid)
+    wall_cols = slice(None, None, nv - 1)  # the columns v_0 and v_{nv-1}
+    # at_vmax data on the rows v_0 and v_{nv-1} at every station
+    walls = None if noflux else _data(bc.at_vmax, (nxp1, 2), "at_vmax data",
+                                      0.0, grid.xs[:, None], vs[[0, -1]])
     if walls is not None:
-        f[:, [0, -1]] = walls
+        f[:, wall_cols] = walls
         # wall rows are Dirichlet rows: their right-hand side is the wall value
         apos[[0, -1]] = aneg[[0, -1]] = 0.0
     if bc.at_x0 == "dirichlet":
@@ -446,7 +471,7 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
         f_old = f.copy()
         R = H - _transport_correction(f, vs, hx) if opts.order == 2 else H.copy()
         if walls is not None:
-            R[:, [0, -1]] = walls
+            R[:, wall_cols] = walls
 
         if bc.at_x0 != "dirichlet":
             rhs = R[0, :m] + aneg[:m] * f[1, :m]
@@ -504,9 +529,9 @@ def mirror_extend(fld: Field) -> Field:
 
 def _transport_apply(f, vs, hx, bc_mode):
     """Full second-order limited transport operator v df/dx (explicit)."""
-    nxp1 = f.shape[0]
-    pos = vs > 0
     if bc_mode == "periodic":
+        nxp1 = f.shape[0]
+        pos = vs > 0
         fp = np.vstack([f[-3:-1], f, f[1:3]])  # ghost via wrap (node nx == node 0)
         d = np.diff(fp, axis=0)
         half = 0.5 * _minmod(d[:-1], d[1:])
@@ -514,15 +539,17 @@ def _transport_apply(f, vs, hx, bc_mode):
         face = np.where(pos, fp[1:nxp1 + 2] + half[0:nxp1 + 1],
                         fp[2:nxp1 + 3] - half[1:nxp1 + 2])
         return vs * (face[1:] - face[:-1]) / hx
-    corr = _transport_correction(f, vs, hx)
-    d = np.diff(f, axis=0)
-    first = np.zeros_like(f)
-    first[1:, pos] = vs[pos] * d[:, pos] / hx
-    first[:-1, ~pos] = vs[~pos] * d[:, ~pos] / hx
-    # one-sided rows at the boundaries for the signs that need them
-    first[0, pos] = vs[pos] * d[0, pos] / hx
-    first[-1, ~pos] = vs[~pos] * d[-1, ~pos] / hx
-    return first + corr
+    m = len(vs) // 2
+    d = f[1:] - f[:-1]
+    out = _transport_correction(f, vs, hx, d)
+    # the first-order upwind difference, one-sided at the rows where the
+    # upwind node lies outside: v > 0 at station 0, v < 0 at station nx
+    first = vs * d / hx
+    out[1:, m:] += first[:, m:]
+    out[0, m:] += first[0, m:]
+    out[:-1, :m] += first[:, :m]
+    out[-1, :m] += first[-1, :m]
+    return out
 
 
 def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float,
@@ -547,34 +574,38 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float,
         raise ValueError(f"CFL violation: dt = {dt} > 0.5 hx / v_max = {0.5 * hx / grid.v_max}")
     if bc.at_x0 != "periodic" and bc.at_xmax is None:
         raise ValueError("non-periodic runs need Dirichlet data at x_max")
-    vs = grid.vs
+    # the grid's xs and vs properties build new arrays: read them once
+    vs, xs = grid.vs, grid.xs[:, None]
+    v_walls = vs[[0, -1]]
+    wall_cols = slice(None, None, grid.nv - 1)  # the columns v_0 and v_{nv-1}
+    wall_shape = (grid.nx + 1, 2)
     m = grid.nv // 2
     # station-0 rows prescribed by inflow_profile after every step
-    x0_rows = {"inflow": vs > 0, "dirichlet": slice(None)}.get(bc.at_x0)
+    x0_rows = {"inflow": slice(m, None), "dirichlet": slice(None)}.get(bc.at_x0)
     v_in = None if x0_rows is None else vs[x0_rows]
     noflux = bc.at_vmax == "noflux" or bc.at_vmax is None
     nsteps = int(round(T / dt))
-    H = _source_array(h, grid)
+    dt_H = dt * _source_array(h, grid)
 
     f = _finite(f0.values, "initial field")
     out = [Field(grid, f.copy(), dict(f0.metadata, t=0.0))]
     c = dt * (A / grid.hv ** 2)
-    full = _station_factor(np.ones(grid.nv), c, noflux, "wall")
+    full_T = _station_factor(np.ones(grid.nv), c, noflux, "wall").T
     # the specular station 0 diffuses its v<0 block with the mirror fold
     fold = _station_factor(np.ones(m), c, noflux, "fold") if bc.at_x0 == "specular" else None
     first_full = 0 if fold is None else 1
 
     t = 0.0
     for step in range(nsteps):
-        f = f - dt * _transport_apply(f, vs, hx, bc.at_x0) + dt * H
+        f = f - dt * _transport_apply(f, vs, hx, bc.at_x0) + dt_H
         t_next = t + dt
         if not noflux:
-            f[:, [0, -1]] = _wall_columns(bc, t_next, grid)
+            f[:, wall_cols] = _data(bc.at_vmax, wall_shape, "at_vmax data", t_next, xs, v_walls)
         if fold is not None:
             f[0, :m] = fold @ f[0, :m]
             f[0, m:] = f[0, m - 1::-1]
         # one product for all full stations: each row is a right-hand side
-        f[first_full:] = f[first_full:] @ full.T
+        f[first_full:] = f[first_full:] @ full_T
         if bc.at_x0 == "periodic":
             f[-1, :] = f[0, :]
         else:

@@ -314,14 +314,16 @@ def _m_lanes(a: float, b: float, z, transform: bool):
     err = np.empty(z.size)
     used = np.empty(z.size, dtype=np.int64)
     code = np.empty(z.size, dtype=np.int64)
-    for lanes, (aa, bb), arg in ((~flip, (a, b), z), (flip, (b - a, b), -z)):
-        if lanes.any():
-            (val[lanes],), (err[lanes],), (used[lanes],) = _taylor(((aa, bb),), arg[lanes])
-            code[lanes] = _POLYNOMIAL if _poly_degree(aa) >= 0 else _SERIES
-    if flip.any():
-        e = np.exp(z[flip])
-        val[flip] *= e
-        err[flip] = e * err[flip] + _EPS * np.abs(val[flip])
+    # an overflowing sum is caught by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lanes, (aa, bb), arg in ((~flip, (a, b), z), (flip, (b - a, b), -z)):
+            if lanes.any():
+                (val[lanes],), (err[lanes],), (used[lanes],) = _taylor(((aa, bb),), arg[lanes])
+                code[lanes] = _POLYNOMIAL if _poly_degree(aa) >= 0 else _SERIES
+        if flip.any():
+            e = np.exp(z[flip])
+            val[flip] *= e
+            err[flip] = e * err[flip] + _EPS * np.abs(val[flip])
     bad = ~(np.isfinite(val) & np.isfinite(err))
     if bad.any():
         raise ValueError(f"kummer_m: summing M({a}; {b}; z) overflows double precision "

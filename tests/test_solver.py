@@ -299,6 +299,35 @@ def test_solver_data_of_wrong_shape_raises():
         solve_stationary(None, bc, 1.0, g)
 
 
+def test_timedep_data_of_wrong_shape_raises():
+    # data that fit at the first steps and stop fitting at a later one
+    n = 16
+    g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=n, nv=n, nt=1, dt=0.01)
+    f0 = Field(g, np.zeros((n + 1, n)))
+    late = lambda t, *xv: np.zeros(3) if t > 0.02 else 0.0
+    for name, what in (("at_xmax", "at_xmax data"), ("at_vmax", "at_vmax data"),
+                       ("inflow_profile", "inflow data")):
+        data = dict(inflow_profile=lambda t, v: 0.0, at_xmax=lambda t, v: 0.0,
+                    at_vmax=lambda t, x, v: 0.0)
+        data[name] = late
+        with pytest.raises(ValueError, match=rf"{what} of shape \(3,\) does not fit"):
+            solve_timedep(f0, None, BoundaryCondition(at_x0="inflow", **data), 1.0, T=0.05)
+
+
+def test_leading_unit_axis_is_not_dropped():
+    # data broadcast as by np.broadcast_to: (1, nv) does not fit (nv,)
+    n = 16
+    strip = dict(x_max=1.0, v_max=1.0, nx=n, nv=n)
+    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: np.zeros((1, len(v))),
+                           at_vmax="noflux")
+    match = r"at_xmax data of shape \(1, 16\) does not fit \(16,\)"
+    with pytest.raises(ValueError, match=match):
+        solve_stationary(None, bc, 1.0, HalfStripGrid(**strip))
+    g = HalfStripGrid(**strip, nt=1, dt=0.01)
+    with pytest.raises(ValueError, match=match):
+        solve_timedep(Field(g, np.zeros((n + 1, n))), None, bc, 1.0, T=0.05)
+
+
 def test_solver_error_on_nonconvergence():
     g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=16, nv=16)
     bc = BoundaryCondition(at_x0="specular",
@@ -691,9 +720,13 @@ def test_transport_kernels_match_full_width_forms(nx, nv):
 
 
 def test_minmod_signs_and_ties():
-    a = np.array([1.0, -1.0, 2.0, -2.0, 0.0, 1.0, 0.0, -0.5, 3.0, 0.0])
-    b = np.array([2.0, -3.0, 2.0, -2.0, 1.0, -1.0, 0.0, 0.5, 0.5, -1.0])
-    want = np.array([1.0, -1.0, 2.0, -2.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0])
+    # the last seven lanes hold signed zeros
+    a = np.array([1.0, -1.0, 2.0, -2.0, 0.0, 1.0, 0.0, -0.5, 3.0, 0.0,
+                  -0.0, -0.0, 0.0, -0.0, 1.0, -1.0, -0.0])
+    b = np.array([2.0, -3.0, 2.0, -2.0, 1.0, -1.0, 0.0, 0.5, 0.5, -1.0,
+                  0.0, -0.0, -0.0, 2.0, -0.0, -0.0, -2.0])
+    want = np.array([1.0, -1.0, 2.0, -2.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0,
+                     0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     assert np.array_equal(_minmod(a, b), want)
     assert np.array_equal(_minmod(a, b), _minmod_where(a, b))
 

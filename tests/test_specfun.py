@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,20 @@ def test_kummer_m_overflow_raises_naming_z():
         kummer_m_array(12.5, 0.3, np.array([1.0, 650.0]))
     with pytest.raises(ValueError, match="z = 1000"):
         kummer_m_series(0.5, 1.5, 1000.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kummer_m(-5 / 3, 2 / 3, -699.0),
+    lambda: kummer_m_array(12.5, 0.3, np.array([1.0, 650.0])),
+    lambda: kummer_m_series(0.5, 1.5, 1000.0),
+], ids=["transformed", "array", "series"])
+def test_kummer_m_overflow_raises_without_warnings(call):
+    # the overflowing sum is reported by the ValueError alone, with no
+    # numpy RuntimeWarning printed on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            call()
 
 
 def test_kummer_at_zero_exact():

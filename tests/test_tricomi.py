@@ -87,6 +87,15 @@ def test_residual_vanishes_at_v0():
     assert abs(pde_residual(p, 1.0, 0.0)) <= 1e-4
 
 
+@pytest.mark.parametrize("x, h", [(0.3, 1e-320), (5e-324, 1e-10)],
+                         ids=["squared-step", "subnormal-x"])
+def test_residual_step_underflow_raises(x, h):
+    # h^2 underflows to 0, or the x-step 0.5 x rounds to 0: a ValueError,
+    # not a silent NaN
+    with pytest.raises(ValueError, match="pde_residual"):
+        pde_residual(TricomiParams(A=1.0), x, 0.2, h=h)
+
+
 def test_homogeneous_part_annihilated():
     # removing the monomial leaves a numerical solution of the
     # homogeneous equation: residual of T - A^{-5/2} v^5 is ~0
