@@ -335,40 +335,23 @@ def run_suite(args) -> int:
     """Run every check at desk scale and write one combined report."""
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
-    combined = {}
-    rc_all = EXIT_OK
-
-    ns = argparse.Namespace(A=1.0, lam=3, csv=None, seed=_seed(args),
-                            out=os.path.join(outdir, "tricomi_verify.json"))
-    rc_all = max(rc_all, run_tricomi_verify(ns))
-    combined["tricomi_verify"] = _load(ns.out)
-
     rhs_path = os.path.join(outdir, "rhs_v3.json")
     with open(rhs_path, "w") as fh:
         fh.write(KineticPolynomial.monomial(1, 1, bv=(3,)).to_json())
-    ns = argparse.Namespace(A=1.0, rhs=rhs_path, seed=_seed(args),
-                            out=os.path.join(outdir, "liouville_v3.json"))
-    rc_all = max(rc_all, run_liouville(ns))
-    combined["liouville_v3"] = _load(ns.out)
-
-    ns = argparse.Namespace(A=1.0, nx=64, nv=64, bc="specular", source="tricomi",
-                            convergence="32,64", x_max=1.0, v_max=1.0,
-                            tol=SolverOptions().tol, seed=_seed(args),
-                            out=os.path.join(outdir, "solver_tricomi"))
-    rc_all = max(rc_all, run_solver(ns))
-    combined["solver_tricomi"] = _load(ns.out + ".json")
-
-    ns = argparse.Namespace(field="builtin:tricomi", space="p5", z0="0,0,0",
-                            radii="1,0.5,0.25,0.125", A=1.0, tau=False,
-                            seed=_seed(args), out=os.path.join(outdir, "probe_p5.json"))
-    rc_all = max(rc_all, run_probe(ns))
-    combined["probe_p5"] = _load(ns.out)
-
-    ns = argparse.Namespace(gamma="builtin:parabola", curvature=1.0,
-                            f_hessian="[[2,0],[0,-2]]", seed=_seed(args),
-                            out=os.path.join(outdir, "counterexample.json"))
-    rc_all = max(rc_all, run_counterexample(ns))
-    combined["counterexample"] = _load(ns.out)
+    # each check runs with its subcommand's defaults from build_parser
+    runs = (("tricomi_verify", ["tricomi-verify"], "tricomi_verify.json"),
+            ("liouville_v3", ["liouville-classify", f"--rhs={rhs_path}"], "liouville_v3.json"),
+            ("solver_tricomi", ["solve-kfp", "--convergence", "32,64"], "solver_tricomi"),
+            ("probe_p5", ["probe-exponent"], "probe_p5.json"),
+            ("counterexample", ["counterexample-check"], "counterexample.json"))
+    parser = build_parser()
+    combined = {}
+    rc_all = EXIT_OK
+    for key, argv, name in runs:
+        out = os.path.join(outdir, name)
+        ns = parser.parse_args([f"--seed={_seed(args)}", *argv, f"--out={out}"])
+        rc_all = max(rc_all, ns.func(ns))
+        combined[key] = _load(os.path.splitext(out)[0] + ".json")  # solve-kfp's --out is a prefix
 
     _emit(combined, os.path.join(outdir, "suite.json"))
     return rc_all

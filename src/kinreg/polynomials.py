@@ -611,8 +611,7 @@ def _layers(k: int, n: int) -> dict[int, list[MultiIndex]]:
     return out
 
 
-def particular_solve_general(op: OperatorSpec, p: KineticPolynomial,
-                             degree_cap_extra: int = 4) -> KineticPolynomial:
+def particular_solve_general(op: OperatorSpec, p: KineticPolynomial) -> KineticPolynomial:
     """Solve apply_operator(op, P) = p exactly on graded monomial bases,
     returning the P of minimal Euclidean coefficient norm.
 
@@ -620,8 +619,8 @@ def particular_solve_general(op: OperatorSpec, p: KineticPolynomial,
     degree d + 2 alone: the layer blocks have disjoint rows and columns, so
     the minimum-norm solution is theirs side by side (0 where p has no
     layer). Otherwise one square system over every degree up to deg(p) + 2
-    is solved, then up to deg(p) + degree_cap_extra. Raises ValueError when
-    no solution exists.
+    is solved, then up to deg(p) + 4. Raises ValueError when no solution
+    exists.
     """
     if p.is_zero():
         return KineticPolynomial.zero(p.n)
@@ -637,7 +636,7 @@ def particular_solve_general(op: OperatorSpec, p: KineticPolynomial,
                 raise ValueError(f"particular_solve_general failed: no solution of degree <= {dp + 2}")
             terms.update(zip(cols, x))
         return KineticPolynomial(p.n, terms)
-    for extra in (2, degree_cap_extra):
+    for extra in (2, 4):
         idx = _indices_up_to(dp + extra, p.n)
         x = _min_norm_solve(_operator_matrix(op, _monomials(p.n, idx), idx),
                             [p.coefficient(b) for b in idx])

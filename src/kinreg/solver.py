@@ -317,7 +317,10 @@ def _transport_correction(f: np.ndarray, vs: np.ndarray, hx: float,
 
 
 def _finite(values, what: str) -> np.ndarray:
-    """values as a new float array; ValueError if any entry is NaN or inf."""
+    """values as a new float array; ValueError if they are complex (a cast
+    would drop the imaginary part) or any entry is NaN or inf."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{what} is complex")
     arr = np.array(values, dtype=float)
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite values")
@@ -326,8 +329,11 @@ def _finite(values, what: str) -> np.ndarray:
 
 def _data(fn, shape: tuple, what: str, *args) -> np.ndarray:
     """One call fn(*args) on coordinate arrays, broadcast to shape, as a
-    new float array; ValueError if it does not fit or is not finite."""
+    new float array; ValueError if it does not fit, is complex or is not
+    finite."""
     values = fn(*args)
+    if np.iscomplexobj(values):
+        raise ValueError(f"{what} is complex")
     arr = np.empty(shape)
     try:
         # np.broadcast_to's rule: an assignment alone would also drop
@@ -350,7 +356,7 @@ def _source_array(h, grid: HalfStripGrid) -> np.ndarray:
         return np.zeros(shape)
     if callable(h):
         return _data(h, shape, "source", grid.xs[:, None], grid.vs[None, :])
-    H = np.asarray(h, dtype=float)
+    H = np.asarray(h)
     if H.shape != shape:
         raise ValueError(f"source array has wrong shape {H.shape} != {shape}")
     return _finite(H, "source")

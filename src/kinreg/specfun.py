@@ -1,12 +1,12 @@
 """Self-contained real special functions: Gamma, Kummer M, Tricomi U.
 
-Everything here is double precision and needs nothing beyond numpy:
-Lanczos for the Gamma function, compensated Taylor summation for the
-confluent hypergeometric M, and the connection formula for U (DLMF
-13.2.42). Negative arguments of U use the real Kummer-basis combination
-(cube roots taken real), which is the branch relevant to the kinetic
-obstruction function; Poincare series summed to their smallest term
-(DLMF 13.7) provide the large-argument regime.
+Everything here is double precision and needs nothing beyond numpy and
+the standard library: math.gamma for the Gamma function, compensated
+Taylor summation for the confluent hypergeometric M, and the connection
+formula for U (DLMF 13.2.42). Negative arguments of U use the real
+Kummer-basis combination (cube roots taken real), which is the branch
+relevant to the kinetic obstruction function; Poincare series summed to
+their smallest term (DLMF 13.7) provide the large-argument regime.
 
 The series work lane by lane over numpy arrays, one lane per argument z,
 following Pearson, Olver & Porter, Numer. Algorithms 74 (2017). Lanes are
@@ -31,72 +31,47 @@ import numpy as np
 
 _EPS = 2.22e-16
 
-# Lanczos, g = 7, 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
-
-def _sinpi(x: float) -> float:
-    """sin(pi x) with argument reduction, accurate near integers."""
-    m = round(x)
-    r = x - m
-    s = math.sin(math.pi * r)
-    return -s if m % 2 else s
-
-
-def _is_nonpositive_int(x: float, tol: float = 0.0) -> bool:
-    return x <= 0.5 and abs(x - round(x)) <= tol and round(x) <= 0
+def _is_nonpositive_int(x: float) -> bool:
+    """x is 0, -1, -2, ...: a pole of Gamma and a zero of 1/Gamma."""
+    return x <= 0.0 and math.isfinite(x) and x == math.floor(x)
 
 
 def gamma_real(x: float) -> float:
-    """Gamma(x) for real x, relative error below 1e-12 on [-20, 20].
+    """Gamma(x) for real x by math.gamma, within a few ulps.
 
-    Poles at nonpositive integers raise; negative non-integers go through
-    the reflection formula with careful sin(pi x). NaN, inf and arguments
-    whose Lanczos power overflows (x above about 142) raise ValueError.
+    NaN, inf, the poles at nonpositive integers and x above about 171.6,
+    where Gamma overflows, raise ValueError. Below about -171, |Gamma| is
+    under the smallest normal double away from the poles, and math.gamma's
+    subnormal comes back as it is; below about -178 it is a signed zero.
+    rgamma serves that range.
     """
     if not math.isfinite(x):
         raise ValueError(f"gamma_real: non-finite argument {x}")
-    if x <= 0.0 and x == math.floor(x):
+    if _is_nonpositive_int(x):
         raise ValueError(f"gamma_real: pole at {x}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (_sinpi(x) * gamma_real(1.0 - x))
-    z = x - 1.0
-    s = _LANCZOS_C[0]
-    for i in range(1, 9):
-        s += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
     try:
-        g = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * s
+        return math.gamma(x)
     except OverflowError:
-        g = math.inf
-    if not math.isfinite(g):
-        raise ValueError(f"gamma_real: x = {x} is too large, its Lanczos power overflows")
-    return g
+        raise ValueError(f"gamma_real: Gamma({x}) overflows double precision") from None
 
 
 def rgamma(x: float) -> float:
     """1 / Gamma(x); zero at the poles instead of raising.
 
-    Where gamma_real overflows (|x| above about 142), 1/|Gamma| comes from
+    Where Gamma overflows (x above about 171.6) or is too small for its
+    reciprocal to be finite (x below about -171), 1/|Gamma| comes from
     math.lgamma and the sign of Gamma(x) is (-1)^floor(x) for x < 0; it
     underflows to zero for large positive x and raises ValueError where
     it overflows itself."""
-    if x <= 0.0 and math.isfinite(x) and x == math.floor(x):
+    if _is_nonpositive_int(x):
         return 0.0
     try:
-        return 1.0 / gamma_real(x)
+        r = 1.0 / gamma_real(x)
+        if math.isfinite(r):
+            return r
+    except ZeroDivisionError:  # Gamma underflows to +-0
+        pass
     except ValueError:
         if not math.isfinite(x):
             raise
@@ -192,7 +167,7 @@ def _two_prod(a, b):
 
 def _poly_degree(a: float) -> int:
     """-a when M(a;b;.) is a polynomial (a a nonpositive integer), else -1."""
-    return int(round(-a)) if a == round(a) and a <= 0.0 else -1
+    return int(round(-a)) if _is_nonpositive_int(a) else -1
 
 
 @lru_cache(maxsize=64)
@@ -491,7 +466,7 @@ def asymptotic_m(a: float, b: float, z: float) -> float:
     _finite_params("asymptotic_m", a=a, b=b, z=z)
     if abs(z) < 30.0:
         raise ValueError("asymptotic_m requires |z| >= 30")
-    if a == round(a) and a <= 0.0:
+    if _is_nonpositive_int(a):
         raise ValueError("asymptotic_m: terminating case, use kummer_m")
     if z > 0:
         S = _poincare(b - a, 1.0 - a, np.array([z]))[0][0]

@@ -328,6 +328,32 @@ def test_leading_unit_axis_is_not_dropped():
         solve_timedep(Field(g, np.zeros((n + 1, n))), None, bc, 1.0, T=0.05)
 
 
+def test_complex_callable_data_raises():
+    # a float cast would keep only the real part, 1.0 on the x_max row
+    n = 16
+    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: (1 + 1j) * np.ones_like(v),
+                           at_vmax="noflux")
+    with pytest.raises(ValueError, match="at_xmax data is complex"):
+        solve_stationary(None, bc, 1.0, HalfStripGrid(x_max=1.0, v_max=1.0, nx=n, nv=n))
+
+
+def test_complex_source_array_raises():
+    n = 16
+    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0, at_vmax="noflux")
+    H = np.full((n + 1, n), 1.0 + 0.5j)
+    with pytest.raises(ValueError, match="source is complex"):
+        solve_stationary(H, bc, 1.0, HalfStripGrid(x_max=1.0, v_max=1.0, nx=n, nv=n))
+
+
+def test_complex_initial_field_raises():
+    n = 16
+    g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=n, nv=n, nt=1, dt=0.01)
+    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0, at_vmax="noflux")
+    f0 = Field(g, np.full((n + 1, n), 1.0 + 0.5j))
+    with pytest.raises(ValueError, match="initial field is complex"):
+        solve_timedep(f0, None, bc, 1.0, T=0.05)
+
+
 def test_solver_error_on_nonconvergence():
     g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=16, nv=16)
     bc = BoundaryCondition(at_x0="specular",

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -33,6 +34,31 @@ GAMMA_GOLDEN = {
     -19.77: 3.906338621395859469319e-18,
     -6.5: -0.001678869966447671228728,
     7.0: 720.0,
+}
+
+# Gamma across [-30, 171.5], and at the thirds k/3 that the constants of
+# U(-(lam+2)/3; 2/3; .) use for lam = 3, 9, 15
+GAMMA_RANGE_GOLDEN = {
+    -29.5: 6.51418220326723240769e-32,
+    1 / 3: 2.678938534707747788912,
+    -1 / 3: -4.062353818279201377252,
+    2 / 3: 1.354117939426400483005,
+    4 / 3: 0.8929795115692492199452,
+    -4 / 3: 3.046765363709401486504,
+    -5 / 3: 2.41104468123697305446,
+    7 / 3: 1.190639348758999057208,
+    8 / 3: 1.504575488251555844712,
+    -10 / 3: 0.3917269753340656516428,
+    -11 / 3: 0.2465841151265085749791,
+    13 / 3: 9.260528268125543683842,
+    14 / 3: 14.7114047740152206324,
+    -16 / 3: 0.01694972489426248196808,
+    -17 / 3: 0.009324609395540240742961,
+    19 / 3: 214.0210977522347608571,
+    20 / 3: 389.0349262461803239521,
+    75.5: 2.85994231565357221419e+108,
+    150.0: 3.808922637630569726986e+260,
+    171.5: 9.483367566824799336253e+307,
 }
 
 KUMMER_GOLDEN = {
@@ -82,13 +108,18 @@ def test_gamma_classics():
     assert gamma_real(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
     for k in range(1, 12):
         assert gamma_real(k + 1) == pytest.approx(math.factorial(k), rel=1e-13)
-    # just below where the Lanczos power overflows
+    # a large argument, well inside the double range
     assert gamma_real(142.0) == pytest.approx(math.factorial(141), rel=1e-12)
 
 
 def test_gamma_golden_grid():
     for x, want in GAMMA_GOLDEN.items():
         assert gamma_real(x) == pytest.approx(want, rel=1e-12), x
+
+
+def test_gamma_range_and_u_thirds():
+    for x, want in GAMMA_RANGE_GOLDEN.items():
+        assert gamma_real(x) == pytest.approx(want, rel=2e-15), x
 
 
 def test_gamma_recurrence_sweep():
@@ -111,7 +142,7 @@ def test_gamma_pole_raises_and_rgamma_zero():
         assert rgamma(x) == 0.0
 
 
-# 1/Gamma where Gamma overflows the Lanczos power (tools/freeze_oracles.py)
+# 1/Gamma at large |x| (tools/freeze_oracles.py)
 RGAMMA_GOLDEN = {
     150.0: 2.625414310389022798909e-261,
     -150.5: -2.232916573625751559231e+263,
@@ -122,8 +153,11 @@ def test_rgamma_beyond_gamma_range():
     for x, want in RGAMMA_GOLDEN.items():
         assert rgamma(x) == pytest.approx(want, rel=1e-12), x
     assert rgamma(1e308) == 0.0
-    with pytest.raises(ValueError, match="overflows"):
-        rgamma(-200.5)
+    # Gamma is subnormal down to about -178 and 0 below: 1/Gamma is not finite
+    assert 0.0 < gamma_real(-175.5) < sys.float_info.min
+    for x in (-171.5, -175.5, -177.5, -200.5):
+        with pytest.raises(ValueError, match="overflows"):
+            rgamma(x)
 
 
 def test_kummer_m_overflow_raises_naming_z():

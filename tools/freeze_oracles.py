@@ -1,7 +1,8 @@
 """Dev-time arbitrary-precision oracle (mpmath). Not a runtime dependency.
 
 Regenerates every golden constant frozen into the test suite:
-  * Gamma grid, 1/Gamma(150) and 1/Gamma(-150.5)
+  * Gamma grid, Gamma across [-30, 171.5] and at the thirds of the U
+    constants for lam = 3, 9, 15, 1/Gamma(150) and 1/Gamma(-150.5)
   * Kummer M grid, classical-U grid, real-branch U grid
   * the real-branch U across the 20 <= |z| <= 40 blend window
   * U(-5/3; 2/3; 0) = Gamma(1/3)/Gamma(-4/3)
@@ -39,7 +40,13 @@ def main():
     for x in [0.5, 0.001, 3.7, 12.25, 19.5, -0.5, -4.3, -19.77, -6.5, 7.0]:
         print(f"  {x!r}: {mp.nstr(mp.gamma(x), 22)}")
 
-    print("# 1/Gamma where Gamma overflows the Lanczos power")
+    print("# gamma across [-30, 171.5], and at the thirds the U(-(lam+2)/3; 2/3; .) constants")
+    print("# use for lam = 3, 9, 15")
+    thirds = [k / 3 for k in (1, -1, 2, 4, -4, -5, 7, 8, -10, -11, 13, 14, -16, -17, 19, 20)]
+    for x in [-29.5] + thirds + [75.5, 150.0, 171.5]:
+        print(f"  {x!r}: {mp.nstr(mp.gamma(x), 22)}")
+
+    print("# 1/Gamma at large |x|")
     for x in [150, -150.5]:
         print(f"  {x!r}: {mp.nstr(mp.rgamma(x), 22)}")
 
