@@ -6,8 +6,9 @@ Points z = (t, x, v) carry the non-commutative group law
 
 and the anisotropic scaling S_r(t, x, v) = (r^2 t, r^3 x, r v). Cylinders
 Q_r(z0) are the balls of this geometry; the distance d_ell is the smallest
-r such that both points lie in a common cylinder, computed here by
-bisection over r with a convex feasibility test in the slide velocity w.
+r such that both points lie in a common cylinder: in closed form for n = 1,
+by bisection over r with a convex feasibility test in the slide velocity w
+for n >= 2.
 """
 
 from __future__ import annotations
@@ -176,25 +177,37 @@ def reflected_set_membership(c: CylinderSpec, d: HalfSpaceDomain, z: KineticPoin
 # ---------------------------------------------------------------------------
 
 
+_TINY = np.finfo(float).smallest_subnormal
 
 
-def _feasible_1d(r: float, z1: KineticPoint, z2: KineticPoint) -> bool:
-    dt = z1.t - z2.t
-    if abs(dt) > r * r:
-        return False
-    dx = z1.x[0] - z2.x[0]
-    lo = max(z1.v[0] - r, z2.v[0] - r)
-    hi = min(z1.v[0] + r, z2.v[0] + r)
-    if lo > hi:
-        return False
-    if dt == 0.0:
-        return abs(dx) <= r ** 3
-    # |dx - dt*w| <= r^3 is an interval in w
-    wlo = (dx - r ** 3) / dt
-    whi = (dx + r ** 3) / dt
-    if wlo > whi:
-        wlo, whi = whi, wlo
-    return max(lo, wlo) <= min(hi, whi)
+def _distance_1d(dt, dx, v1, v2):
+    """d_ell for n = 1 from dt = t1 - t2, dx = x1 - x2, v1 and v2, exactly;
+    floats or arrays that broadcast.
+
+    Each condition on the level r is monotone in r: |dt| <= r^2,
+    |v1 - v2| <= 2r, and the slide interval [max(v) - r, min(v) + r]
+    meets {w : |dx - dt w| <= r^3}, which is r^3 + |dt| r >= q with
+    q = max(|dt| max(v) - s dx, s dx - |dt| min(v), 0), s = sign(dt)
+    (q = |dx| at dt = 0). So d_ell = max(sqrt|dt|, |v1 - v2|/2, rho) with
+    rho the real root of rho^3 + |dt| rho = q, summed by Cardano without
+    cancellation as q / (u^2 + |dt|/3 + (|dt|/(3u))^2). q and |dt| are
+    first scaled to at most 1 by the cubic's symmetry (rho, |dt|, q) ->
+    (l rho, l^2 |dt|, l^3 q), l a power of 2, so that q^2 and |dt|^3
+    neither overflow nor underflow. NaN or inf where dt, dx or q
+    overflow."""
+    p, s = np.abs(dt), np.sign(dt)
+    q = np.maximum(np.maximum(p * np.maximum(v1, v2) - s * dx, s * dx - p * np.minimum(v1, v2)),
+                   (dt == 0.0) * np.abs(dx))
+    # the scale exponent, ceil of the larger of log2(q)/3 and log2|dt|/2;
+    # |dt| = 0 counts as the least subnormal, not as frexp's exponent 0
+    e = np.maximum(-(-np.frexp(q)[1] // 3), -(-np.frexp(np.maximum(p, _TINY))[1] // 2))
+    qs, ps = np.ldexp(q, -3 * e), np.ldexp(p, -2 * e)
+    # u >= 0.28 once scaled, unless q = 0, where rho = 0 and the + 1 keeps out
+    # 0/0; products, not powers, so that one lane and an array agree bit for bit
+    u = np.cbrt(0.5 * qs + np.sqrt(0.25 * qs * qs + ps * ps * ps / 27.0)) + (q == 0.0)
+    w = ps / (3.0 * u)
+    rho = np.ldexp(qs / (u * u + ps / 3.0 + w * w), e)
+    return np.maximum(np.maximum(np.sqrt(p), 0.5 * np.abs(v1 - v2)), rho)
 
 
 def _dist_to_lens(p, c1, c2, r: float) -> float:
@@ -248,19 +261,11 @@ def _feasible_nd(r: float, z1: KineticPoint, z2: KineticPoint) -> bool:
     return _dist_to_lens(cx, z1.v, z2.v, r) <= abs(r ** 3 / dt)
 
 
-def kinetic_distance(z1: KineticPoint, z2: KineticPoint, tol: float = 1e-9) -> float:
-    """Kinetic distance d_ell(z1, z2) to within tol.
-
-    d_ell = min over w of max(|t1-t2|^(1/2), |x1-x2-(t1-t2)w|^(1/3),
-    |v1-w|, |v2-w|). The sublevel set in w at height r is an intersection
-    of convex sets, so membership is decided exactly and the radius found
-    by bisection. The minimizing w need not be unique; only feasibility of
-    the level set is used.
-    """
-    if z1.n != z2.n:
-        raise ValueError("dimension mismatch in kinetic_distance")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def _distance_nd(z1: KineticPoint, z2: KineticPoint, tol: float) -> float:
+    """d_ell for n >= 2 to within tol: the sublevel set in w at height r is
+    an intersection of convex sets, so membership is decided exactly and
+    the radius found by bisection. The minimizing w need not be unique;
+    only feasibility of the level set is used."""
     if z1 == z2:
         return 0.0
     dt = z1.t - z2.t
@@ -268,23 +273,54 @@ def kinetic_distance(z1: KineticPoint, z2: KineticPoint, tol: float = 1e-9) -> f
     dxv2 = math.sqrt(sum((x1 - x2 - dt * w) ** 2 for x1, x2, w in zip(z1.x, z2.x, z2.v)))
     hi = max(math.sqrt(abs(dt)), dxv2 ** (1.0 / 3.0), dv) + tol  # w = v2 is feasible
     lo = max(math.sqrt(abs(dt)), dv / 2.0)
-
-    def feasible(r: float) -> bool:
-        if r <= 0.0:
-            return False
-        if z1.n == 1:
-            return _feasible_1d(r, z1, z2)
-        return _feasible_nd(r, z1, z2)
-
-    if lo > 0 and feasible(lo):
+    if lo > 0 and _feasible_nd(lo, z1, z2):
         return lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
+        if _feasible_nd(mid, z1, z2):
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def kinetic_distance(z1, z2, tol: float = 1e-9):
+    """Kinetic distance d_ell(z1, z2).
+
+    d_ell = min over w of max(|t1-t2|^(1/2), |x1-x2-(t1-t2)w|^(1/3),
+    |v1-w|, |v2-w|). z1 and z2 are KineticPoints or arrays of rows
+    (t, x..., v...) that broadcast against each other; the result is a
+    float when both are points, else one distance per row. Exact for
+    n = 1 (_distance_1d); to within tol by bisection for n >= 2. ValueError
+    unless tol is positive and finite, and where t1 - t2, x1 - x2 or
+    |t1 - t2| v overflow.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if isinstance(z1, KineticPoint) and isinstance(z2, KineticPoint):
+        if z1.n != z2.n:
+            raise ValueError("dimension mismatch in kinetic_distance")
+        if z1.n >= 2:
+            return _distance_nd(z1, z2, tol)
+        t1, x1, v1, t2, x2, v2 = z1.t, z1.x[0], z1.v[0], z2.t, z2.x[0], z2.v[0]
+    else:
+        (t1, x1, v1), (t2, x2, v2) = _split(z1), _split(z2)
+        n = x1.shape[-1]
+        if x2.shape[-1] != n:
+            raise ValueError("dimension mismatch in kinetic_distance")
+        if n >= 2:
+            a, b = (np.concatenate(blocks, axis=-1) for blocks in ((t1, x1, v1), (t2, x2, v2)))
+            a, b = (w.reshape(-1, 1 + 2 * n) for w in np.broadcast_arrays(a, b))
+            d = np.array([_distance_nd(KineticPoint(p[0], p[1:1 + n], p[1 + n:]),
+                                       KineticPoint(q[0], q[1:1 + n], q[1 + n:]), tol)
+                          for p, q in zip(a, b)])
+            return d.reshape(np.broadcast_shapes(t1.shape, t2.shape)[:-1])
+        t1, x1, v1, t2, x2, v2 = (c[..., 0] for c in (t1, x1, v1, t2, x2, v2))
+    with np.errstate(all="ignore"):
+        d = _distance_1d(t1 - t2, x1 - x2, v1, v2)
+    if not np.isfinite(d).all():
+        raise ValueError("kinetic distance overflows: coordinates too far apart")
+    return d if isinstance(d, np.ndarray) else float(d)
 
 
 def comparability_proxy(z1: KineticPoint, z2: KineticPoint) -> float:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import KineticPoint, kinetic_distance, origin
+from .geometry import kinetic_distance, origin
 from .polynomials import (
     KineticPolynomial,
     MultiIndex,
@@ -233,9 +233,7 @@ def verify_solution(res: ClassificationResult, rhs: HalfSpaceRHS,
 
     deg = max(int(res.particular.degree()) if not res.particular.is_zero() else 0,
               max((lam + 2 for lam, _ in res.tricomi_terms), default=0))
-    z0 = origin(1)
-    d = np.array([kinetic_distance(KineticPoint(0.0, x, v), z0, tol=1e-8)
-                  for x, v in zip((4.0 * X).tolist(), (3.0 * V).tolist())])
+    d = kinetic_distance(np.column_stack([np.zeros_like(X), 4.0 * X, 3.0 * V]), origin(1))
     growth_c = float(np.max(np.abs(f(4.0 * X, 3.0 * V)) / (1.0 + d) ** (deg + 1)))
     growth_ok = math.isfinite(growth_c)
 

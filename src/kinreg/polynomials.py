@@ -7,11 +7,12 @@ work (quadrature, projections) converts to float at the boundary.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -437,17 +438,18 @@ def _indices_up_to(k: int, n: int):
     return out
 
 
-def _monomials(n: int, idx: list[MultiIndex]) -> list[KineticPolynomial]:
+def _monomials(n: int, idx: Sequence[MultiIndex]) -> list[KineticPolynomial]:
     return [KineticPolynomial(n, {b: Fraction(1)}) for b in idx]
 
 
-def _space_indices(spec: PolySpaceSpec) -> list[MultiIndex]:
+@functools.lru_cache(maxsize=None)
+def _space_indices(spec: PolySpaceSpec) -> tuple[MultiIndex, ...]:
     """Exponents of the monomial part of the space, in basis order."""
     idx = _indices_up_to(spec.k, spec.n)
     if spec.kind == "full":
-        return idx
+        return tuple(idx)
     ax = spec.normal_axis
-    return [b for b in idx if b.bx[ax] >= 1 or b.bv[ax] % 2 == 0]
+    return tuple(b for b in idx if b.bx[ax] >= 1 or b.bv[ax] % 2 == 0)
 
 
 def space_basis(spec: PolySpaceSpec) -> list:
@@ -466,11 +468,21 @@ def basis_matrix(spec: PolySpaceSpec, pts: np.ndarray,
                  marker_pts: np.ndarray | None = None) -> np.ndarray:
     """One row per row (t, x..., v...) of pts, one column per space_basis(spec) element.
 
-    Monomial columns are one broadcast over the exponent table; the Tricomi
-    column of the augmented space is evaluated at marker_pts (default pts)."""
-    e = np.array([(b.bt, *b.bx, *b.bv) for b in _space_indices(spec)], dtype=float)
+    Monomial columns gather from a power table z^0, ..., z^kmax of every
+    coordinate, built by repeated multiplication up to the largest
+    exponent of the space; the Tricomi column of the augmented space is
+    evaluated at marker_pts (default pts)."""
+    e = np.array([(b.bt, *b.bx, *b.bv) for b in _space_indices(spec)])
     z = np.asarray(pts, dtype=float).reshape(len(pts), e.shape[1])
-    B = np.prod(z[:, None, :] ** e, axis=2)
+    # powers[c, k] = z[:, c]^k
+    powers = np.empty((z.shape[1], e.max() + 1, len(z)))
+    powers[:, 0] = 1.0
+    for k in range(1, powers.shape[1]):
+        np.multiply(powers[:, k - 1], z.T, out=powers[:, k])
+    B = powers[0, e[:, 0]]
+    for c in range(1, len(powers)):
+        B *= powers[c, e[:, c]]
+    B = B.T
     if spec.kind != "tricomi_augmented":
         return B
     from .tricomi import TricomiParams, eval_tricomi

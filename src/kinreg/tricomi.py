@@ -189,10 +189,6 @@ def c41_seminorm_probe(p: TricomiParams, z_star: KineticPoint, r: float,
     fit = polyfit_on_cylinder(f, z_star, r, spec, samples=samples, seed=seed)
     pts = sample_cylinder(z_star, r, max(samples, 200), seed=seed + 1)
     resid = np.abs(f.values(pts) - fit.values(pts))
-    worst = 0.0
-    for row, e in zip(pts.tolist(), resid):
-        d = kinetic_distance(KineticPoint(*row), z_star, tol=1e-10)
-        if d < 1e-6:
-            continue
-        worst = max(worst, float(e) / d ** 5)
-    return worst
+    d = kinetic_distance(pts, z_star)
+    far = d >= 1e-6
+    return float(np.max(resid[far] / d[far] ** 5, initial=0.0))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -283,3 +285,135 @@ def test_group_ops_reject_non_finite_and_bad_rows():
         compose(good, np.zeros((1, 5)))     # n = 1 against n = 2
     with pytest.raises(ValueError):
         inverse(np.zeros((2, 4)))           # not (t, x..., v...)
+
+
+# The bisection kinetic_distance ran for n = 1 before the closed form:
+# halve [lo, hi] until it is tol wide, deciding each level by an interval
+# test in the slide velocity w. Kept as the reference the closed form must
+# match within 2 * tol.
+
+def _ref_feasible_1d(r, z1, z2):
+    dt = z1.t - z2.t
+    if abs(dt) > r * r:
+        return False
+    dx = z1.x[0] - z2.x[0]
+    lo = max(z1.v[0] - r, z2.v[0] - r)
+    hi = min(z1.v[0] + r, z2.v[0] + r)
+    if lo > hi:
+        return False
+    if dt == 0.0:
+        return abs(dx) <= r ** 3
+    # |dx - dt*w| <= r^3 is an interval in w
+    wlo = (dx - r ** 3) / dt
+    whi = (dx + r ** 3) / dt
+    if wlo > whi:
+        wlo, whi = whi, wlo
+    return max(lo, wlo) <= min(hi, whi)
+
+
+def _ref_distance_1d(z1, z2, tol):
+    if z1 == z2:
+        return 0.0
+    dt = z1.t - z2.t
+    dv = abs(z1.v[0] - z2.v[0])
+    dxv2 = abs(z1.x[0] - z2.x[0] - dt * z2.v[0])
+    hi = max(math.sqrt(abs(dt)), dxv2 ** (1.0 / 3.0), dv) + tol  # w = v2 is feasible
+    lo = max(math.sqrt(abs(dt)), dv / 2.0)
+    if lo > 0 and _ref_feasible_1d(lo, z1, z2):
+        return lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if _ref_feasible_1d(mid, z1, z2):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _distance_corpus(count=20_000):
+    """Row pairs (t, x, v) in [-2, 2]: half with dt < 0, and tenths with
+    dt = 0, equal points, equal v, and equal t and x."""
+    rng = np.random.default_rng(1414)
+    a, b = rng.uniform(-2.0, 2.0, size=(2, count, 3))
+    k = count // 10
+    b[:k, 0] = a[:k, 0]
+    b[k:2 * k] = a[k:2 * k]
+    b[2 * k:3 * k, 2] = a[2 * k:3 * k, 2]
+    b[3 * k:4 * k, :2] = a[3 * k:4 * k, :2]
+    return a, b
+
+
+def _points(rows):
+    return [KineticPoint(*row) for row in rows.tolist()]
+
+
+def test_closed_form_distance_matches_bisection():
+    tol = 1e-13
+    a, b = _distance_corpus()
+    d = kinetic_distance(a, b)
+    assert d.shape == (len(a),)
+    ref = np.array([_ref_distance_1d(p, q, tol) for p, q in zip(_points(a), _points(b))])
+    assert np.max(np.abs(d - ref)) <= 2 * tol
+    k = len(a) // 10
+    assert np.all(d[k:2 * k] == 0.0)
+    # every lane is the one-lane call, bit for bit, in either argument order
+    one = [kinetic_distance(p, q) for p, q in zip(_points(a), _points(b))]
+    assert all(type(x) is float for x in one)
+    assert np.array_equal(d, one)
+    assert np.array_equal(kinetic_distance(b, a), d)
+
+
+def test_closed_form_distance_over_magnitudes():
+    # S_m maps a pair to coordinates from about 1e-300 to 1e300, where q^2
+    # and |dt|^3 underflow or overflow; d scales by m
+    tol = 1e-13
+    a, b = _distance_corpus(2000)
+    ref = np.array([_ref_distance_1d(p, q, tol) for p, q in zip(_points(a), _points(b))])
+    rng = np.random.default_rng(1415)
+    pow2 = np.ldexp(1.0, rng.integers(-330, 331, len(a)))
+    anym = 10.0 ** rng.uniform(-100.0, 100.0, len(a))
+    for m in (pow2, anym):
+        s = np.column_stack([m * m, m * m * m, m])
+        d = kinetic_distance(a * s, b * s)
+        assert np.all(np.abs(d - m * ref) <= 2 * tol * m)
+        one = [kinetic_distance(p, q) for p, q in zip(_points(a * s), _points(b * s))]
+        assert np.array_equal(d, one)
+    # a power of 2 scales every step exactly
+    s = np.column_stack([pow2 * pow2, pow2 * pow2 * pow2, pow2])
+    assert np.array_equal(kinetic_distance(a * s, b * s), pow2 * kinetic_distance(a, b))
+    # q = 1e200 squares past the float range: the root of r^3 + r = 1e200
+    d = kinetic_distance(KineticPoint(1.0, 1e200, 0.0), origin(1))
+    assert abs(d - np.cbrt(1e200)) <= 4e-16 * d
+    assert kinetic_distance(KineticPoint(0.0, 1e-300, 0.0), origin(1)) == pytest.approx(1e-100, rel=1e-15)
+
+
+def test_distance_overflow_raises():
+    # |dt| max(v) and t1 - t2 overflow: a ValueError, never a wrong number
+    for z1, z2 in ((KineticPoint(1e200, 0.0, 1e200), KineticPoint(-1e200, 0.0, 0.0)),
+                   (KineticPoint(1e308, 0.0, 0.0), KineticPoint(-1e308, 0.0, 0.0))):
+        with pytest.raises(ValueError, match="overflows"):
+            kinetic_distance(z1, z2)
+        with pytest.raises(ValueError, match="overflows"):
+            kinetic_distance(np.array([[0.0, 0.0, 0.0], (z1.t, *z1.x, *z1.v)]), z2)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_distance_rejects_bad_tol(n):
+    z1, z2 = rand_point(n), rand_point(n)
+    for tol in (np.nan, np.inf, -np.inf, 0.0, -1e-9):
+        with pytest.raises(ValueError, match="tol"):
+            kinetic_distance(z1, z2, tol)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_distance_on_rows_matches_points(n):
+    rng = np.random.RandomState(90 + n)
+    A, B = rng.uniform(-2.0, 2.0, size=(2, 12, 1 + 2 * n))
+    P, Q = ([KineticPoint(z[0], z[1:1 + n], z[1 + n:]) for z in M] for M in (A, B))
+    assert np.array_equal(kinetic_distance(A, B), [kinetic_distance(p, q) for p, q in zip(P, Q)])
+    assert np.array_equal(kinetic_distance(A, Q[0]), [kinetic_distance(p, Q[0]) for p in P])
+    grid = kinetic_distance(A[:, None, :], B[None, :4, :])
+    assert grid.shape == (12, 4)
+    assert np.array_equal(grid[:, 1], kinetic_distance(A, B[1]))
+    with pytest.raises(ValueError):
+        kinetic_distance(A, np.zeros((12, 3 if n == 2 else 5)))

@@ -61,6 +61,29 @@ def test_sampler_matches_scalar_reference(z0, seed):
         sample_cylinder(KineticPoint(0.0, -5.0, 0.0), 0.5, 3, seed=seed)
 
 
+def test_sampler_rejects_bad_count():
+    for count in (0, -3, 2.5, "8"):
+        with pytest.raises(ValueError, match="count"):
+            sample_cylinder(Z0, 0.5, count)
+    assert sample_cylinder(Z0, 0.5, np.int64(3)).shape == (3, 3)
+
+
+@pytest.mark.parametrize("seed, rows", [
+    (0, [(-0.5, 0.33333333333333326, -0.19999999999999996),
+         (0.25, 0.5555555555555554, -0.92),
+         (0.75, 0.11111111111111116, -0.12)]),
+    (7, [(0.209716796875, 0.8217751359040795, -0.595904),
+         (-0.540283203125, 0.45140476553370923, 0.6040960000000002),
+         (-0.040283203125, 0.006960321089264587, -0.515904)]),
+])
+def test_sampler_first_rows_frozen(seed, rows):
+    # Halton indices 1 and 7001 on: the digits of all three bases must
+    # keep every bit
+    got = sample_cylinder(origin(1), 1.0, 8, seed=seed)
+    assert got.shape == (8, 3)
+    np.testing.assert_array_equal(got[:3], rows)
+
+
 def test_in_space_function_recovered():
     p = KineticPolynomial(1, {mono(1, bx=(1,), bv=(2,)): 1, mono(1, bt=1): -2})
     err = best_approx_error(p.eval, Z0, 0.5, full_space(5, 1))
