@@ -190,18 +190,28 @@ def _distance_1d(dt, dx, v1, v2):
     q = max(|dt| max(v) - s dx, s dx - |dt| min(v), 0), s = sign(dt)
     (q = |dx| at dt = 0). So d_ell = max(sqrt|dt|, |v1 - v2|/2, rho) with
     rho the real root of rho^3 + |dt| rho = q, summed by Cardano without
-    cancellation as q / (u^2 + |dt|/3 + (|dt|/(3u))^2). q and |dt| are
-    first scaled to at most 1 by the cubic's symmetry (rho, |dt|, q) ->
-    (l rho, l^2 |dt|, l^3 q), l a power of 2, so that q^2 and |dt|^3
-    neither overflow nor underflow. NaN or inf where dt, dx or q
-    overflow."""
+    cancellation as q / (u^2 + |dt|/3 + (|dt|/(3u))^2). The cubic's
+    symmetry (rho, |dt|, q) -> (l rho, l^2 |dt|, l^3 q), l a power of 2,
+    scales twice: first so that the products in q cannot overflow, then
+    q and |dt| to at most 1 so that q^2 and |dt|^3 neither overflow nor
+    underflow. NaN or inf where dt, dx or v1 - v2 overflow."""
     p, s = np.abs(dt), np.sign(dt)
-    q = np.maximum(np.maximum(p * np.maximum(v1, v2) - s * dx, s * dx - p * np.minimum(v1, v2)),
-                   (dt == 0.0) * np.abs(dx))
-    # the scale exponent, ceil of the larger of log2(q)/3 and log2|dt|/2;
-    # |dt| = 0 counts as the least subnormal, not as frexp's exponent 0
-    e = np.maximum(-(-np.frexp(q)[1] // 3), -(-np.frexp(np.maximum(p, _TINY))[1] // 2))
-    qs, ps = np.ldexp(q, -3 * e), np.ldexp(p, -2 * e)
+    # q at the scale 8^k, k the least with |dt| < 4^k, |dx| < 8^k and
+    # |dt| max|v| < 8^k: |dt| is taken to [0.5, 1) and v to the rest of the
+    # scale, so each factor and product is at most 1; what underflows is
+    # below 2^-1022 of the term that sets k. |dt| = 0 and v = 0 count as
+    # the least subnormal, not as frexp's exponent 0
+    ep = np.frexp(np.maximum(p, _TINY))[1]
+    ev = np.frexp(np.maximum(np.maximum(np.abs(v1), np.abs(v2)), _TINY))[1]
+    k = np.maximum(np.maximum(-(-ep // 2), -(-(ep + ev) // 3)),
+                   -(-np.frexp(np.maximum(np.abs(dx), _TINY))[1] // 3))
+    a, xk = np.ldexp(p, -ep), np.ldexp(dx, -3 * k)
+    q = np.maximum(np.maximum(a * np.ldexp(np.maximum(v1, v2), ep - 3 * k) - s * xk,
+                              s * xk - a * np.ldexp(np.minimum(v1, v2), ep - 3 * k)),
+                   (dt == 0.0) * np.abs(xk))
+    # the scale exponent, ceil of the larger of log2(q)/3 and log2|dt|/2
+    e = np.maximum(k - (-np.frexp(q)[1] // 3), -(-ep // 2))
+    qs, ps = np.ldexp(q, 3 * (k - e)), np.ldexp(p, -2 * e)
     # u >= 0.28 once scaled, unless q = 0, where rho = 0 and the + 1 keeps out
     # 0/0; products, not powers, so that one lane and an array agree bit for bit
     u = np.cbrt(0.5 * qs + np.sqrt(0.25 * qs * qs + ps * ps * ps / 27.0)) + (q == 0.0)
@@ -288,12 +298,12 @@ def kinetic_distance(z1, z2, tol: float = 1e-9):
     """Kinetic distance d_ell(z1, z2).
 
     d_ell = min over w of max(|t1-t2|^(1/2), |x1-x2-(t1-t2)w|^(1/3),
-    |v1-w|, |v2-w|). z1 and z2 are KineticPoints or arrays of rows
-    (t, x..., v...) that broadcast against each other; the result is a
+    |v1-w|, |v2-w|). z1 and z2 are KineticPoints or, for n = 1, arrays of
+    rows (t, x, v) that broadcast against each other; the result is a
     float when both are points, else one distance per row. Exact for
     n = 1 (_distance_1d); to within tol by bisection for n >= 2. ValueError
     unless tol is positive and finite, and where t1 - t2, x1 - x2 or
-    |t1 - t2| v overflow.
+    v1 - v2 overflow.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -305,16 +315,8 @@ def kinetic_distance(z1, z2, tol: float = 1e-9):
         t1, x1, v1, t2, x2, v2 = z1.t, z1.x[0], z1.v[0], z2.t, z2.x[0], z2.v[0]
     else:
         (t1, x1, v1), (t2, x2, v2) = _split(z1), _split(z2)
-        n = x1.shape[-1]
-        if x2.shape[-1] != n:
-            raise ValueError("dimension mismatch in kinetic_distance")
-        if n >= 2:
-            a, b = (np.concatenate(blocks, axis=-1) for blocks in ((t1, x1, v1), (t2, x2, v2)))
-            a, b = (w.reshape(-1, 1 + 2 * n) for w in np.broadcast_arrays(a, b))
-            d = np.array([_distance_nd(KineticPoint(p[0], p[1:1 + n], p[1 + n:]),
-                                       KineticPoint(q[0], q[1:1 + n], q[1 + n:]), tol)
-                          for p, q in zip(a, b)])
-            return d.reshape(np.broadcast_shapes(t1.shape, t2.shape)[:-1])
+        if x1.shape[-1] != 1 or x2.shape[-1] != 1:
+            raise ValueError("kinetic_distance takes rows for n = 1 only")
         t1, x1, v1, t2, x2, v2 = (c[..., 0] for c in (t1, x1, v1, t2, x2, v2))
     with np.errstate(all="ignore"):
         d = _distance_1d(t1 - t2, x1 - x2, v1, v2)

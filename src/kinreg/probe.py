@@ -28,26 +28,18 @@ from .polynomials import PolySpaceSpec, basis_matrix, space_dim, tricomi_augment
 EXACT_FIT_SENTINEL = math.inf
 _EXACT_FIT_FLOOR = 1e-13
 
-_HALTON_PRIMES = np.array([[2], [3], [5]])
+_HALTON_PRIMES = (2, 3, 5)
 
 
-def _halton(idx: np.ndarray) -> np.ndarray:
-    """The (len(idx), 3) Halton points of the indices: the radical inverse
-    in every base, digit by digit, in one loop over a (3, N) index array.
-    A larger base spends its digits first, so a row leaves the loop from
-    the bottom once all its indices are 0; the rows that stay do the same
-    float operations as a loop over that base alone."""
-    idx = np.broadcast_to(idx, (len(_HALTON_PRIMES), len(idx)))
+def _radical_inverse(idx: np.ndarray, base: int) -> np.ndarray:
+    """The base-b Halton coordinate of every index, digit by digit."""
     out = np.zeros(idx.shape)
-    f = np.ones((len(_HALTON_PRIMES), 1))
-    k = len(_HALTON_PRIMES)
-    while k:
-        f = f[:k] / _HALTON_PRIMES[:k]
-        idx, digit = np.divmod(idx[:k], _HALTON_PRIMES[:k])
-        out[:k] += f * digit
-        while k and not idx[k - 1].any():
-            k -= 1
-    return out.T
+    f = 1.0
+    while idx.any():
+        f /= base
+        idx, digit = np.divmod(idx, base)
+        out += f * digit
+    return out
 
 
 def sample_cylinder(z0: KineticPoint, r: float, count: int, seed: int = 0) -> np.ndarray:
@@ -69,7 +61,8 @@ def sample_cylinder(z0: KineticPoint, r: float, count: int, seed: int = 0) -> np
             raise RuntimeError("rejection sampling starved; cylinder mostly outside domain")
         idx = np.arange(start, min(start + 2 * count, end))
         start += len(idx)
-        z = frame_map(z0, r, 2.0 * _halton(idx) - 1.0)
+        unit = np.stack([_radical_inverse(idx, b) for b in _HALTON_PRIMES], axis=1)
+        z = frame_map(z0, r, 2.0 * unit - 1.0)
         pts = np.concatenate([pts, z[z[:, 1] > 0.0]])
     return pts[:count]
 

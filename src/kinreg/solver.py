@@ -535,23 +535,17 @@ def mirror_extend(fld: Field) -> Field:
 
 def _transport_apply(f, vs, hx, bc_mode):
     """Full second-order limited transport operator v df/dx (explicit)."""
-    m = len(vs) // 2
     if bc_mode == "periodic":
-        # differences of f padded by wrap (node nx == node 0) with the ghost
-        # nodes nx-2, nx-1 before and 1, 2 after
-        d = np.empty((len(f) + 3, len(vs)))
-        np.subtract(f[1:], f[:-1], out=d[2:-2])
-        d[0], d[1] = f[-2] - f[-3], f[0] - f[-2]
-        d[-2], d[-1] = f[1] - f[-1], f[2] - f[1]
+        nxp1 = f.shape[0]
+        pos = vs > 0
+        fp = np.vstack([f[-3:-1], f, f[1:3]])  # ghost via wrap (node nx == node 0)
+        d = np.diff(fp, axis=0)
         half = 0.5 * _minmod(d[:-1], d[1:])
-        # upwind face values, the v > 0 columns (the second half) from the
-        # left node; face k sits between nodes k-1 and k
-        face = np.empty((len(f) + 1, len(vs)))
-        np.add(f[:, m:], half[1:-1, m:], out=face[1:, m:])
-        face[0, m:] = f[-2, m:] + half[0, m:]
-        np.subtract(f[:, :m], half[1:-1, :m], out=face[:-1, :m])
-        face[-1, :m] = f[1, :m] - half[-1, :m]
+        # upwind face values; face k sits between nodes k-1 and k
+        face = np.where(pos, fp[1:nxp1 + 2] + half[0:nxp1 + 1],
+                        fp[2:nxp1 + 3] - half[1:nxp1 + 2])
         return vs * (face[1:] - face[:-1]) / hx
+    m = len(vs) // 2
     d = f[1:] - f[:-1]
     out = _transport_correction(f, vs, hx, d)
     # the first-order upwind difference, one-sided at the rows where the

@@ -387,14 +387,35 @@ def test_closed_form_distance_over_magnitudes():
     assert kinetic_distance(KineticPoint(0.0, 1e-300, 0.0), origin(1)) == pytest.approx(1e-100, rel=1e-15)
 
 
+def test_distance_where_q_overflows():
+    # |dt| max(v) past the float range while d_ell is finite. Where
+    # v1 != v2, |v1 - v2|/2 decides, the value the bisection gave
+    z1, z2 = KineticPoint(1e200, 0.0, 1e200), KineticPoint(-1e200, 0.0, 0.0)
+    assert kinetic_distance(z1, z2) == 5e199
+    rng = np.random.default_rng(1416)
+    a, b = rng.uniform(-2.0, 2.0, size=(2, 200, 3)) * [1e200, 1e300, 1e200]
+    b[:100, 2] = a[:100, 2]
+    d = kinetic_distance(a, b)
+    assert np.array_equal(d[100:], 0.5 * np.abs(a[100:, 2] - b[100:, 2]))
+    # where v1 = v2, rho decides: the rows scaled by S_l, l = 2^-200, give
+    # the reference bisection's d_ell times l
+    lam = 2.0 ** -200
+    s = np.array([lam * lam, lam ** 3, lam])
+    ds = kinetic_distance(a[:100] * s, b[:100] * s)
+    assert np.array_equal(d[:100] * lam, ds)
+    ref = np.array([_ref_distance_1d(p, q, 1e-13 * r)
+                    for p, q, r in zip(_points(a[:100] * s), _points(b[:100] * s), ds)])
+    assert np.all(np.abs(ds - ref) <= 2e-13 * ds)
+    assert np.all(d[:100] > np.sqrt(np.abs(a[:100, 0] - b[:100, 0])))
+
+
 def test_distance_overflow_raises():
-    # |dt| max(v) and t1 - t2 overflow: a ValueError, never a wrong number
-    for z1, z2 in ((KineticPoint(1e200, 0.0, 1e200), KineticPoint(-1e200, 0.0, 0.0)),
-                   (KineticPoint(1e308, 0.0, 0.0), KineticPoint(-1e308, 0.0, 0.0))):
-        with pytest.raises(ValueError, match="overflows"):
-            kinetic_distance(z1, z2)
-        with pytest.raises(ValueError, match="overflows"):
-            kinetic_distance(np.array([[0.0, 0.0, 0.0], (z1.t, *z1.x, *z1.v)]), z2)
+    # t1 - t2 overflows: a ValueError, never a wrong number
+    z1, z2 = KineticPoint(1e308, 0.0, 0.0), KineticPoint(-1e308, 0.0, 0.0)
+    with pytest.raises(ValueError, match="overflows"):
+        kinetic_distance(z1, z2)
+    with pytest.raises(ValueError, match="overflows"):
+        kinetic_distance(np.array([[0.0, 0.0, 0.0], (z1.t, *z1.x, *z1.v)]), z2)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -405,15 +426,18 @@ def test_distance_rejects_bad_tol(n):
             kinetic_distance(z1, z2, tol)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_distance_on_rows_matches_points(n):
-    rng = np.random.RandomState(90 + n)
-    A, B = rng.uniform(-2.0, 2.0, size=(2, 12, 1 + 2 * n))
-    P, Q = ([KineticPoint(z[0], z[1:1 + n], z[1 + n:]) for z in M] for M in (A, B))
+def test_distance_on_rows_matches_points():
+    rng = np.random.RandomState(91)
+    A, B = rng.uniform(-2.0, 2.0, size=(2, 12, 3))
+    P, Q = ([KineticPoint(*z) for z in M] for M in (A, B))
     assert np.array_equal(kinetic_distance(A, B), [kinetic_distance(p, q) for p, q in zip(P, Q)])
     assert np.array_equal(kinetic_distance(A, Q[0]), [kinetic_distance(p, Q[0]) for p in P])
     grid = kinetic_distance(A[:, None, :], B[None, :4, :])
     assert grid.shape == (12, 4)
     assert np.array_equal(grid[:, 1], kinetic_distance(A, B[1]))
-    with pytest.raises(ValueError):
-        kinetic_distance(A, np.zeros((12, 3 if n == 2 else 5)))
+    # rows for n = 1 only; n >= 2 takes KineticPoints
+    for bad in (np.zeros((12, 5)), rand_point(2)):
+        with pytest.raises(ValueError):
+            kinetic_distance(A, bad)
+    with pytest.raises(ValueError, match="n = 1"):
+        kinetic_distance(np.zeros((3, 5)), np.ones((3, 5)))
