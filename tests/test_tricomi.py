@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from kinreg import tricomi
 from kinreg.geometry import KineticPoint, origin
+from kinreg.polynomials import full_space, space_dim, tricomi_augmented_space
+from kinreg.probe import sample_cylinder
 from kinreg.specfun import gamma_real
 from kinreg.tricomi import (
     TricomiParams,
@@ -176,11 +179,13 @@ def test_eval_rejects_non_finite(x, v):
         eval_tricomi(TricomiParams(A=1.0, lam=3), x, v)
 
 
-def test_batch_matches_one_point_calls():
+def test_batch_matches_one_point_calls(monkeypatch):
     # x = 0 rows, both signs of tau, the blend window (20 < |tau| < 40)
-    # and the asymptotic regime in one batch
+    # and the asymptotic regime in one batch; the one-point calls evaluate
+    # afresh, not from the kept batch
     from kinreg.specfun import tricomi_u
 
+    monkeypatch.setattr(tricomi, "_last", None)
     p = TricomiParams(A=1.0, lam=3)
     xs = np.array([0.0, 1e-3, 3e-3, 0.01, 0.3, 1.7])
     vs = np.array([-1.4, -1.0, -0.2, 0.0, 0.45, 1.0, 1.3])
@@ -190,7 +195,7 @@ def test_batch_matches_one_point_calls():
     taus = set()
     for i, x in enumerate(xs):
         for j, v in enumerate(vs):
-            one = eval_tricomi(p, float(x), float(v))
+            one = _one_lane_fresh(p, float(x), float(v))
             tau = -v ** 3 / (9.0 * x) if x > 0 else 0.0
             taus.add(np.sign(tau) * min(abs(tau) // 20, 2))
             tol = 1e-14 * abs(one)
@@ -277,3 +282,144 @@ def test_as_field_wraps_axis():
     z2 = KineticPoint(0.1, 0.0, 1.2)
     np.testing.assert_allclose(f.values(np.array([(0.3, 0.7, -0.4), (0.1, 0.0, 1.2)])),
                                [f(z), f(z2)], rtol=1e-14)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+def test_as_field_rejects_non_finite_scale(scale):
+    with pytest.raises(ValueError, match="scale"):
+        as_field(TricomiParams(A=1.0, lam=3), scale=scale)
+
+
+# The last array evaluation answers later calls for the same lanes. That is
+# only sound because a lane's T does not depend on the other lanes of its
+# call: with the kept evaluation dropped first, each one-lane call must give
+# the bits of its lane in the array call.
+
+def _one_lane_fresh(p, x, v):
+    tricomi._last = None
+    return eval_tricomi(p, x, v)
+
+
+def _assert_lanes_match_one_lane_calls(p, xs, vs):
+    batch = eval_tricomi(p, xs, vs)
+    for x, v, t in zip(xs.tolist(), vs.tolist(), batch.tolist()):
+        assert _one_lane_fresh(p, x, v) == t, (p, x, v)
+
+
+@pytest.mark.parametrize("z0, radii, dim", [
+    (origin(1), (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125), space_dim(full_space(5, 1))),
+    (origin(1), (0.5, 0.25, 0.125), space_dim(tricomi_augmented_space(1.0, n=1))),
+    (KineticPoint(0.0, 0.3, 0.2), (0.5,), space_dim(full_space(4, 1))),
+])
+def test_one_lane_calls_equal_their_lane_on_sample_sets(monkeypatch, z0, radii, dim):
+    monkeypatch.setattr(tricomi, "_last", None)
+    p = TricomiParams(A=1.0, lam=3)
+    for r in radii:
+        pts = sample_cylinder(z0, r, 20 * dim, seed=3)
+        _assert_lanes_match_one_lane_calls(p, pts[:, 1], pts[:, 2])
+
+
+@pytest.mark.parametrize("lam", [3, 9])
+def test_one_lane_calls_equal_their_lane_on_random_lanes(monkeypatch, lam):
+    monkeypatch.setattr(tricomi, "_last", None)
+    rng = np.random.RandomState(lam)
+    A = 0.7
+    x = 10.0 ** rng.uniform(-12.0, 1.0, 800)
+    tau = rng.choice((-1.0, 1.0), 800) * 10.0 ** rng.uniform(-6.0, 13.0, 800)
+    v = np.cbrt(-9.0 * A * x * tau)
+    # x = 0 lanes (the boundary trace) and both zeros of v
+    x = np.concatenate([x, [0.0, 0.0, 0.0, 0.3, 0.3, 1e-12]])
+    v = np.concatenate([v, [0.8, 0.0, -0.0, 0.0, -0.0, -0.0]])
+    _assert_lanes_match_one_lane_calls(TricomiParams(A=A, lam=lam), x, v)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Drop the kept evaluation and count the calls that evaluate T."""
+    monkeypatch.setattr(tricomi, "_last", None)
+    calls = []
+    evaluate = tricomi._evaluate
+
+    def counted(p, xf, vf):
+        calls.append(xf.size)
+        return evaluate(p, xf, vf)
+
+    monkeypatch.setattr(tricomi, "_evaluate", counted)
+    return calls
+
+
+XS = np.array([0.0, 1e-9, 0.02, 0.3, 1.7])
+VS = np.array([0.5, -0.3, 0.0, 1.1, -1.4])
+
+
+@pytest.mark.parametrize("x, v", [(np.nan, 0.5), (0.3, np.inf), (-0.3, 1.1), (-1e-300, 0.5)])
+def test_kept_evaluation_never_answers_bad_lanes(evaluations, x, v):
+    p = TricomiParams(A=1.0, lam=3)
+    eval_tricomi(p, XS, VS)
+    with pytest.raises(ValueError):
+        eval_tricomi(p, x, v)
+    with pytest.raises(ValueError):
+        eval_tricomi(p, np.where(XS == 0.3, x, XS), np.where(XS == 0.3, v, VS))
+
+
+@pytest.mark.parametrize("q", [TricomiParams(A=2.0, lam=3), TricomiParams(A=1.0, lam=9)])
+def test_other_params_miss_and_get_their_own_value(evaluations, q):
+    p = TricomiParams(A=1.0, lam=3)
+    eval_tricomi(p, XS, VS)
+    got_one, got_all = eval_tricomi(q, 0.3, 1.1), eval_tricomi(q, XS, VS)
+    assert evaluations == [5, 1, 5]
+    assert got_one == _one_lane_fresh(q, 0.3, 1.1) != eval_tricomi(p, 0.3, 1.1)
+    assert np.array_equal(got_all, [_one_lane_fresh(q, x, v) for x, v in zip(XS, VS)])
+
+
+def test_hits_hand_out_copies(evaluations):
+    p = TricomiParams(A=1.0, lam=3)
+    xs, vs = XS.copy(), VS.copy()
+    first = eval_tricomi(p, xs, vs)
+    want = first.copy()
+    first[:] = 0.0
+    again = eval_tricomi(p, xs, vs)
+    assert np.array_equal(again, want)
+    again[:] = 7.0
+    one = eval_tricomi(p, xs[3:4], vs[3:4])
+    one[0] = 7.0
+    assert eval_tricomi(p, float(xs[3]), float(vs[3])) == want[3]
+    assert np.array_equal(eval_tricomi(p, xs, vs), want)
+    assert evaluations == [5]
+    # the kept bits are a copy of the input too: changed input misses
+    xs[3] = 0.4
+    assert eval_tricomi(p, xs, vs)[3] == _one_lane_fresh(p, 0.4, vs[3])
+    assert evaluations == [5, 5, 1]
+
+
+def test_second_array_call_replaces_the_first(evaluations):
+    p = TricomiParams(A=1.0, lam=3)
+    first = eval_tricomi(p, XS, VS)
+    second = eval_tricomi(p, XS + 0.5, VS)
+    assert eval_tricomi(p, float(XS[4]) + 0.5, float(VS[4])) == second[4]
+    assert evaluations == [5, 5]
+    for i, (x, v) in enumerate(zip(XS.tolist(), VS.tolist())):
+        assert eval_tricomi(p, x, v) == first[i]
+    assert evaluations == [5, 5] + [1] * 5
+    assert np.array_equal(eval_tricomi(p, XS, VS), first)
+
+
+def test_zero_signs_are_different_lanes(evaluations):
+    p = TricomiParams(A=1.0, lam=3)
+    t = eval_tricomi(p, XS, VS)
+    assert eval_tricomi(p, 0.02, 0.0) == t[2]
+    assert evaluations == [5]
+    assert eval_tricomi(p, 0.02, -0.0) == _one_lane_fresh(p, 0.02, -0.0)
+    assert evaluations == [5, 1, 1]
+
+
+def test_hits_keep_the_result_type(evaluations):
+    p = TricomiParams(A=1.0, lam=3)
+    t = eval_tricomi(p, XS[:, None], VS[:, None])
+    assert t.shape == (5, 1)
+    scalar = eval_tricomi(p, 0.3, 1.1)
+    assert type(scalar) is float and scalar == t[3, 0]
+    lane = eval_tricomi(p, np.array([0.3]), 1.1)
+    assert isinstance(lane, np.ndarray) and lane.shape == (1,) and lane[0] == t[3, 0]
+    assert eval_tricomi(p, XS, VS).shape == (5,)
+    assert evaluations == [5]

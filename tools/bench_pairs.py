@@ -10,9 +10,12 @@ once in each tree, the parent first on even i and the change first on odd
 i. Every run gets a fresh copy of its tree without `__pycache__` and with
 PYTHONDONTWRITEBYTECODE=1, so both trees compile kinreg from source in
 every process and `setup_s` compares like with like. `--trace1` adds one
-`--trace 1` run of each tree.
+`--trace 1` run of each tree, and one run of the Tier-1 tests
+(`python3 -m pytest -q --continue-on-collection-errors` with
+PYTHONPATH=src) in a fresh copy of each tree.
 
-The results go into the `trace0` (and `trace1`) lists and the
+The results go into the `trace0` (and `trace1`) lists, the `tier1` block
+`{tree: {wall_s, passed, failed}}` (errors count as failed) and the
 `summary_trace0` block of the JSON file at `--out`, in the layout of
 BENCH_12.json: per metric the median, the quartiles and the number of
 pairs in which the change was lower, plus the cases attempted and failed.
@@ -25,31 +28,55 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 TREES = ("parent", "change")
 
 
-def run_once(tree_dir: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run on a fresh copy of tree_dir: its info lines and result."""
+def run_fresh(tree_dir: str, cmd: list[str], **env_extra: str) -> subprocess.CompletedProcess:
+    """cmd in a fresh copy of tree_dir, without byte-compiled files and with
+    PYTHONDONTWRITEBYTECODE=1 and no inherited PYTHONPATH."""
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         copy = os.path.join(tmp, "tree")
         shutil.copytree(tree_dir, copy, ignore=shutil.ignore_patterns(
             "__pycache__", "*.pyc", ".git", "_work", ".pytest_cache"))
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
         env.pop("PYTHONPATH", None)
-        cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", str(trace)]
-        proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True)
+        return subprocess.run(cmd, cwd=copy, env={**env, **env_extra}, capture_output=True,
+                              text=True)
+
+
+def run_once(tree_dir: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench run on a fresh copy of tree_dir: its info lines and result."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = run_fresh(tree_dir, cmd)
     lines = [ln.strip() for ln in proc.stdout.splitlines() if ln.strip()]
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree_dir} exited {proc.returncode}:\n{proc.stderr}")
     return {"workload": workload, "seed": seed, "info": "  ".join(lines[:-1]),
             "result": json.loads(lines[-1])}
+
+
+def run_tier1(tree_dir: str) -> dict:
+    """The Tier-1 tests on a fresh copy of tree_dir: wall time and counts."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    proc = run_fresh(tree_dir, cmd, PYTHONPATH="src")
+    wall = time.perf_counter() - start
+    tail = proc.stdout.strip().splitlines()[-1:] or [""]
+    # "1 failed, 2 passed, 1 error in 3.0s"; "error" also matches "errors"
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|error)", tail[0])}
+    if not counts:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree_dir} printed no summary:\n{proc.stderr}")
+    return {"wall_s": wall, "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0)}
 
 
 def _stats(values: list[float]) -> dict:
@@ -85,7 +112,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed", type=int, default=1001, help="seed of the first pair")
     ap.add_argument("--seconds", type=float, default=10.0)
-    ap.add_argument("--trace1", action="store_true", help="add one --trace 1 run of each tree")
+    ap.add_argument("--trace1", action="store_true",
+                    help="add one --trace 1 run and one Tier-1 test run of each tree")
     ap.add_argument("--out", help="BENCH JSON file to create or update")
     args = ap.parse_args(argv)
     if args.pairs < 1:
@@ -108,6 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     traced = [{"tree": tree, **run_once(dirs[tree], args.workload, args.seed + args.pairs,
                                         args.seconds, 1)}
               for tree in TREES] if args.trace1 else []
+    tier1 = {tree: run_tier1(dirs[tree]) for tree in TREES} if args.trace1 else {}
 
     doc = {}
     if args.out and os.path.exists(args.out):
@@ -122,6 +151,8 @@ def main(argv: list[str] | None = None) -> int:
     doc.setdefault("summary_trace0", {})[args.workload] = summarise(runs)
     if traced:
         doc["trace1"] = [r for r in doc.get("trace1", []) if r["workload"] != args.workload] + traced
+    if tier1:
+        doc["tier1"] = tier1
     text = json.dumps(doc, indent=1)
     if args.out:
         with open(args.out, "w") as fh:
