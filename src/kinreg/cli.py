@@ -44,10 +44,19 @@ EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
 
-def _seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(os.environ.get("KRL_SEED", "0"))
+def _seed(raw) -> int:
+    """The sampler seed from --seed, else KRL_SEED, else 0: an integer in
+    [0, 2**32), the range of numpy's RandomState; ValueError otherwise."""
+    if raw is None:
+        raw = os.environ.get("KRL_SEED", "0")
+    msg = f"seed must be an integer in [0, 2**32), got {raw!r}"
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise ValueError(msg) from None
+    if not 0 <= seed < 2 ** 32:
+        raise ValueError(msg)
+    return seed
 
 
 def _emit(report: dict, out: str | None):
@@ -90,7 +99,7 @@ def run_tricomi_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    rng = np.random.RandomState(_seed(args))
+    rng = np.random.RandomState(args.seed)
 
     # one (x, v, r) draw per sample, in this order: the seed fixes the report
     x, v, r = np.array([(rng.uniform(0.05, 2.0), rng.uniform(-1.5, 1.5), 10.0 ** rng.uniform(-2, 2))
@@ -249,7 +258,7 @@ _SPACES = {
     "p3": lambda A: full_space(3, 1),
     "p4": lambda A: full_space(4, 1),
     "p5": lambda A: full_space(5, 1),
-    "p5+tricomi": lambda A: tricomi_augmented_space(A, 1),
+    "p5+tricomi": tricomi_augmented_space,
 }
 
 
@@ -272,17 +281,17 @@ def run_probe(args) -> int:
     spec = _SPACES[args.space](args.A)
     report = {"field": args.field, "space": args.space, "z0": [t0, x0, v0]}
     if len(set(radii)) >= 4:
-        fit = exponent_fit(f, z0, spec, radii, seed=_seed(args))
+        fit = exponent_fit(f, z0, spec, radii, seed=args.seed)
         report.update(radii=list(fit.radii), errors=list(fit.errors),
                       slope="exact-fit" if fit.slope == EXACT_FIT_SENTINEL else fit.slope,
                       r_squared=fit.r_squared)
     else:
         rs = sorted(set(radii), reverse=True)
-        errs = [best_approx_error(f, z0, r, spec, seed=_seed(args)) for r in rs]
+        errs = [best_approx_error(f, z0, r, spec, seed=args.seed) for r in rs]
         report.update(radii=rs, errors=errs, slope=None)
     if args.space == "p5+tricomi" or args.tau:
         if z0.x[0] == 0.0 and z0.v[0] == 0.0:
-            rep = gamma0_tricomi_coefficient(f, z0, args.A, radii, seed=_seed(args))
+            rep = gamma0_tricomi_coefficient(f, z0, args.A, radii, seed=args.seed)
             report["tau"] = rep.tau
             report["tau_stable"] = rep.stable
     _emit(report, args.out)
@@ -304,15 +313,15 @@ def run_counterexample(args) -> int:
         else:
             raise ValueError(f"unknown domain {args.gamma!r}")
         fvv = np.array(json.loads(args.f_hessian), dtype=float)
-        if fvv.ndim != 2 or fvv.shape[0] != fvv.shape[1]:
-            raise ValueError(f"--f-hessian must be a square matrix, got {args.f_hessian}")
+        if fvv.shape != (2, 2) or not np.isfinite(fvv).all():
+            raise ValueError(f"--f-hessian must be a finite 2 x 2 matrix, got {args.f_hessian}")
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     fm = _flatten.build_flatten(dom)
     hess = fm.d2_phi(np.zeros(2))
     cond = _flatten.counterexample_condition(hess, fvv)
-    gap = _flatten.reflection_commutation_check(fm, seed=_seed(args))
+    gap = _flatten.reflection_commutation_check(fm, seed=args.seed)
     report = {
         "domain": args.gamma,
         "lhs": cond["lhs"],
@@ -349,7 +358,8 @@ def run_suite(args) -> int:
     rc_all = EXIT_OK
     for key, argv, name in runs:
         out = os.path.join(outdir, name)
-        ns = parser.parse_args([f"--seed={_seed(args)}", *argv, f"--out={out}"])
+        ns = parser.parse_args([*argv, f"--out={out}"])
+        ns.seed = args.seed
         rc_all = max(rc_all, ns.func(ns))
         combined[key] = _load(os.path.splitext(out)[0] + ".json")  # solve-kfp's --out is a prefix
 
@@ -363,8 +373,8 @@ def run_suite(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="kinreg",
                                  description="kinetic boundary-regularity laboratory")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="sampler seed (default: KRL_SEED env var or 0)")
+    ap.add_argument("--seed", default=None,
+                    help="sampler seed, an integer in [0, 2**32) (default: KRL_SEED env var or 0)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("tricomi-verify", help="verify the obstruction function")
@@ -418,6 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        args.seed = _seed(args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return args.func(args)
     except Exception:  # a fault in the lab, not a failed check

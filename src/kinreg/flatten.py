@@ -23,33 +23,25 @@ import numpy as np
 
 from .polynomials import KineticPolynomial, MultiIndex, mono
 
-
-def _fd_derivative(g: Callable[[float], float], x: float, order: int, h: float = 1e-5) -> float:
-    if order == 1:
-        return (g(x + h) - g(x - h)) / (2 * h)
-    return (g(x + h) - 2 * g(x) + g(x - h)) / h ** 2
+# Half-width of the boundary patch on which the flattening is built and checked.
+PATCH_RADIUS = 0.25
 
 
 @dataclass(frozen=True)
 class GraphDomain:
-    """Omega = {x2 > gamma(x1)} with normalized tangency at the origin."""
+    """Omega = {x2 > gamma(x1)} with normalized tangency at the origin;
+    d1 and d2 are the first two derivatives of gamma."""
 
     gamma: Callable[[float], float]
-    d1: Callable[[float], float] | None = None
-    d2: Callable[[float], float] | None = None
+    d1: Callable[[float], float]
+    d2: Callable[[float], float]
 
     def __post_init__(self):
-        if abs(self.gamma(0.0)) > 1e-12 or abs(self.gamma_d1(0.0)) > 1e-12:
+        if abs(self.gamma(0.0)) > 1e-12 or abs(self.d1(0.0)) > 1e-12:
             raise ValueError("need gamma(0) = 0 and gamma'(0) = 0")
 
-    def gamma_d1(self, x: float) -> float:
-        return self.d1(x) if self.d1 is not None else _fd_derivative(self.gamma, x, 1)
-
-    def gamma_d2(self, x: float) -> float:
-        return self.d2(x) if self.d2 is not None else _fd_derivative(self.gamma, x, 2)
-
     def outward_normal(self, x1: float) -> np.ndarray:
-        g1 = self.gamma_d1(x1)
+        g1 = self.d1(x1)
         s = math.hypot(1.0, g1)
         return np.array([g1 / s, -1.0 / s])
 
@@ -74,7 +66,6 @@ class FlattenMap:
     d_phi_inverse: Callable[[np.ndarray], np.ndarray]
     d2_phi: Callable[[np.ndarray], list[np.ndarray]]
     domain: GraphDomain
-    patch_radius: float
 
     def map_phase(self, t: float, x: np.ndarray, v: np.ndarray):
         """Phi(t, x, v) = (t, phi(x), Dphi(x) v)."""
@@ -82,8 +73,8 @@ class FlattenMap:
         return t, self.phi(x), self.d_phi(x) @ np.asarray(v, dtype=float)
 
 
-def build_flatten(dom: GraphDomain, patch_radius: float = 0.25) -> FlattenMap:
-    """Construct the flattening map on a boundary patch.
+def build_flatten(dom: GraphDomain) -> FlattenMap:
+    """Construct the flattening map on the boundary patch |y1| <= PATCH_RADIUS.
 
     Injectivity of the normal-ray map requires the patch to stay inside
     the curvature reach; this is checked by round-tripping a sample grid
@@ -92,26 +83,26 @@ def build_flatten(dom: GraphDomain, patch_radius: float = 0.25) -> FlattenMap:
 
     def phi_inverse(y):
         y1, y2 = float(y[0]), float(y[1])
-        g1 = dom.gamma_d1(y1)
+        g1 = dom.d1(y1)
         s = math.hypot(1.0, g1)
         return np.array([y1 - y2 * g1 / s, dom.gamma(y1) + y2 / s])
 
     def d_phi_inverse(y):
         y1, y2 = float(y[0]), float(y[1])
-        g1 = dom.gamma_d1(y1)
-        g2 = dom.gamma_d2(y1)
+        g1 = dom.d1(y1)
+        g2 = dom.d2(y1)
         s = math.hypot(1.0, g1)
         # (g1/s)' = g2 / s^3, (1/s)' = -g1 g2 / s^3
         col1 = np.array([1.0 - y2 * g2 / s ** 3, g1 - y2 * g1 * g2 / s ** 3])
         col2 = np.array([-g1 / s, 1.0 / s])
         return np.column_stack([col1, col2])
 
-    def phi(x, tol=1e-13, max_iter=60):
+    def phi(x):
         x = np.asarray(x, dtype=float)
         y = x.copy()  # identity is a good seed near the origin
-        for _ in range(max_iter):
+        for _ in range(60):
             res = phi_inverse(y) - x
-            if np.max(np.abs(res)) < tol:
+            if np.max(np.abs(res)) < 1e-13:
                 return y
             y = y - np.linalg.solve(d_phi_inverse(y), res)
         raise ValueError(f"phi: Newton inversion failed at {x} (outside the patch?)")
@@ -119,9 +110,9 @@ def build_flatten(dom: GraphDomain, patch_radius: float = 0.25) -> FlattenMap:
     def d_phi(x):
         return np.linalg.inv(d_phi_inverse(phi(x)))
 
-    def d2_phi(x, h=1e-5):
-        """Hessians of the components of phi, centered FD with one
-        Richardson extrapolation step."""
+    def d2_phi(x):
+        """Hessians of the components of phi, centered FD at steps h and
+        2h, h = 1e-5, with one Richardson extrapolation step."""
         x = np.asarray(x, dtype=float)
 
         def hess_at(step):
@@ -137,15 +128,15 @@ def build_flatten(dom: GraphDomain, patch_radius: float = 0.25) -> FlattenMap:
                     H[:, i, j] = (fpp - fpm - fmp + fmm) / (4.0 * step * step)
             return H
 
-        Hh = hess_at(h)
-        H2h = hess_at(2 * h)
+        Hh = hess_at(1e-5)
+        H2h = hess_at(2e-5)
         H = (4.0 * Hh - H2h) / 3.0
         return [H[0], H[1]]
 
-    fm = FlattenMap(phi, phi_inverse, d_phi, d_phi_inverse, d2_phi, dom, patch_radius)
+    fm = FlattenMap(phi, phi_inverse, d_phi, d_phi_inverse, d2_phi, dom)
 
     # verification of the defining boundary identities on the patch
-    for y1 in np.linspace(-patch_radius, patch_radius, 9):
+    for y1 in np.linspace(-PATCH_RADIUS, PATCH_RADIUS, 9):
         x = phi_inverse(np.array([y1, 0.0]))
         if abs(dom.gamma(x[0]) - x[1]) > 1e-10:
             raise ValueError("boundary does not map to {y2 = 0}")
@@ -153,7 +144,7 @@ def build_flatten(dom: GraphDomain, patch_radius: float = 0.25) -> FlattenMap:
         col = d_phi_inverse(np.array([y1, 0.0]))[:, 1]
         if np.max(np.abs(col + dom.outward_normal(x[0]))) > 1e-10:
             raise ValueError("normal column identity fails")
-        for y2 in (0.0, 0.4 * patch_radius, 0.8 * patch_radius):
+        for y2 in (0.0, 0.4 * PATCH_RADIUS, 0.8 * PATCH_RADIUS):
             y = np.array([y1, y2])
             rt = phi(phi_inverse(y))
             if np.max(np.abs(rt - y)) > 1e-9:
@@ -166,15 +157,14 @@ def reflect_specular(v: np.ndarray, normal: np.ndarray) -> np.ndarray:
     return v - 2.0 * float(v @ normal) * normal
 
 
-def reflection_commutation_check(fm: FlattenMap, n_samples: int = 100,
-                                 seed: int = 0) -> float:
+def reflection_commutation_check(fm: FlattenMap, seed: int = 0) -> float:
     """Max gap of Dphi^{-1}(y) R_y w = R_{phi^{-1}(y)} (Dphi^{-1}(y) w)
-    over boundary samples; also checks that the map preserves the
+    over 100 boundary samples; also checks that the map preserves the
     incoming/outgoing split (sign of the normal velocity)."""
     rng = np.random.RandomState(seed)
     worst = 0.0
-    for _ in range(n_samples):
-        y1 = rng.uniform(-fm.patch_radius, fm.patch_radius)
+    for _ in range(100):
+        y1 = rng.uniform(-PATCH_RADIUS, PATCH_RADIUS)
         y = np.array([y1, 0.0])
         w = rng.uniform(-2, 2, size=2)
         J = fm.d_phi_inverse(y)
@@ -215,20 +205,22 @@ def transform_coefficients(fm: FlattenMap, x: np.ndarray, v: np.ndarray,
 
 
 def counterexample_condition(d2phi_at_0: Sequence[np.ndarray],
-                             d2v_f_at_z0: np.ndarray,
-                             tol: float = 1e-10) -> dict:
+                             d2v_f_at_z0: np.ndarray) -> dict:
     """Evaluate the curvature obstruction condition at a grazing point.
 
     d2phi_at_0: Hessian of each phi component at 0 (n matrices);
     d2v_f_at_z0: velocity Hessian of the solution at the base point.
-    violated = True means the two sides differ, which rules out C^5
-    regularity of the solution at that point.
+    violated = True means the two sides differ by more than 1e-10, which
+    rules out C^5 regularity of the solution at that point. Non-finite
+    entries raise ValueError.
     """
     hess = [np.asarray(H, dtype=float) for H in d2phi_at_0]
     fvv = np.asarray(d2v_f_at_z0, dtype=float)
     n = fvv.shape[0]
     if len(hess) != n or any(H.shape != (n, n) for H in hess):
         raise ValueError("inconsistent dimensions")
+    if not (np.isfinite(fvv).all() and all(np.isfinite(H).all() for H in hess)):
+        raise ValueError("counterexample_condition: the Hessians must be finite")
     last = n - 1
     lhs = 0.0
     for j in range(n):
@@ -238,11 +230,10 @@ def counterexample_condition(d2phi_at_0: Sequence[np.ndarray],
     for i in range(n - 1):
         lhs += 2.0 * hess[i][i, last] * fvv[i, i]
     rhs = sum(hess[i][last, last] * fvv[i, last] for i in range(n - 1))
-    return {"lhs": lhs, "rhs": rhs, "violated": bool(abs(lhs - rhs) > tol)}
+    return {"lhs": lhs, "rhs": rhs, "violated": bool(abs(lhs - rhs) > 1e-10)}
 
 
-def limit_rhs_p1(d2phi_at_0: Sequence[np.ndarray], alpha: np.ndarray,
-                 n: int | None = None) -> KineticPolynomial:
+def limit_rhs_p1(d2phi_at_0: Sequence[np.ndarray], alpha: np.ndarray) -> KineticPolynomial:
     """The cubic polynomial p1 produced in the blow-up limit of the
     flattened equation, from the Hessians of phi and the velocity-quadratic
     coefficients alpha_{i,j} of the degree-4 approximating polynomial:
@@ -253,7 +244,7 @@ def limit_rhs_p1(d2phi_at_0: Sequence[np.ndarray], alpha: np.ndarray,
     """
     hess = [np.asarray(H, dtype=float) for H in d2phi_at_0]
     alpha = np.asarray(alpha, dtype=float)
-    n = alpha.shape[0] if n is None else n
+    n = alpha.shape[0]
     terms: dict[MultiIndex, float] = {}
 
     def add(beta: MultiIndex, val: float):

@@ -366,16 +366,15 @@ class TricomiMarker:
     """Placeholder basis element standing for the Tricomi obstruction
     function T_{A,3}(x_n, v_n) inside an augmented polynomial space."""
 
-    __slots__ = ("A", "normal_axis")
+    __slots__ = ("A",)
 
-    def __init__(self, A: float, normal_axis: int = 0):
+    def __init__(self, A: float):
         if A <= 0:
             raise ValueError("A must be positive")
         self.A = float(A)
-        self.normal_axis = normal_axis
 
     def __repr__(self):
-        return f"TricomiMarker(A={self.A}, axis={self.normal_axis})"
+        return f"TricomiMarker(A={self.A})"
 
 
 @dataclass(frozen=True)
@@ -385,13 +384,13 @@ class PolySpaceSpec:
     kind 'full': all kinetic polynomials of degree <= k.
     kind 'specular': the subspace with trace at {x_n = 0} even in v_n.
     kind 'tricomi_augmented': specular space of degree 5 plus the Tricomi
-    obstruction function (requires k = 5 and A > 0).
+    obstruction function of (x_n, v_n) (requires k = 5 and A > 0).
+    The normal axis is the last one, index n - 1.
     """
 
     kind: str
     k: int
     n: int = 1
-    normal_axis: int = 0
     A: float | None = None
 
     def __post_init__(self):
@@ -408,14 +407,12 @@ def full_space(k: int, n: int = 1) -> PolySpaceSpec:
     return PolySpaceSpec("full", k, n)
 
 
-def specular_space(k: int, n: int = 1, normal_axis: int | None = None) -> PolySpaceSpec:
-    axis = (n - 1) if normal_axis is None else normal_axis
-    return PolySpaceSpec("specular", k, n, axis)
+def specular_space(k: int, n: int = 1) -> PolySpaceSpec:
+    return PolySpaceSpec("specular", k, n)
 
 
-def tricomi_augmented_space(A: float, n: int = 1, normal_axis: int | None = None) -> PolySpaceSpec:
-    axis = (n - 1) if normal_axis is None else normal_axis
-    return PolySpaceSpec("tricomi_augmented", 5, n, axis, float(A))
+def tricomi_augmented_space(A: float) -> PolySpaceSpec:
+    return PolySpaceSpec("tricomi_augmented", 5, 1, float(A))
 
 
 def _indices_up_to(k: int, n: int):
@@ -448,7 +445,7 @@ def _space_indices(spec: PolySpaceSpec) -> tuple[MultiIndex, ...]:
     idx = _indices_up_to(spec.k, spec.n)
     if spec.kind == "full":
         return tuple(idx)
-    ax = spec.normal_axis
+    ax = spec.n - 1
     return tuple(b for b in idx if b.bx[ax] >= 1 or b.bv[ax] % 2 == 0)
 
 
@@ -456,7 +453,7 @@ def space_basis(spec: PolySpaceSpec) -> list:
     """Monomial basis of the space; the augmented space appends a marker."""
     basis: list = _monomials(spec.n, _space_indices(spec))
     if spec.kind == "tricomi_augmented":
-        basis.append(TricomiMarker(spec.A, spec.normal_axis))
+        basis.append(TricomiMarker(spec.A))
     return basis
 
 
@@ -488,7 +485,7 @@ def basis_matrix(spec: PolySpaceSpec, pts: np.ndarray,
     from .tricomi import TricomiParams, eval_tricomi
 
     params = TricomiParams(A=spec.A, lam=3)
-    ax = spec.normal_axis
+    ax = spec.n - 1
     at = z if marker_pts is None else np.asarray(marker_pts, dtype=float)
     marker = eval_tricomi(params, at[:, 1 + ax], at[:, 1 + spec.n + ax])
     return np.column_stack([B, marker])

@@ -47,12 +47,14 @@ def sample_cylinder(z0: KineticPoint, r: float, count: int, seed: int = 0) -> np
     (count, 3) array of rows (t, x, v).
 
     Halton points in the normalized cylinder mapped by the zoom frame;
-    rejection keeps the scan deterministic for a given seed.
+    rejection keeps the scan deterministic for a given seed >= 0.
     """
     if z0.n != 1:
         raise ValueError("sampling implemented for n = 1")
     if not isinstance(count, numbers.Integral) or count < 1:
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
+    if seed < 0:  # the Halton digits of a negative index never end
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     start = 1 + 1000 * seed
     end = start + 1000 * count
     pts = np.empty((0, 3))
@@ -82,16 +84,15 @@ def field_values(f: Callable[[KineticPoint], float], pts: np.ndarray) -> np.ndar
     return out
 
 
-def phase_field(g: Callable, normal_axis: int = 0) -> Callable[[KineticPoint], float]:
-    """The field z -> g(x[axis], v[axis]) for a g that broadcasts over
-    arrays; its values(pts) is one g call on two columns of the rows."""
+def phase_field(g: Callable) -> Callable[[KineticPoint], float]:
+    """The field z -> g(x[0], v[0]) for a g that broadcasts over arrays;
+    its values(pts) is one g call on two columns of the rows."""
 
     def f(z: KineticPoint) -> float:
-        return float(g(z.x[normal_axis], z.v[normal_axis]))
+        return float(g(z.x[0], z.v[0]))
 
     def values(pts: np.ndarray) -> np.ndarray:
-        n = (pts.shape[1] - 1) // 2
-        return g(pts[:, 1 + normal_axis], pts[:, 1 + n + normal_axis])
+        return g(pts[:, 1], pts[:, 1 + (pts.shape[1] - 1) // 2])
 
     f.values = values
     return f
@@ -139,15 +140,13 @@ def polyfit_on_cylinder(f: Callable[[KineticPoint], float], z0: KineticPoint,
 
 
 def best_approx_error(f: Callable[[KineticPoint], float], z0: KineticPoint,
-                      r: float, spec: PolySpaceSpec, samples: int | None = None,
-                      seed: int = 0) -> float:
+                      r: float, spec: PolySpaceSpec, seed: int = 0) -> float:
     """sup |f - best span(spec) fit| over H_r(z0): a least-squares proxy
     for the minimax error, evaluated on a 4x denser residual grid. Upper
     bound up to a dimension-dependent factor; all downstream acceptance
     checks compare ratios, which cancels the factor."""
-    fit = polyfit_on_cylinder(f, z0, r, spec, samples=samples, seed=seed)
-    count = 4 * (samples if samples is not None else 20 * space_dim(spec))
-    dense = sample_cylinder(z0, r, count, seed=seed + 7)
+    fit = polyfit_on_cylinder(f, z0, r, spec, seed=seed)
+    dense = sample_cylinder(z0, r, 80 * space_dim(spec), seed=seed + 7)
     return float(np.max(np.abs(field_values(f, dense) - fit.values(dense))))
 
 
@@ -166,7 +165,7 @@ class ExponentFit:
 
 def exponent_fit(f: Callable[[KineticPoint], float], z0: KineticPoint,
                  spec: PolySpaceSpec, radii: Sequence[float],
-                 samples: int | None = None, seed: int = 0) -> ExponentFit:
+                 seed: int = 0) -> ExponentFit:
     """Least-squares slope of log(error) against log(r).
 
     Exact fits (all errors at the numerical floor) report the +inf slope
@@ -175,7 +174,7 @@ def exponent_fit(f: Callable[[KineticPoint], float], z0: KineticPoint,
     radii = tuple(sorted(set(float(r) for r in radii), reverse=True))
     if len(radii) < 4:
         raise ValueError("need at least 4 radii")
-    errs = [best_approx_error(f, z0, r, spec, samples=samples, seed=seed) for r in radii]
+    errs = [best_approx_error(f, z0, r, spec, seed=seed) for r in radii]
     scale = float(np.max(np.abs(field_values(f, sample_cylinder(z0, radii[0], 64, seed=seed)))))
     if all(e <= _EXACT_FIT_FLOOR * max(1.0, scale) for e in errs):
         return ExponentFit(radii, tuple(errs), EXACT_FIT_SENTINEL, -math.inf, 1.0)
@@ -200,7 +199,6 @@ class TricomiCoefficientReport:
 def gamma0_tricomi_coefficient(f: Callable[[KineticPoint], float],
                                z0: KineticPoint, A: float,
                                radii: Sequence[float],
-                               samples: int | None = None,
                                seed: int = 0) -> TricomiCoefficientReport:
     """Extract the Tricomi multiplier of f at a grazing point.
 
@@ -210,11 +208,11 @@ def gamma0_tricomi_coefficient(f: Callable[[KineticPoint], float],
     """
     if z0.x[0] != 0.0 or z0.v[0] != 0.0:
         raise ValueError("base point must lie on the grazing set (x = 0, v = 0)")
-    spec = tricomi_augmented_space(A, n=1)
+    spec = tricomi_augmented_space(A)
     radii = tuple(sorted(set(float(r) for r in radii), reverse=True))
     taus = []
     for r in radii:
-        fit = polyfit_on_cylinder(f, z0, r, spec, samples=samples, seed=seed)
+        fit = polyfit_on_cylinder(f, z0, r, spec, seed=seed)
         taus.append(fit.tricomi_coefficient())
     tau = taus[-1]
     ref = max(abs(t) for t in taus)

@@ -159,8 +159,7 @@ class TensorSpline:
     k = 1, not-a-knot bicubic for k = 3. Coefficients come from one
     collocation solve per axis.
 
-    ev(x, v) evaluates at the points of the broadcast arrays x, v;
-    spline(x, v) evaluates on the tensor grid x x v as a 2-D array. Points
+    ev(x, v) evaluates at the points of the broadcast arrays x, v. Points
     outside the grid are clamped to its boundary. Evaluate on arrays: every
     call has a fixed cost of about 0.1 ms, whatever its size.
     """
@@ -181,11 +180,6 @@ class TensorSpline:
         C = self.coef.ravel()[(fx * ncv + fv)[:, None, None]
                               + (span[:, None] * ncv + span)]
         return ((C @ Bv[:, :, None])[:, :, 0] * Bx).sum(axis=1).reshape(x.shape)
-
-    def __call__(self, x, v) -> np.ndarray:
-        Mx = _basis_matrix(self.tx, self.k, np.atleast_1d(np.asarray(x, dtype=float)))
-        Mv = _basis_matrix(self.tv, self.k, np.atleast_1d(np.asarray(v, dtype=float)))
-        return Mx @ self.coef @ Mv.T
 
 
 @dataclass
@@ -558,20 +552,16 @@ def _transport_apply(f, vs, hx, bc_mode):
     return out
 
 
-def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float,
-                  store_every: int = 0) -> list[Field]:
+def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float) -> list[Field]:
     """IMEX time stepping up to horizon T: explicit limited transport,
     implicit v-diffusion. Refuses to run when dt violates the CFL bound
     dt <= 0.5 hx / v_max, and raises ValueError on a negative or
-    non-finite T, a negative store_every and non-finite source, initial or
-    boundary data. Returns the trajectory: the initial slice, every
-    store_every-th step (none for 0) and the final slice."""
+    non-finite T and non-finite source, initial or boundary data. Returns
+    [initial slice, final slice]."""
     if not 0.0 < A < np.inf:
         raise ValueError("diffusion A must be positive and finite")
     if not 0.0 <= T < np.inf:
         raise ValueError(f"horizon T must be finite and >= 0, got {T!r}")
-    if not isinstance(store_every, numbers.Integral) or store_every < 0:
-        raise ValueError(f"store_every must be an integer >= 0, got {store_every!r}")
     grid = f0.grid
     if grid.dt is None or not 0.0 < grid.dt < np.inf:
         raise ValueError("grid needs finite dt > 0")
@@ -594,7 +584,7 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float,
     dt_H = dt * _source_array(h, grid)
 
     f = _finite(f0.values, "initial field")
-    out = [Field(grid, f.copy(), dict(f0.metadata, t=0.0))]
+    initial = Field(grid, f.copy(), dict(f0.metadata, t=0.0))
     c = dt * (A / grid.hv ** 2)
     full_T = _station_factor(np.ones(grid.nv), c, noflux, "wall").T
     # the specular station 0 diffuses its v<0 block with the mirror fold
@@ -602,7 +592,7 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float,
     first_full = 0 if fold is None else 1
 
     t = 0.0
-    for step in range(nsteps):
+    for _ in range(nsteps):
         f = f - dt * _transport_apply(f, vs, hx, bc.at_x0) + dt_H
         t_next = t + dt
         if not noflux:
@@ -619,12 +609,9 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float,
             if x0_rows is not None:
                 f[0, x0_rows] = _data(bc.inflow_profile, v_in.shape, "inflow data", t_next, v_in)
         t = t_next
-        if store_every and (step + 1) % store_every == 0:
-            out.append(Field(grid, f.copy(), dict(f0.metadata, t=t)))
-    if not store_every or nsteps % store_every != 0:
-        out.append(Field(grid, f.copy(), dict(f0.metadata, t=t)))
-    out[-1].check_finite()
-    return out
+    final = Field(grid, f.copy(), dict(f0.metadata, t=t))
+    final.check_finite()
+    return [initial, final]
 
 
 def v_marginal_moments(fld: Field, periodic: bool = False):

@@ -79,7 +79,10 @@ def test_solve_kfp_bad_input_is_config_error(argv, capsys):
     ["probe-exponent", "--radii=-1,0.5,0.25,0.1"], ["probe-exponent", "--z0", "nan,0,0"],
     ["probe-exponent", "--space", "p9"], ["probe-exponent", "--field", "missing.kfp"],
     ["counterexample-check", "--curvature", "nan"], ["counterexample-check", "--curvature", "inf"],
-    ["counterexample-check", "--gamma", "bogus"], ["counterexample-check", "--f-hessian", "3"]])
+    ["counterexample-check", "--gamma", "bogus"], ["counterexample-check", "--f-hessian", "3"],
+    ["counterexample-check", "--f-hessian", "[[NaN,0],[0,-2]]"],
+    ["counterexample-check", "--f-hessian", "[[1e400,0],[0,-2]]"],
+    ["counterexample-check", "--f-hessian", "[[2]]"]])
 def test_probe_and_counterexample_bad_input_is_config_error(argv, capsys):
     # checked before any fit or flattening: exit 2 with a message, no traceback
     assert run_main(argv) == 2
@@ -188,6 +191,40 @@ def test_seed_env_var(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["--seed", "-1"], None), (["--seed", "4294967296"], None), (["--seed", "abc"], None),
+    ([], "abc"), ([], "-1"), ([], "4294967296"),
+], ids=["negative", "too-large", "not-integer", "env-not-integer", "env-negative", "env-too-large"])
+def test_bad_seed_is_config_error(argv, env, monkeypatch, capsys):
+    # --seed and KRL_SEED share one check: an integer in [0, 2**32)
+    if env is None:
+        monkeypatch.delenv("KRL_SEED", raising=False)
+    else:
+        monkeypatch.setenv("KRL_SEED", env)
+    assert run_main([*argv, "tricomi-verify"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err and "Traceback" not in err
+
+
+def test_seed_range_is_half_open(tmp_path):
+    # 2**32 - 1 is the largest seed RandomState takes, and 2**32 is refused
+    out = tmp_path / "rep.json"
+    assert run_main(["--seed", str(2 ** 32 - 1), "tricomi-verify", "--out", str(out)]) == 0
+    assert run_main(["--seed", str(2 ** 32), "tricomi-verify", "--out", str(out)]) == 2
+
+
+def test_negative_seed_probe_exits(tmp_path):
+    # a negative seed made the Halton sampler loop forever: run the CLI in a
+    # subprocess, so a hang fails by the timeout
+    import kinreg
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kinreg.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "kinreg.cli", "--seed", "-1", "probe-exponent"],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "seed" in proc.stderr
+
+
 def test_console_entry_point(tmp_path):
     # the installed script runs end to end
     out = tmp_path / "rep.json"
@@ -278,7 +315,7 @@ bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0)
 fld = solve_stationary(lambda x, v: v, bc, 1.0, g)
 solve_timedep(Field(g, np.zeros((17, 16))), None, bc, 1.0, 0.05)
 fld.interpolator().ev(0.5, 0.1)
-fld.interpolator(kind=1)(0.5, 0.1)
+fld.interpolator(kind=1).ev(0.5, 0.1)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     src = os.path.dirname(os.path.dirname(kinreg.__file__))

@@ -21,9 +21,9 @@ RNG = np.random.RandomState(5)
 
 def test_domain_normalization_enforced():
     with pytest.raises(ValueError):
-        GraphDomain(lambda x: 1.0 + 0 * x)
+        GraphDomain(lambda x: 1.0 + 0 * x, lambda x: 0.0, lambda x: 0.0)
     with pytest.raises(ValueError):
-        GraphDomain(lambda x: x)
+        GraphDomain(lambda x: x, lambda x: 1.0, lambda x: 0.0)
 
 
 def test_flat_domain_is_identity():
@@ -68,7 +68,7 @@ def test_parabola_hessians():
 
 def test_reflection_commutation_parabola():
     fm = build_flatten(parabola_domain(1.0))
-    assert reflection_commutation_check(fm, n_samples=100) <= 1e-8
+    assert reflection_commutation_check(fm) <= 1e-8
 
 
 def test_transform_coefficients_identity_at_origin():
@@ -191,6 +191,16 @@ def test_counterexample_iff_mixed_hessian():
     assert not counterexample_condition(H_off, fvv)["violated"]
     H_on = [np.array([[0.0, 0.7], [0.7, 0.0]]), np.array([[-1.0, 0.0], [0.0, 0.0]])]
     assert counterexample_condition(H_on, fvv)["violated"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_counterexample_condition_rejects_non_finite(bad):
+    fvv = np.diag([2.0, -2.0])
+    H = build_flatten(parabola_domain(1.0)).d2_phi(np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        counterexample_condition(H, np.array([[bad, 0.0], [0.0, -2.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        counterexample_condition([H[0], np.full((2, 2), bad)], fvv)
 
 
 def test_limit_rhs_p1_zero_hessians():

@@ -138,7 +138,7 @@ def test_lambda9_layer_if_enabled():
     assert not res.is_polynomial
     (lam, m), = res.tricomi_terms
     assert lam == 9
-    rep = verify_solution(res, HalfSpaceRHS(p, 1.0), xs=[0.3, 0.8, 1.3], vs=[-1.1, -0.5, 0.6, 1.2])
+    rep = verify_solution(res, HalfSpaceRHS(p, 1.0))
     assert rep.passed, rep.notes
 
 

@@ -131,18 +131,18 @@ def test_specular_space_trace_even():
 
 
 def test_tricomi_augmented_space():
-    spec = tricomi_augmented_space(1.0, 1)
+    spec = tricomi_augmented_space(1.0)
     basis = space_basis(spec)
     assert isinstance(basis[-1], TricomiMarker)
     assert space_dim(spec) == space_dim(specular_space(5, 1)) + 1
     with pytest.raises(ValueError):
         from kinreg.polynomials import PolySpaceSpec
 
-        PolySpaceSpec("tricomi_augmented", 4, 1, 0, 1.0)
+        PolySpaceSpec("tricomi_augmented", 4, 1, 1.0)
 
 
 @pytest.mark.parametrize("spec", [full_space(5, 1), specular_space(5, 1),
-                                  tricomi_augmented_space(1.0, 1), full_space(4, 2)],
+                                  tricomi_augmented_space(1.0), full_space(4, 2)],
                          ids=["full5", "specular5", "augmented", "full4_n2"])
 def test_basis_matrix_matches_pointwise_eval(spec):
     from kinreg.tricomi import TricomiParams, eval_tricomi
@@ -160,7 +160,7 @@ def test_basis_matrix_matches_pointwise_eval(spec):
     assert B.shape == (len(pts), len(basis)) == (len(pts), space_dim(spec))
     tp = TricomiParams(A=spec.A or 1.0, lam=3)
     want = np.array([[q.eval(z) if isinstance(q, KineticPolynomial)
-                      else eval_tricomi(tp, zm.x[q.normal_axis], zm.v[q.normal_axis])
+                      else eval_tricomi(tp, zm.x[0], zm.v[0])
                       for q in basis] for z, zm in zip(pts, marker_pts)])
     np.testing.assert_allclose(B, want, rtol=1e-14, atol=0)
     # the marker column defaults to the points themselves
@@ -410,10 +410,11 @@ def test_l2_project_orthogonality():
 
 
 def test_l2_project_augmented_space_recovers_tricomi():
-    from kinreg.tricomi import TricomiParams, as_field
+    from kinreg.probe import phase_field
+    from kinreg.tricomi import TricomiParams, eval_tricomi
 
-    spec = tricomi_augmented_space(1.0, 1)
-    f = as_field(TricomiParams(A=1.0, lam=3), scale=2.5)
+    spec = tricomi_augmented_space(1.0)
+    f = phase_field(lambda x, v: 2.5 * eval_tricomi(TricomiParams(A=1.0, lam=3), x, v))
     z0 = origin(1)
     coef = l2_project(f, z0, 0.5, spec, quad_order=10)
     assert coef[-1] == pytest.approx(2.5, abs=1e-6)

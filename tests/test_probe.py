@@ -68,6 +68,25 @@ def test_sampler_rejects_bad_count():
     assert sample_cylinder(Z0, 0.5, np.int64(3)).shape == (3, 3)
 
 
+def test_sampler_rejects_negative_seed():
+    # the Halton digits of a negative index never end: run the call in a
+    # subprocess, so a sampler that loops fails by the timeout
+    import os
+    import subprocess
+    import sys
+
+    import kinreg
+
+    code = ("from kinreg.geometry import origin\n"
+            "from kinreg.probe import sample_cylinder\n"
+            "sample_cylinder(origin(1), 1.0, 4, seed=-1)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kinreg.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=20)
+    assert proc.returncode == 1
+    assert "ValueError: seed must be >= 0" in proc.stderr
+
+
 @pytest.mark.parametrize("seed, rows", [
     (0, [(-0.5, 0.33333333333333326, -0.19999999999999996),
          (0.25, 0.5555555555555554, -0.92),
@@ -91,7 +110,7 @@ def test_in_space_function_recovered():
 
 
 def test_fit_values_match_pointwise_call():
-    for spec in (full_space(5, 1), tricomi_augmented_space(1.0, 1)):
+    for spec in (full_space(5, 1), tricomi_augmented_space(1.0)):
         fit = polyfit_on_cylinder(T_FIELD, Z0, 0.25, spec, seed=1)
         pts = sample_cylinder(Z0, 0.25, 64, seed=5)
         want = np.array([fit(KineticPoint(*z)) for z in pts])
@@ -117,7 +136,7 @@ def test_tricomi_augmented_kills_plateau():
     plat = best_approx_error(T_FIELD, Z0, 1.0, full_space(5, 1))
     r = 1 / 32
     e5 = best_approx_error(T_FIELD, Z0, r, full_space(5, 1))
-    ea = best_approx_error(T_FIELD, Z0, r, tricomi_augmented_space(1.0, 1))
+    ea = best_approx_error(T_FIELD, Z0, r, tricomi_augmented_space(1.0))
     assert ea <= e5 / 20.0
     assert e5 / r ** 5 >= plat / 2  # the plateau itself persists
 

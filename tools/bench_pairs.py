@@ -14,7 +14,8 @@ every process and `setup_s` compares like with like. `--trace1` adds one
 (`python3 -m pytest -q --continue-on-collection-errors` with
 PYTHONPATH=src) in a fresh copy of each tree.
 
-The results go into the `trace0` (and `trace1`) lists, the `tier1` block
+The results go into the `trace0` (and `trace1`) lists, whose entries
+record the workload, seed and seconds of their run, the `tier1` block
 `{tree: {wall_s, passed, failed}}` (errors count as failed) and the
 `summary_trace0` block of the JSON file at `--out`, in the layout of
 BENCH_12.json: per metric the median, the quartiles and the number of
@@ -60,8 +61,8 @@ def run_once(tree_dir: str, workload: str, seed: int, seconds: float, trace: int
     lines = [ln.strip() for ln in proc.stdout.splitlines() if ln.strip()]
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree_dir} exited {proc.returncode}:\n{proc.stderr}")
-    return {"workload": workload, "seed": seed, "info": "  ".join(lines[:-1]),
-            "result": json.loads(lines[-1])}
+    return {"workload": workload, "seed": seed, "seconds": seconds,
+            "info": "  ".join(lines[:-1]), "result": json.loads(lines[-1])}
 
 
 def run_tier1(tree_dir: str) -> dict:
@@ -145,8 +146,8 @@ def main(argv: list[str] | None = None) -> int:
     doc.setdefault("what", "perfbench result lines of the parent commit and of this change, "
                    "run in alternating pairs from fresh copies of each tree, both "
                    "byte-compiled from source on every run")
-    doc.setdefault("command", "python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace T")
+    # each run entry records its own seed and seconds
+    doc["command"] = "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0|1"
     doc["trace0"] = [r for r in doc.get("trace0", []) if r["workload"] != args.workload] + runs
     doc.setdefault("summary_trace0", {})[args.workload] = summarise(runs)
     if traced:
