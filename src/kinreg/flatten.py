@@ -181,14 +181,12 @@ def reflection_commutation_check(fm: FlattenMap, seed: int = 0) -> float:
     return worst
 
 
-def transform_coefficients(fm: FlattenMap, x: np.ndarray, v: np.ndarray,
-                           a: np.ndarray | None = None,
-                           b: np.ndarray | None = None, c: float = 0.0,
-                           h: float = 0.0):
-    """Pointwise coefficients of the flattened equation at (x, v).
+def transform_coefficients(fm: FlattenMap, x: np.ndarray, v: np.ndarray):
+    """Pointwise coefficients (a~, b~) of the flattened equation at (x, v).
 
-    With A = Dphi(x):
-      a~ = A a A^T,   b~^i = (A b)^i + <v, D2 phi^i(x) v>,   c~ = c, h~ = h.
+    With A = Dphi(x), the equation d_t f + v.grad_x f - Laplace_v f = 0
+    becomes d_t g + w.grad_y g - a~_ij d_wiwj g + b~.grad_w g = 0 with
+      a~ = A A^T,   b~^i = <v, D2 phi^i(x) v>.
     The velocity-quadratic drift is what the chain rule produces from the
     transport term; the diffusion generates no first-order term because
     Dphi does not depend on v.
@@ -196,12 +194,8 @@ def transform_coefficients(fm: FlattenMap, x: np.ndarray, v: np.ndarray,
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     A = fm.d_phi(x)
-    a = np.eye(2) if a is None else np.asarray(a, dtype=float)
-    b = np.zeros(2) if b is None else np.asarray(b, dtype=float)
     hess = fm.d2_phi(x)
-    a_t = A @ a @ A.T
-    b_t = A @ b + np.array([float(v @ hess[i] @ v) for i in range(2)])
-    return a_t, b_t, c, h
+    return A @ A.T, np.array([float(v @ hess[i] @ v) for i in range(2)])
 
 
 def counterexample_condition(d2phi_at_0: Sequence[np.ndarray],

@@ -306,18 +306,16 @@ def transport_derivative(p: KineticPolynomial, beta: MultiIndex) -> KineticPolyn
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """L p = d_t p + v.grad_x p - a_ij d_vivj p + b.grad_v p + c p.
+    """L p = d_t p + v.grad_x p - a_ij d_vivj p.
 
-    a is a constant symmetric n x n matrix; b and c are optional constant
-    lower-order coefficients.
+    a is a constant symmetric n x n matrix. L maps the kinetic polynomials
+    of degree d + 2 onto those of degree d.
     """
 
     a: tuple[tuple[Fraction, ...], ...]
-    b: tuple[Fraction, ...] | None = None
-    c: Fraction | None = None
 
     @classmethod
-    def make(cls, a, b=None, c=None) -> "OperatorSpec":
+    def make(cls, a) -> "OperatorSpec":
         if isinstance(a, (int, float, Fraction, str)):
             a = [[a]]
         amat = tuple(tuple(_rat(x) for x in row) for row in a)
@@ -329,10 +327,7 @@ class OperatorSpec:
             for j in range(n):
                 if amat[i][j] != amat[j][i]:
                     raise ValueError("a must be symmetric")
-        bvec = tuple(_rat(x) for x in b) if b is not None else None
-        if bvec is not None and len(bvec) != n:
-            raise ValueError("b has wrong length")
-        return cls(amat, bvec, _rat(c) if c is not None else None)
+        return cls(amat)
 
     @property
     def n(self) -> int:
@@ -340,7 +335,7 @@ class OperatorSpec:
 
 
 def kolmogorov_operator(n: int) -> OperatorSpec:
-    """The prototype operator with a = identity, b = 0, c = 0."""
+    """The prototype operator with a = identity."""
     a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     return OperatorSpec.make(a)
 
@@ -353,12 +348,6 @@ def apply_operator(op: OperatorSpec, p: KineticPolynomial) -> KineticPolynomial:
         for j in range(op.n):
             if op.a[i][j] != 0:
                 out = out - KineticPolynomial.constant(p.n, op.a[i][j]) * p.deriv_v(i).deriv_v(j)
-    if op.b is not None:
-        for i in range(op.n):
-            if op.b[i] != 0:
-                out = out + KineticPolynomial.constant(p.n, op.b[i]) * p.deriv_v(i)
-    if op.c is not None and op.c != 0:
-        out = out + KineticPolynomial.constant(p.n, op.c) * p
     return out
 
 
@@ -624,34 +613,25 @@ def particular_solve_general(op: OperatorSpec, p: KineticPolynomial) -> KineticP
     """Solve apply_operator(op, P) = p exactly on graded monomial bases,
     returning the P of minimal Euclidean coefficient norm.
 
-    For b = c = 0 each layer of p of degree d is solved on the monomials of
-    degree d + 2 alone: the layer blocks have disjoint rows and columns, so
-    the minimum-norm solution is theirs side by side (0 where p has no
-    layer). Otherwise one square system over every degree up to deg(p) + 2
-    is solved, then up to deg(p) + 4. Raises ValueError when no solution
+    L maps degree d + 2 onto degree d, so each layer of p of degree d is
+    solved on the monomials of degree d + 2 alone: the layer blocks have
+    disjoint rows and columns, so the minimum-norm solution is theirs side
+    by side (0 where p has no layer). Raises ValueError when no solution
     exists.
     """
     if p.is_zero():
         return KineticPolynomial.zero(p.n)
     dp = int(p.degree())
-    if (op.b is None or not any(op.b)) and not op.c:  # L maps degree d + 2 onto degree d
-        layers = _layers(dp + 2, p.n)
-        terms: dict[MultiIndex, Fraction] = {}
-        for d, layer in p.homogeneous_components().items():
-            cols = layers[d + 2]
-            M = _operator_matrix(op, _monomials(p.n, cols), layers[d])
-            x = _min_norm_solve(M, [layer.coefficient(b) for b in layers[d]])
-            if x is None:
-                raise ValueError(f"particular_solve_general failed: no solution of degree <= {dp + 2}")
-            terms.update(zip(cols, x))
-        return KineticPolynomial(p.n, terms)
-    for extra in (2, 4):
-        idx = _indices_up_to(dp + extra, p.n)
-        x = _min_norm_solve(_operator_matrix(op, _monomials(p.n, idx), idx),
-                            [p.coefficient(b) for b in idx])
-        if x is not None:
-            return KineticPolynomial(p.n, dict(zip(idx, x)))
-    raise ValueError(f"particular_solve_general failed: no solution of degree <= {dp + extra}")
+    layers = _layers(dp + 2, p.n)
+    terms: dict[MultiIndex, Fraction] = {}
+    for d, layer in p.homogeneous_components().items():
+        cols = layers[d + 2]
+        M = _operator_matrix(op, _monomials(p.n, cols), layers[d])
+        x = _min_norm_solve(M, [layer.coefficient(b) for b in layers[d]])
+        if x is None:
+            raise ValueError(f"particular_solve_general failed: no solution of degree <= {dp + 2}")
+        terms.update(zip(cols, x))
+    return KineticPolynomial(p.n, terms)
 
 
 def kernel_basis(op: OperatorSpec, spec: PolySpaceSpec) -> list[KineticPolynomial]:
@@ -660,10 +640,6 @@ def kernel_basis(op: OperatorSpec, spec: PolySpaceSpec) -> list[KineticPolynomia
     Row-reduces one layer at a time (degree d onto degree d - 2); reduced
     row echelon forms are unique, so the vectors and their order are those
     of the row reduction of the whole space."""
-    if op.b is not None and any(c != 0 for c in op.b):
-        raise ValueError("kernel_basis requires b = 0")
-    if op.c is not None and op.c != 0:
-        raise ValueError("kernel_basis requires c = 0")
     basis = space_basis(spec)
     if any(isinstance(q, TricomiMarker) for q in basis):
         raise ValueError("kernel_basis is defined for polynomial spaces only")

@@ -118,9 +118,6 @@ class CylinderFit:
         the Tricomi marker (5-homogeneous, so it scales out) at pts."""
         return basis_matrix(self.spec, frame_unmap(self.z0, self.r, pts), pts) @ self.coeffs
 
-    def __call__(self, z: KineticPoint) -> float:
-        return float(self.values(np.array([(z.t, *z.x, *z.v)]))[0])
-
 
 def polyfit_on_cylinder(f: Callable[[KineticPoint], float], z0: KineticPoint,
                         r: float, spec: PolySpaceSpec, samples: int | None = None,

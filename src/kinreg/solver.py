@@ -96,26 +96,32 @@ class HalfStripGrid:
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """at_x0: 'specular', 'inflow', 'dirichlet' or 'periodic'.
+    """at_x0: 'specular', 'inflow' or 'dirichlet'.
 
     inflow_profile(t, v) supplies the incoming trace (v > 0 at the left
-    edge, every v for 'dirichlet'); at_xmax(t, v) is the Dirichlet profile
-    on the right edge; at_vmax is either a profile (t, x, v) or the string
-    'noflux'. The callables take a float t and numpy arrays of coordinates
-    (at_vmax gets x as a column and the two wall velocities as a row) and
-    return values that broadcast against them; a scalar return is fine.
+    edge, every v for 'dirichlet') and is needed by those two modes only;
+    at_xmax(t, v) is the Dirichlet profile on the right edge; at_vmax is
+    either a profile (t, x, v) or the string 'noflux'. The callables take a
+    float t and numpy arrays of coordinates (at_vmax gets x as a column and
+    the two wall velocities as a row) and return values that broadcast
+    against them; a scalar return is fine. ValueError at construction if
+    a piece of data the mode needs is not callable.
     """
 
     at_x0: str = "specular"
     inflow_profile: Callable[[float, np.ndarray], np.ndarray] | None = None
     at_xmax: Callable[[float, np.ndarray], np.ndarray] | None = None
-    at_vmax: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | str | None = None
+    at_vmax: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | str = "noflux"
 
     def __post_init__(self):
-        if self.at_x0 not in ("specular", "inflow", "dirichlet", "periodic"):
+        if self.at_x0 not in ("specular", "inflow", "dirichlet"):
             raise ValueError(f"unknown at_x0 mode {self.at_x0!r}")
-        if self.at_x0 in ("inflow", "dirichlet") and self.inflow_profile is None:
-            raise ValueError("inflow/dirichlet modes need an inflow_profile")
+        if self.at_x0 != "specular" and not callable(self.inflow_profile):
+            raise ValueError("inflow/dirichlet modes need a callable inflow_profile")
+        if not callable(self.at_xmax):
+            raise ValueError("at_xmax must be a callable: the Dirichlet data at x_max")
+        if not (callable(self.at_vmax) or (isinstance(self.at_vmax, str) and self.at_vmax == "noflux")):
+            raise ValueError(f"at_vmax must be 'noflux' or a callable, got {self.at_vmax!r}")
 
 
 def _knots(x: np.ndarray, k: int) -> np.ndarray:
@@ -423,17 +429,13 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
     """
     if not 0.0 < A < np.inf:
         raise ValueError("diffusion A must be positive and finite")
-    if bc.at_x0 == "periodic":
-        raise ValueError("periodic runs are time-dependent only")
-    if bc.at_xmax is None:
-        raise ValueError("stationary solve needs Dirichlet data at x_max")
     H = _source_array(h, grid)
 
     vs, hx = grid.vs, grid.hx
     nxp1, nv = grid.nx + 1, grid.nv
     m = nv // 2
     k = A / grid.hv ** 2
-    noflux = bc.at_vmax == "noflux" or bc.at_vmax is None
+    noflux = bc.at_vmax == "noflux"
     a = np.abs(vs) / hx
     apos = np.where(vs > 0, a, 0.0)
     aneg = np.where(vs < 0, a, 0.0)
@@ -527,18 +529,8 @@ def mirror_extend(fld: Field) -> Field:
     return Field(full, vals, dict(fld.metadata, extended=True))
 
 
-def _transport_apply(f, vs, hx, bc_mode):
+def _transport_apply(f, vs, hx):
     """Full second-order limited transport operator v df/dx (explicit)."""
-    if bc_mode == "periodic":
-        nxp1 = f.shape[0]
-        pos = vs > 0
-        fp = np.vstack([f[-3:-1], f, f[1:3]])  # ghost via wrap (node nx == node 0)
-        d = np.diff(fp, axis=0)
-        half = 0.5 * _minmod(d[:-1], d[1:])
-        # upwind face values; face k sits between nodes k-1 and k
-        face = np.where(pos, fp[1:nxp1 + 2] + half[0:nxp1 + 1],
-                        fp[2:nxp1 + 3] - half[1:nxp1 + 2])
-        return vs * (face[1:] - face[:-1]) / hx
     m = len(vs) // 2
     d = f[1:] - f[:-1]
     out = _transport_correction(f, vs, hx, d)
@@ -568,8 +560,6 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float) -> li
     dt, hx = grid.dt, grid.hx
     if dt > 0.5 * hx / grid.v_max + 1e-15:
         raise ValueError(f"CFL violation: dt = {dt} > 0.5 hx / v_max = {0.5 * hx / grid.v_max}")
-    if bc.at_x0 != "periodic" and bc.at_xmax is None:
-        raise ValueError("non-periodic runs need Dirichlet data at x_max")
     # the grid's xs and vs properties build new arrays: read them once
     vs, xs = grid.vs, grid.xs[:, None]
     v_walls = vs[[0, -1]]
@@ -579,7 +569,7 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float) -> li
     # station-0 rows prescribed by inflow_profile after every step
     x0_rows = {"inflow": slice(m, None), "dirichlet": slice(None)}.get(bc.at_x0)
     v_in = None if x0_rows is None else vs[x0_rows]
-    noflux = bc.at_vmax == "noflux" or bc.at_vmax is None
+    noflux = bc.at_vmax == "noflux"
     nsteps = int(round(T / dt))
     dt_H = dt * _source_array(h, grid)
 
@@ -593,7 +583,7 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float) -> li
 
     t = 0.0
     for _ in range(nsteps):
-        f = f - dt * _transport_apply(f, vs, hx, bc.at_x0) + dt_H
+        f = f - dt * _transport_apply(f, vs, hx) + dt_H
         t_next = t + dt
         if not noflux:
             f[:, wall_cols] = _data(bc.at_vmax, wall_shape, "at_vmax data", t_next, xs, v_walls)
@@ -602,28 +592,10 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float) -> li
             f[0, m:] = f[0, m - 1::-1]
         # one product for all full stations: each row is a right-hand side
         f[first_full:] = f[first_full:] @ full_T
-        if bc.at_x0 == "periodic":
-            f[-1, :] = f[0, :]
-        else:
-            f[-1, :] = _data(bc.at_xmax, vs.shape, "at_xmax data", t_next, vs)
-            if x0_rows is not None:
-                f[0, x0_rows] = _data(bc.inflow_profile, v_in.shape, "inflow data", t_next, v_in)
+        f[-1, :] = _data(bc.at_xmax, vs.shape, "at_xmax data", t_next, vs)
+        if x0_rows is not None:
+            f[0, x0_rows] = _data(bc.inflow_profile, v_in.shape, "inflow data", t_next, v_in)
         t = t_next
     final = Field(grid, f.copy(), dict(f0.metadata, t=t))
     final.check_finite()
     return [initial, final]
-
-
-def v_marginal_moments(fld: Field, periodic: bool = False):
-    """(mass, mean, variance) of the v-marginal, trapezoid in x."""
-    g = fld.grid
-    w = np.full(g.nx + 1, g.hx)
-    if periodic:
-        w[-1] = 0.0
-    else:
-        w[0] = w[-1] = 0.5 * g.hx
-    rho = (fld.values * w[:, None]).sum(axis=0) * g.hv
-    mass = rho.sum()
-    mean = (rho * g.vs).sum() / mass
-    var = (rho * (g.vs - mean) ** 2).sum() / mass
-    return mass, mean, var

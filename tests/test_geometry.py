@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -290,44 +288,41 @@ def test_group_ops_reject_non_finite_and_bad_rows():
 # The bisection kinetic_distance ran for n = 1 before the closed form:
 # halve [lo, hi] until it is tol wide, deciding each level by an interval
 # test in the slide velocity w. Kept as the reference the closed form must
-# match within 2 * tol.
+# match within 2 * tol, run on all lanes at once: rows z1, z2 of (t, x, v)
+# and tol a number or one per lane. Each lane runs the steps of the
+# one-point bisection, except that numpy's power may round differently
+# from Python's in the last bit, which moves the result far less than tol.
 
 def _ref_feasible_1d(r, z1, z2):
-    dt = z1.t - z2.t
-    if abs(dt) > r * r:
-        return False
-    dx = z1.x[0] - z2.x[0]
-    lo = max(z1.v[0] - r, z2.v[0] - r)
-    hi = min(z1.v[0] + r, z2.v[0] + r)
-    if lo > hi:
-        return False
-    if dt == 0.0:
-        return abs(dx) <= r ** 3
-    # |dx - dt*w| <= r^3 is an interval in w
-    wlo = (dx - r ** 3) / dt
-    whi = (dx + r ** 3) / dt
-    if wlo > whi:
-        wlo, whi = whi, wlo
-    return max(lo, wlo) <= min(hi, whi)
+    dt = z1[:, 0] - z2[:, 0]
+    dx = z1[:, 1] - z2[:, 1]
+    lo = np.maximum(z1[:, 2] - r, z2[:, 2] - r)
+    hi = np.minimum(z1[:, 2] + r, z2[:, 2] + r)
+    # |dx - dt*w| <= r^3 is an interval in w (where dt != 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wlo = (dx - r ** 3) / dt
+        whi = (dx + r ** 3) / dt
+    slide = np.maximum(lo, np.minimum(wlo, whi)) <= np.minimum(hi, np.maximum(wlo, whi))
+    return (np.abs(dt) <= r * r) & (lo <= hi) & np.where(dt == 0.0, np.abs(dx) <= r ** 3, slide)
 
 
 def _ref_distance_1d(z1, z2, tol):
-    if z1 == z2:
-        return 0.0
-    dt = z1.t - z2.t
-    dv = abs(z1.v[0] - z2.v[0])
-    dxv2 = abs(z1.x[0] - z2.x[0] - dt * z2.v[0])
-    hi = max(math.sqrt(abs(dt)), dxv2 ** (1.0 / 3.0), dv) + tol  # w = v2 is feasible
-    lo = max(math.sqrt(abs(dt)), dv / 2.0)
-    if lo > 0 and _ref_feasible_1d(lo, z1, z2):
-        return lo
-    while hi - lo > tol:
+    dt = z1[:, 0] - z2[:, 0]
+    dv = np.abs(z1[:, 2] - z2[:, 2])
+    dxv2 = np.abs(z1[:, 1] - z2[:, 1] - dt * z2[:, 2])
+    hi = np.maximum(np.maximum(np.sqrt(np.abs(dt)), dxv2 ** (1.0 / 3.0)), dv) + tol  # w = v2 is feasible
+    lo = np.maximum(np.sqrt(np.abs(dt)), dv / 2.0)
+    at_lo = (lo > 0) & _ref_feasible_1d(lo, z1, z2)
+    while True:
+        open_ = ~at_lo & (hi - lo > tol)
+        if not open_.any():
+            break
         mid = 0.5 * (lo + hi)
-        if _ref_feasible_1d(mid, z1, z2):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        feasible = _ref_feasible_1d(mid, z1, z2)
+        hi = np.where(open_ & feasible, mid, hi)
+        lo = np.where(open_ & ~feasible, mid, lo)
+    d = np.where(at_lo, lo, 0.5 * (lo + hi))
+    return np.where((z1 == z2).all(axis=1), 0.0, d)
 
 
 def _distance_corpus(count=20_000):
@@ -352,7 +347,7 @@ def test_closed_form_distance_matches_bisection():
     a, b = _distance_corpus()
     d = kinetic_distance(a, b)
     assert d.shape == (len(a),)
-    ref = np.array([_ref_distance_1d(p, q, tol) for p, q in zip(_points(a), _points(b))])
+    ref = _ref_distance_1d(a, b, tol)
     assert np.max(np.abs(d - ref)) <= 2 * tol
     k = len(a) // 10
     assert np.all(d[k:2 * k] == 0.0)
@@ -368,7 +363,7 @@ def test_closed_form_distance_over_magnitudes():
     # and |dt|^3 underflow or overflow; d scales by m
     tol = 1e-13
     a, b = _distance_corpus(2000)
-    ref = np.array([_ref_distance_1d(p, q, tol) for p, q in zip(_points(a), _points(b))])
+    ref = _ref_distance_1d(a, b, tol)
     rng = np.random.default_rng(1415)
     pow2 = np.ldexp(1.0, rng.integers(-330, 331, len(a)))
     anym = 10.0 ** rng.uniform(-100.0, 100.0, len(a))
@@ -403,8 +398,7 @@ def test_distance_where_q_overflows():
     s = np.array([lam * lam, lam ** 3, lam])
     ds = kinetic_distance(a[:100] * s, b[:100] * s)
     assert np.array_equal(d[:100] * lam, ds)
-    ref = np.array([_ref_distance_1d(p, q, 1e-13 * r)
-                    for p, q, r in zip(_points(a[:100] * s), _points(b[:100] * s), ds)])
+    ref = _ref_distance_1d(a[:100] * s, b[:100] * s, 1e-13 * ds)
     assert np.all(np.abs(ds - ref) <= 2e-13 * ds)
     assert np.all(d[:100] > np.sqrt(np.abs(a[:100, 0] - b[:100, 0])))
 

@@ -97,17 +97,9 @@ def test_apply_operator_worked_examples():
     assert apply_operator(op, txv2) == want2
 
 
-def test_apply_operator_lower_order_terms():
-    op = OperatorSpec.make([[1]], b=[2], c=3)
-    v = KineticPolynomial.monomial(1, 1, bv=(1,))
-    # L v = 0 - 0 + 2*1 + 3*v
-    want = KineticPolynomial(1, {mono(1): 2, mono(1, bv=(1,)): 3})
-    assert apply_operator(op, v) == want
-
-
 @pytest.mark.parametrize("n", [1, 2])
 def test_grading_property(n):
-    # b = 0, c = 0 maps P_k into P_{k-2} for every k <= 8, basis by basis
+    # L maps P_k into P_{k-2} for every k <= 8, basis by basis
     op = kolmogorov_operator(n)
     for k in range(9):
         for q in space_basis(full_space(k, n)):
@@ -220,13 +212,6 @@ def test_particular_solve_general():
     assert apply_operator(op, P2) == v
 
 
-def test_particular_solve_general_with_lower_order():
-    op = OperatorSpec.make([[1]], b=[1], c=0)
-    p = KineticPolynomial(1, {mono(1, bv=(2,)): 1})
-    P = particular_solve_general(op, p)
-    assert apply_operator(op, P) == p
-
-
 def _dense_particular(op, p):
     """Reference: one square system over every degree <= deg(p) + 2, then the
     particular solution projected off the nullspace through its Gram matrix."""
@@ -289,17 +274,6 @@ def test_particular_solve_general_degree_6_in_two_dimensions():
         assert apply_operator(op, P) == p
 
 
-def test_particular_solve_general_dense_path_with_zeroth_order_term():
-    for op, p in [
-        (OperatorSpec.make([[1]], c=Fraction(-1, 2)), _mixed_rhs(1, 4, seed=5)),
-        (OperatorSpec.make([[1]], b=[Fraction(1, 2)]), _mixed_rhs(1, 3, seed=7)),
-        (OperatorSpec.make([[2, 1], [1, 3]], b=[1, 0], c=2), _mixed_rhs(2, 2, seed=6)),
-    ]:
-        P = particular_solve_general(op, p)
-        assert apply_operator(op, P) == p
-        assert P == _dense_particular(op, p)
-
-
 @pytest.mark.parametrize("spec", [full_space(4, 2), specular_space(6, 2)])
 def test_kernel_basis_matches_dense_rref(spec):
     for op in (kolmogorov_operator(2), OperatorSpec.make([[2, 1], [1, 3]])):
@@ -343,11 +317,6 @@ def test_kernel_contains_known_elements():
     target = np.array([float(cand2.coefficient(b)) for b in _all_indices(5, 1)])
     coef, res, *_ = np.linalg.lstsq(M, target, rcond=None)
     assert np.linalg.norm(M @ coef - target) < 1e-10
-
-
-def test_kernel_rejects_lower_order():
-    with pytest.raises(ValueError):
-        kernel_basis(OperatorSpec.make([[1]], b=[1]), full_space(3, 1))
 
 
 def test_json_roundtrip():

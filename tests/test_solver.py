@@ -12,7 +12,6 @@ from kinreg.solver import (
     mirror_extend,
     solve_stationary,
     solve_timedep,
-    v_marginal_moments,
     _doubling_powers,
     _minmod,
     _station_factor,
@@ -61,6 +60,23 @@ def test_bc_validation():
         BoundaryCondition(at_x0="bogus")
     with pytest.raises(ValueError):
         BoundaryCondition(at_x0="inflow")
+
+
+@pytest.mark.parametrize("solve", ["stationary", "timedep"])
+@pytest.mark.parametrize("bad, name", [(dict(at_vmax="no-flux"), "at_vmax"),
+                                       (dict(at_vmax=3.0), "at_vmax"),
+                                       (dict(at_xmax=2.0), "at_xmax"),
+                                       (dict(at_x0="inflow", inflow_profile=1.0), "inflow_profile")])
+def test_bc_rejects_data_that_is_not_callable(bad, name, solve):
+    # rejected when the condition is built, before a solve calls the data
+    g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=16, nv=16, nt=1, dt=0.01)
+    data = dict(at_x0="specular", at_xmax=lambda t, v: 0.0, at_vmax="noflux")
+    with pytest.raises(ValueError, match=name):
+        bc = BoundaryCondition(**{**data, **bad})
+        if solve == "stationary":
+            solve_stationary(None, bc, 1.0, g)
+        else:
+            solve_timedep(Field(g, np.zeros((17, 16))), None, bc, 1.0, T=0.05)
 
 
 def test_constant_recovered_exactly():
@@ -129,7 +145,7 @@ def _direct_first_order(h, bc, A, g):
     I, J = np.meshgrid(np.arange(nxp1), np.arange(nv), indexing="ij")
     X, V = np.meshgrid(g.xs, g.vs, indexing="ij")
     a, k = np.abs(V) / g.hx, A / g.hv ** 2
-    noflux = bc.at_vmax in (None, "noflux")
+    noflux = bc.at_vmax == "noflux"
     edge_v = (J == 0) | (J == nv - 1)
 
     xmax = I == nxp1 - 1
@@ -409,38 +425,24 @@ def test_timedep_constant_preserved():
 
 
 def test_timedep_gaussian_variance_growth():
-    A = 0.7
+    # an x-independent Gaussian solves f_t = A f_vv: its variance grows by 2 A t
+    A, s0 = 0.7, 0.25
+    gauss = lambda t, v: np.sqrt(s0 / (s0 + 2 * A * t)) * np.exp(-v * v / (2 * (s0 + 2 * A * t)))
     g = HalfStripGrid(x_max=1.0, v_max=6.0, nx=32, nv=128, nt=1, dt=0.25 * (1 / 32) / 6.0)
-    bc = BoundaryCondition(at_x0="periodic", at_vmax="noflux")
-    vals = np.array([[math.exp(-v * v / 0.5) for v in g.vs] for x in g.xs])
-    f0 = Field(g, vals)
+    bc = BoundaryCondition(at_x0="specular", at_xmax=gauss, at_vmax="noflux")
+    f0 = Field(g, np.tile(gauss(0.0, g.vs), (g.nx + 1, 1)))
     nsteps = 100
     T = nsteps * g.dt
     traj = solve_timedep(f0, None, bc, A, T=T)
-    m0, _, var0 = v_marginal_moments(traj[0], periodic=True)
-    m1, _, var1 = v_marginal_moments(traj[-1], periodic=True)
+    moments = []
+    for fld in traj:
+        rho = fld.values[0] * g.hv   # station 0
+        mass = rho.sum()
+        mean = (rho * g.vs).sum() / mass
+        moments.append((mass, (rho * (g.vs - mean) ** 2).sum() / mass))
+    (m0, var0), (m1, var1) = moments
     assert abs(m1 - m0) <= 1e-12 * m0
     assert var1 - var0 == pytest.approx(2 * A * T, rel=0.01)
-
-
-def test_periodic_transport_matches_station_loop():
-    # reference: the face values of each station built one at a time
-    g = HalfStripGrid(x_max=1.0, v_max=2.0, nx=16, nv=16)
-    rng = np.random.default_rng(3)
-    f = rng.standard_normal((17, 16))
-    f[-1] = f[0]
-    vs, hx, pos = g.vs, g.hx, g.vs > 0
-    fp = np.vstack([f[-3:-1], f, f[1:3]])
-    d = np.diff(fp, axis=0)
-    ref = np.zeros_like(f)
-    for i in range(17):
-        ip = i + 2
-        fhat_r = np.where(pos, fp[ip] + 0.5 * _minmod(d[ip - 1], d[ip]),
-                          fp[ip + 1] - 0.5 * _minmod(d[ip], d[ip + 1]))
-        fhat_l = np.where(pos, fp[ip - 1] + 0.5 * _minmod(d[ip - 2], d[ip - 1]),
-                          fp[ip] - 0.5 * _minmod(d[ip - 1], d[ip]))
-        ref[i] = vs * (fhat_r - fhat_l) / hx
-    assert np.array_equal(_transport_apply(f, vs, hx, "periodic"), ref)
 
 
 def test_timedep_long_time_matches_stationary():
@@ -505,9 +507,8 @@ def test_timedep_rejects_bad_input():
                                  at_vmax=lambda t, x, v: math.nan if t > 0.02 else 0.0)
     with pytest.raises(ValueError, match="at_vmax"):
         solve_timedep(f0, None, nan_wall, 1.0, T=0.05)
-    no_xmax = BoundaryCondition(at_x0="specular", at_vmax="noflux")
     with pytest.raises(ValueError, match="x_max"):
-        solve_timedep(f0, None, no_xmax, 1.0, T=0.05)
+        BoundaryCondition(at_x0="specular", at_vmax="noflux")
     for A in (-1.0, 0.0, math.nan, math.inf):   # as solve_stationary: no anti-diffusion
         with pytest.raises(ValueError, match="diffusion A"):
             solve_timedep(f0, None, bc, A, T=0.05)
@@ -699,16 +700,8 @@ def _correction_full_width(f, vs, hx):
     return corr
 
 
-def _transport_full_width(f, vs, hx, bc_mode):
-    nxp1 = f.shape[0]
+def _transport_full_width(f, vs, hx):
     pos = vs > 0
-    if bc_mode == "periodic":
-        fp = np.vstack([f[-3:-1], f, f[1:3]])
-        d = np.diff(fp, axis=0)
-        half = 0.5 * _minmod_where(d[:-1], d[1:])
-        face = np.where(pos, fp[1:nxp1 + 2] + half[0:nxp1 + 1],
-                        fp[2:nxp1 + 3] - half[1:nxp1 + 2])
-        return vs * (face[1:] - face[:-1]) / hx
     d = np.diff(f, axis=0)
     first = np.zeros_like(f)
     first[1:, pos] = vs[pos] * d[:, pos] / hx
@@ -730,12 +723,7 @@ def test_transport_kernels_match_full_width_forms(nx, nv):
         assert np.array_equal(_minmod(d[:-1], d[1:]), _minmod_where(d[:-1], d[1:]))
         assert np.array_equal(_transport_correction(f, g.vs, g.hx),
                               _correction_full_width(f, g.vs, g.hx))
-        for mode in ("inflow", "specular", "periodic"):
-            fm = f.copy()
-            if mode == "periodic":
-                fm[-1] = fm[0]
-            assert np.array_equal(_transport_apply(fm, g.vs, g.hx, mode),
-                                  _transport_full_width(fm, g.vs, g.hx, mode))
+        assert np.array_equal(_transport_apply(f, g.vs, g.hx), _transport_full_width(f, g.vs, g.hx))
 
 
 def test_minmod_signs_and_ties():
