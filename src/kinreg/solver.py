@@ -27,8 +27,12 @@ pass goes through the inverse in one matrix product. What is left, the
 half of the rows that carries fresh values to the next station, is the
 linear recurrence y[i] = known[i] + P y[i-1] with one fixed matrix P per
 pass. A doubling scan solves it on whole arrays: log2(nx) matrix products
-with the powers P, P^2, P^4, ..., which each solve builds once. Only
-numpy is needed.
+with the powers P, P^2, P^4, ..., which each solve builds once. The work
+arrays of a sweep are allocated once per solve too, and every ufunc and
+matrix product of a sweep writes into them, so a sweep allocates nothing
+of field size (fresh arrays of that size cost allocator work, cache misses
+and, past the allocator's mmap threshold, page faults). Only numpy is
+needed.
 
 An IMEX step at the sizes the lab uses (n ~ 24) works on arrays of a few
 hundred entries, so its cost is set by the number of numpy calls, not by
@@ -251,13 +255,17 @@ class Field:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """tol is the stop on the update relative to max(1, max|f|). The update
+    stalls at rounding level, near 1e-16, so tol must be at least 1e-14."""
+
     tol: float = 1e-10
     max_iter: int = 100_000
     order: int = 2
 
     def __post_init__(self):
-        if not 0.0 < self.tol < np.inf:
-            raise ValueError("tol must be positive and finite")
+        if not 1e-14 <= self.tol < np.inf:
+            raise ValueError(f"tol must be finite and at least 1e-14, got {self.tol!r}: "
+                             "the relative update of a sweep stalls near 1e-16")
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.order not in (1, 2):
@@ -270,18 +278,25 @@ class SolverError(RuntimeError):
         self.residual_history = residual_history or []
 
 
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _minmod(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """a clipped to the interval between 0 and b: minmod(a, b) exactly,
     since the result is always a, b or 0. Four ufuncs: np.clip's wrapper
-    costs more, and a sign times the smaller modulus takes twelve."""
-    return np.minimum(np.maximum(a, np.minimum(b, 0.0)), np.maximum(b, 0.0))
+    costs more, and a sign times the smaller modulus takes twelve. The
+    result goes to out, which is returned; tmp is scratch of its shape."""
+    lo = np.minimum(b, 0.0, out=out)
+    np.maximum(a, lo, out=lo)
+    return np.minimum(lo, np.maximum(b, 0.0, out=tmp), out=lo)
 
 
-def _transport_correction(f: np.ndarray, vs: np.ndarray, hx: float,
-                          d: np.ndarray | None = None) -> np.ndarray:
+def _transport_correction(f: np.ndarray, vs: np.ndarray, hx: float, d: np.ndarray,
+                          tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Deferred correction lifting first-order upwind to limited second
-    order: corr[i, j] such that v df/dx ~ v (f_i - f_upwind)/hx + corr.
-    d is f[1:] - f[:-1] if the caller already has it.
+    order: corr[i, j] such that v df/dx ~ v (f_i - f_upwind)/hx + corr,
+    written into out, which is returned.
+
+    The work arrays are the caller's, so a call allocates nothing of field
+    size: d holds f[1:] - f[:-1] on entry and the slopes on return, and tmp
+    is a (2, len(f) - 2, nv) array of scratch for the minmod.
 
     The mirror extension of a specular solution generically has an
     x-derivative kink at the wall (the extended source is discontinuous),
@@ -292,28 +307,23 @@ def _transport_correction(f: np.ndarray, vs: np.ndarray, hx: float,
     v < 0 columns are the first half and the v > 0 columns the second.
     """
     m = len(vs) // 2
-    if d is None:
-        d = f[1:] - f[:-1]  # d[i] = f[i+1] - f[i]
-    # slope[k]: the half-slope that face k+1/2 adds to the value of its
-    # upwind station, k for v > 0 and k+1 for v < 0 (there with a minus
-    # sign). It is the minmod of the station's two differences, except at
-    # the faces next to the inflow node and next to x_max: those are
-    # centered.
-    mm = _minmod(d[:-1], d[1:])
-    slope = np.empty_like(d)
-    slope[1:, m:] = mm[:, m:]
-    slope[0, m:] = d[0, m:]
-    slope[:-1, :m] = mm[:, :m]
-    slope[-1, :m] = d[-1, :m]
-    slope *= np.copysign(0.5, vs)
-    corr = np.empty_like(f)
-    np.subtract(slope[1:], slope[:-1], out=corr[1:-1])
-    corr[1:-1] *= vs / hx
-    corr[-1] = 0.0
-    corr[0, m:] = 0.0
+    # slope[k], formed in place in d: the half-slope that face k+1/2 adds
+    # to the value of its upwind station, k for v > 0 and k+1 for v < 0
+    # (there with a minus sign). It is the minmod of the station's two
+    # differences, except at the faces next to the inflow node and next to
+    # x_max: those are centered, and are the rows of d that the minmod
+    # rows leave as they are.
+    mm = _minmod(d[:-1], d[1:], *tmp)
+    d[1:, m:] = mm[:, m:]
+    d[:-1, :m] = mm[:, :m]
+    d *= np.copysign(0.5, vs)
+    np.subtract(d[1:], d[:-1], out=out[1:-1])
+    out[1:-1] *= vs / hx
+    out[-1] = 0.0
+    out[0, m:] = 0.0
     # one-sided second-order correction at the outflow station
-    corr[0, :m] = -(vs[:m] / (2.0 * hx)) * (f[0, :m] - 2.0 * f[1, :m] + f[2, :m])
-    return corr
+    out[0, :m] = -(vs[:m] / (2.0 * hx)) * (f[0, :m] - 2.0 * f[1, :m] + f[2, :m])
+    return out
 
 
 def _finite(values, what: str) -> np.ndarray:
@@ -400,20 +410,22 @@ def _doubling_powers(P: np.ndarray, rows: int) -> list[np.ndarray]:
     return powers
 
 
-def _upwind_scan(known: np.ndarray, carry: np.ndarray, powers: list[np.ndarray]) -> np.ndarray:
+def _upwind_scan(y: np.ndarray, carry: np.ndarray, powers: list[np.ndarray],
+                 tmp: np.ndarray) -> np.ndarray:
     """The rows y[i] = known[i] + P y[i-1], i = 0 .. len(known) - 1, with
-    y[-1] = carry and powers = _doubling_powers(P, len(known)).
+    y[-1] = carry and powers = _doubling_powers(P, len(known)), in place:
+    y holds known on entry and is returned. tmp is scratch of y's shape.
 
     A doubling (Hillis-Steele) scan: once the carry is folded into row 0,
     y[i] = sum over j <= i of P^(i-j) known[j]. After the step with P^s,
     every row holds the terms with i - j < 2s, so log2(len(known)) matrix
     products over all rows replace the loop over stations.
     """
-    y = known.copy()
     y[0] += powers[0] @ carry
     s = 1
     for Ps in powers:
-        y[s:] += y[:-s] @ Ps.T
+        later = y[s:]  # one view as input and output: numpy skips its overlap check
+        np.add(later, np.matmul(y[:-s], Ps.T, out=tmp[s:]), out=later)
         s *= 2
     return y
 
@@ -468,10 +480,21 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
     pos_powers = _doubling_powers(interior[m:, m:] * apos[m:], nxp1 - 2)
     neg_powers = _doubling_powers(neg_to_neg, nxp1 - 2)
 
+    # Work arrays, allocated once per solve: a sweep writes every ufunc and
+    # product into them and allocates nothing of field size. d and tmp are
+    # the correction's; each pass then sums its right-hand side in tmp[0]
+    # and runs its scan in the two halves of the other, viewed as a pair of
+    # (nx - 1, nv / 2) arrays.
+    f_old, R = np.empty_like(f), np.empty_like(f)
+    d, tmp = np.empty((nxp1 - 1, nv)), np.empty((2, nxp1 - 2, nv))
     history = []
     for sweep in range(opts.max_iter):
-        f_old = f.copy()
-        R = H - _transport_correction(f, vs, hx) if opts.order == 2 else H.copy()
+        np.copyto(f_old, f)
+        if opts.order == 2:
+            np.subtract(f[1:], f[:-1], out=d)
+            np.subtract(H, _transport_correction(f, vs, hx, d, tmp, out=R), out=R)
+        else:
+            np.copyto(R, H)
         if walls is not None:
             R[:, wall_cols] = walls
 
@@ -490,15 +513,23 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
         # The forward pass gives the v > 0 rows fresh upstream values. The
         # backward pass overwrites every row, and reads only the v > 0 rows
         # of the forward pass, so the forward pass solves only those.
-        known = (R[1:-1] + aneg * f[2:]) @ interior[m:].T
-        f[1:-1, m:] = _upwind_scan(known, f[0, m:], pos_powers)
+        rhs = np.multiply(aneg, f[2:], out=tmp[0])
+        np.add(R[1:-1], rhs, out=rhs)
+        y, scratch = tmp[1].reshape(2, nxp1 - 2, m)
+        np.matmul(rhs, interior[m:].T, out=y)
+        f[1:-1, m:] = _upwind_scan(y, f[0, m:], pos_powers, scratch)
         # the backward pass gives the v < 0 rows fresh downstream values
-        known = (R[1:-1] + apos * f[:-2]) @ interior.T
-        f[-2:0:-1, :m] = _upwind_scan(known[::-1, :m], f[-1, :m], neg_powers)
-        f[1:-1, m:] = known[:, m:] + f[2:, :m] @ neg_to_pos.T
+        np.multiply(apos, f[:-2], out=rhs)
+        np.add(R[1:-1], rhs, out=rhs)
+        known = np.matmul(rhs, interior.T, out=tmp[1])
+        y, scratch = tmp[0].reshape(2, nxp1 - 2, m)
+        np.copyto(y, known[::-1, :m])
+        f[-2:0:-1, :m] = _upwind_scan(y, f[-1, :m], neg_powers, scratch)
+        np.add(known[:, m:], np.matmul(f[2:, :m], neg_to_pos.T, out=scratch), out=f[1:-1, m:])
 
-        delta = float(np.max(np.abs(f - f_old)))
-        scale = max(1.0, float(np.max(np.abs(f))))
+        # the update norm and the scale reuse f_old, which the next sweep refills
+        delta = float(np.max(np.abs(np.subtract(f, f_old, out=f_old), out=f_old)))
+        scale = max(1.0, float(np.max(np.abs(f, out=f_old))))
         history.append(delta / scale)
         if not np.isfinite(delta):
             raise SolverError("stationary sweep produced non-finite values", history)
@@ -529,14 +560,17 @@ def mirror_extend(fld: Field) -> Field:
     return Field(full, vals, dict(fld.metadata, extended=True))
 
 
-def _transport_apply(f, vs, hx):
-    """Full second-order limited transport operator v df/dx (explicit)."""
+def _transport_apply(f, vs, hx, d, tmp, out):
+    """Full second-order limited transport operator v df/dx (explicit),
+    written into out, with the work arrays d and tmp of
+    _transport_correction."""
     m = len(vs) // 2
-    d = f[1:] - f[:-1]
-    out = _transport_correction(f, vs, hx, d)
+    np.subtract(f[1:], f[:-1], out=d)
     # the first-order upwind difference, one-sided at the rows where the
-    # upwind node lies outside: v > 0 at station 0, v < 0 at station nx
+    # upwind node lies outside: v > 0 at station 0, v < 0 at station nx.
+    # It is formed before the correction turns d into slopes.
     first = vs * d / hx
+    _transport_correction(f, vs, hx, d, tmp, out)
     out[1:, m:] += first[:, m:]
     out[0, m:] += first[0, m:]
     out[:-1, :m] += first[:, :m]
@@ -581,9 +615,11 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float) -> li
     fold = _station_factor(np.ones(m), c, noflux, "fold") if bc.at_x0 == "specular" else None
     first_full = 0 if fold is None else 1
 
+    # d, tmp and out of _transport_apply, allocated once per run
+    work = np.empty((grid.nx, grid.nv)), np.empty((2, grid.nx - 1, grid.nv)), np.empty_like(f)
     t = 0.0
     for _ in range(nsteps):
-        f = f - dt * _transport_apply(f, vs, hx) + dt_H
+        f = f - dt * _transport_apply(f, vs, hx, *work) + dt_H
         t_next = t + dt
         if not noflux:
             f[:, wall_cols] = _data(bc.at_vmax, wall_shape, "at_vmax data", t_next, xs, v_walls)

@@ -64,7 +64,7 @@ def test_solve_kfp_bad_convergence_is_config_error(capsys):
                                   ["--v-max", "inf"], ["--x-max", "-1"],
                                   ["--convergence", "8,16"], ["--nx", "17", "--nv", "17"],
                                   ["--nv", "8"], ["--tol", "nan"], ["--tol", "0"],
-                                  ["--source", "bogus"]])
+                                  ["--source", "bogus"], ["--tol", "1e-30"]])
 def test_solve_kfp_bad_input_is_config_error(argv, capsys):
     # checked before the first solve: exit 2 with a message, no traceback
     assert run_main(["solve-kfp", "--nx", "16", "--nv", "16", *argv]) == 2

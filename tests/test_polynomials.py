@@ -212,18 +212,27 @@ def test_particular_solve_general():
     assert apply_operator(op, P2) == v
 
 
-def _dense_particular(op, p):
-    """Reference: one square system over every degree <= deg(p) + 2, then the
-    particular solution projected off the nullspace through its Gram matrix."""
-    idx = _all_indices(int(p.degree()) + 2, p.n)
-    M = _operator_matrix(op, [KineticPolynomial(p.n, {b: 1}) for b in idx], idx)
-    x, null = solve_rational(M, [p.coefficient(b) for b in idx])
-    assert x is not None
-    if null:
-        G = [[sum(a * b for a, b in zip(u, w)) for w in null] for u in null]
-        coef, _ = solve_rational(G, [sum(a * b for a, b in zip(u, x)) for u in null])
-        x = [xj - sum(c * u[j] for c, u in zip(coef, null)) for j, xj in enumerate(x)]
-    return KineticPolynomial(p.n, dict(zip(idx, x)))
+def _dense_particular(op, n, deg):
+    """Reference for right-hand sides of degree deg: one square system over
+    every degree <= deg + 2, then the particular solution projected off the
+    nullspace through its Gram matrix. The system, its nullspace and the
+    Gram matrix depend on (op, deg) alone, so they are built once; returns
+    the solve for one right-hand side p."""
+    idx = _all_indices(deg + 2, n)
+    M = _operator_matrix(op, [KineticPolynomial(n, {b: 1}) for b in idx], idx)
+    _, null = solve_rational(M, [Fraction(0)] * len(idx))
+    G = [[sum(a * b for a, b in zip(u, w)) for w in null] for u in null]
+
+    def solve(p):
+        assert p.degree() == deg
+        x, _ = solve_rational(M, [p.coefficient(b) for b in idx])
+        assert x is not None
+        if null:
+            coef, _ = solve_rational(G, [sum(a * b for a, b in zip(u, x)) for u in null])
+            x = [xj - sum(c * u[j] for c, u in zip(coef, null)) for j, xj in enumerate(x)]
+        return KineticPolynomial(n, dict(zip(idx, x)))
+
+    return solve
 
 
 def _dense_kernel(op, spec):
@@ -255,11 +264,12 @@ def _mixed_rhs(n, k, seed, nterms=6):
 def test_particular_solve_general_matches_dense_min_norm(a, k):
     op = OperatorSpec.make(a)
     n = op.n
+    dense_particular = _dense_particular(op, n, k)
     for seed in range(3):
         p = _mixed_rhs(n, k, seed)
         assert len(p.homogeneous_components()) > 1
         P = particular_solve_general(op, p)
-        assert P == _dense_particular(op, p)
+        assert P == dense_particular(p)
         assert apply_operator(op, P) == p
         # minimum norm: orthogonal to the kernel of L on the solution space
         for q in kernel_basis(op, full_space(k + 2, n)):

@@ -1,4 +1,5 @@
 import math
+import resource
 
 import numpy as np
 import pytest
@@ -48,11 +49,13 @@ def test_grid_validation():
 
 @pytest.mark.parametrize("bad", [dict(tol=math.nan), dict(tol=0.0), dict(tol=-1e-10),
                                  dict(tol=math.inf), dict(max_iter=0), dict(order=3),
-                                 dict(max_iter=math.nan), dict(max_iter=2.5)])
+                                 dict(max_iter=math.nan), dict(max_iter=2.5),
+                                 dict(tol=1e-30)])
 def test_solver_options_validation(bad):
     with pytest.raises(ValueError):
         SolverOptions(**bad)
     assert SolverOptions(max_iter=np.int64(5)).max_iter == 5
+    assert SolverOptions(tol=1e-14).tol == 1e-14
 
 
 def test_bc_validation():
@@ -669,8 +672,11 @@ def test_upwind_scan_matches_station_loop(nx, nv, noflux):
         ref[i, m:] = known[i - 1, m:] + pos_to_pos @ ref[i - 1, m:]
     for i in range(nx - 1, 0, -1):
         ref[i, :m] = known[i - 1, :m] + neg_to_neg @ ref[i + 1, :m]
-    forward = _upwind_scan(known[:, m:], f[0, m:], _doubling_powers(pos_to_pos, nx - 1))
-    backward = _upwind_scan(known[::-1, :m], f[-1, :m], _doubling_powers(neg_to_neg, nx - 1))
+    scratch = np.full((nx - 1, nv - m), np.nan)
+    forward = _upwind_scan(known[:, m:].copy(), f[0, m:], _doubling_powers(pos_to_pos, nx - 1),
+                           scratch)
+    backward = _upwind_scan(known[::-1, :m].copy(), f[-1, :m],
+                            _doubling_powers(neg_to_neg, nx - 1), scratch)
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(forward - ref[1:-1, m:])) <= 1e-14 * scale
     assert np.max(np.abs(backward[::-1] - ref[1:-1, :m])) <= 1e-14 * scale
@@ -711,6 +717,14 @@ def _transport_full_width(f, vs, hx):
     return first + _correction_full_width(f, vs, hx)
 
 
+def _nan_work(f):
+    """Work arrays for the transport kernels, filled with NaN so that an
+    entry the kernel reads before writing shows in its result."""
+    nxp1, nv = f.shape
+    return (np.full((nxp1 - 1, nv), np.nan), np.full((2, nxp1 - 2, nv), np.nan),
+            np.full((nxp1, nv), np.nan))
+
+
 @pytest.mark.parametrize("nx, nv", [(16, 16), (33, 24), (128, 128)])
 def test_transport_kernels_match_full_width_forms(nx, nv):
     g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=nx, nv=nv)
@@ -720,10 +734,14 @@ def test_transport_kernels_match_full_width_forms(nx, nv):
     smooth = rng.standard_normal((nx + 1, nv)).cumsum(axis=0)
     for f in (steps, smooth, np.cumsum(steps, axis=0)):
         d = np.diff(f, axis=0)
-        assert np.array_equal(_minmod(d[:-1], d[1:]), _minmod_where(d[:-1], d[1:]))
-        assert np.array_equal(_transport_correction(f, g.vs, g.hx),
-                              _correction_full_width(f, g.vs, g.hx))
-        assert np.array_equal(_transport_apply(f, g.vs, g.hx), _transport_full_width(f, g.vs, g.hx))
+        assert np.array_equal(_minmod(d[:-1], d[1:], *_nan_work(f)[1]),
+                              _minmod_where(d[:-1], d[1:]))
+        d_work, tmp, out = _nan_work(f)
+        d_work[...] = d
+        assert _transport_correction(f, g.vs, g.hx, d_work, tmp, out) is out
+        assert np.array_equal(out, _correction_full_width(f, g.vs, g.hx))
+        assert np.array_equal(_transport_apply(f, g.vs, g.hx, *_nan_work(f)),
+                              _transport_full_width(f, g.vs, g.hx))
 
 
 def test_minmod_signs_and_ties():
@@ -734,16 +752,55 @@ def test_minmod_signs_and_ties():
                   0.0, -0.0, -0.0, 2.0, -0.0, -0.0, -2.0])
     want = np.array([1.0, -1.0, 2.0, -2.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0,
                      0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(_minmod(a, b), want)
-    assert np.array_equal(_minmod(a, b), _minmod_where(a, b))
+    assert np.array_equal(_minmod(a, b, np.empty_like(a), np.empty_like(a)), want)
+    assert np.array_equal(want, _minmod_where(a, b))
 
 
-def test_sweep_counts_pinned(tricomi_field_64):
-    # the mms_inflow benchmark inputs (acceptance 6) and the Tricomi specular solve
+def _mms_problem():
+    """Source and in-flow data of the manufactured solution x^3 + v^6: the
+    inputs of acceptance 6 and of the mms_inflow benchmark."""
     fstar = lambda x, v: x ** 3 + v ** 6
     h = lambda x, v: 3 * x * x * v - 30.0 * v ** 4
     bc = BoundaryCondition(at_x0="inflow", inflow_profile=lambda t, v: fstar(0.0, v),
                            at_xmax=lambda t, v: fstar(1.0, v), at_vmax=lambda t, x, v: fstar(x, v))
+    return h, bc
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def test_stationary_sweep_does_not_allocate():
+    # A field is 132 KB at n = 128 and 526 KB at n = 256, past the
+    # allocator's mmap threshold, so a sweep that allocated arrays of field
+    # size would pay page faults for them.
+    h, bc = _mms_problem()
+    g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=128, nv=128)
+    before = _minor_faults()
+    first = solve_stationary(h, bc, 1.0, g)
+    assert _minor_faults() - before <= 5 * first.metadata["sweeps"]
+    # the result owns its values: a second solve reuses no buffer of the first
+    kept = first.values.copy()
+    assert np.array_equal(solve_stationary(h, bc, 1.0, g).values, kept)
+    assert np.array_equal(first.values, kept)
+
+    # At n = 256 the set-up of a solve alone takes about 14 faults per
+    # sweep of a full solve, so count the faults that 40 more sweeps add.
+    g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=256, nv=256)
+
+    def capped(sweeps):
+        before = _minor_faults()
+        with pytest.raises(SolverError):
+            solve_stationary(h, bc, 1.0, g, SolverOptions(max_iter=sweeps))
+        return _minor_faults() - before
+
+    capped(1)  # the first solve of this size may grow the heap
+    assert capped(41) - capped(1) <= 5 * 40
+
+
+def test_sweep_counts_pinned(tricomi_field_64):
+    # the mms_inflow benchmark inputs (acceptance 6) and the Tricomi specular solve
+    h, bc = _mms_problem()
     for n, sweeps in ((64, 126), (128, 219)):
         g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=n, nv=n)
         assert solve_stationary(h, bc, 1.0, g).metadata["sweeps"] == sweeps
