@@ -21,8 +21,11 @@ import numpy as np
 from .geometry import KineticPoint
 from .liouville import HalfSpaceRHS, classify, verify_solution
 from .polynomials import KineticPolynomial, full_space, tricomi_augmented_space
-from .probe import (
+# best_approx_error is re-exported: perfbench/tracing.py wraps
+# kinreg.cli.best_approx_error.
+from .probe import (  # noqa: F401
     EXACT_FIT_SENTINEL,
+    _approx_errors,
     best_approx_error,
     exponent_fit,
     gamma0_tricomi_coefficient,
@@ -287,7 +290,7 @@ def run_probe(args) -> int:
                       r_squared=fit.r_squared)
     else:
         rs = sorted(set(radii), reverse=True)
-        errs = [best_approx_error(f, z0, r, spec, seed=args.seed) for r in rs]
+        errs = _approx_errors(f, z0, spec, rs, seed=args.seed)
         report.update(radii=rs, errors=errs, slope=None)
     if args.space == "p5+tricomi" or args.tau:
         if z0.x[0] == 0.0 and z0.v[0] == 0.0:

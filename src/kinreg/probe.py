@@ -142,9 +142,23 @@ def best_approx_error(f: Callable[[KineticPoint], float], z0: KineticPoint,
     for the minimax error, evaluated on a 4x denser residual grid. Upper
     bound up to a dimension-dependent factor; all downstream acceptance
     checks compare ratios, which cancels the factor."""
-    fit = polyfit_on_cylinder(f, z0, r, spec, seed=seed)
-    dense = sample_cylinder(z0, r, 80 * space_dim(spec), seed=seed + 7)
-    return float(np.max(np.abs(field_values(f, dense) - fit.values(dense))))
+    return _approx_errors(f, z0, spec, (r,), seed)[0]
+
+
+def _approx_errors(f: Callable[[KineticPoint], float], z0: KineticPoint,
+                   spec: PolySpaceSpec, radii: Sequence[float], seed: int) -> list[float]:
+    """best_approx_error at every radius, in order. Every fit comes before
+    the first residual, so the field is evaluated on the fit points of
+    each radius in turn, then on the dense points: at the grazing set,
+    radii a power of 2 apart give T the same Kummer arguments on both
+    sets (specfun._taylor keeps the last sums)."""
+    fits = [polyfit_on_cylinder(f, z0, r, spec, seed=seed) for r in radii]
+    count = 80 * space_dim(spec)
+    errs = []
+    for fit in fits:
+        dense = sample_cylinder(z0, fit.r, count, seed=seed + 7)
+        errs.append(float(np.max(np.abs(field_values(f, dense) - fit.values(dense)))))
+    return errs
 
 
 @dataclass
@@ -171,7 +185,7 @@ def exponent_fit(f: Callable[[KineticPoint], float], z0: KineticPoint,
     radii = tuple(sorted(set(float(r) for r in radii), reverse=True))
     if len(radii) < 4:
         raise ValueError("need at least 4 radii")
-    errs = [best_approx_error(f, z0, r, spec, seed=seed) for r in radii]
+    errs = _approx_errors(f, z0, spec, radii, seed)
     scale = float(np.max(np.abs(field_values(f, sample_cylinder(z0, radii[0], 64, seed=seed)))))
     if all(e <= _EXACT_FIT_FLOOR * max(1.0, scale) for e in errs):
         return ExponentFit(radii, tuple(errs), EXACT_FIT_SENTINEL, -math.inf, 1.0)

@@ -180,9 +180,32 @@ def _ratios(pairs: tuple, width: int) -> np.ndarray:
     return r
 
 
+# The last call of _taylor: (pairs, z bit patterns, (value, err, used)).
+_kept_sums = None
+
+
 def _taylor(pairs: tuple, z):
     """Compensated Taylor sums of M(a;b;z) = sum_k (a)_k z^k / ((b)_k k!)
-    for every (a, b) of pairs at every lane of the 1-D array z.
+    for every (a, b) of pairs at every lane of the 1-D float array z.
+
+    A lane's sums depend on its z alone (_taylor_sums), so the last call is
+    kept: a later call with equal pairs and bit-identical z (signed zeros
+    differ) gets copies of its arrays, and every other call is summed and
+    replaces it. The probes ask for the same arguments at every radius,
+    because the Kummer argument of T is invariant under the kinetic
+    dilation.
+    """
+    global _kept_sums
+    bits = z.view(np.uint64)
+    kept = _kept_sums
+    if kept is None or kept[0] != pairs or not np.array_equal(kept[1], bits):
+        kept = (pairs, bits.copy(), _taylor_sums(pairs, z))
+        _kept_sums = kept
+    return tuple(a.copy() for a in kept[2])
+
+
+def _taylor_sums(pairs: tuple, z):
+    """The sums of _taylor, computed.
 
     A polynomial case (a a nonpositive integer) is summed to degree -a;
     every other lane stops after three consecutive terms below 1e-17 of
@@ -250,7 +273,8 @@ def _taylor_terms(factors, deg):
     # the k additions to S_k
     m = used.max(initial=0) + 1
     S[:, 1:m] += _two_sum(S[:, :m - 1], X[:, 1:m])[1].cumsum(axis=1)
-    floor = 4.0 * _EPS * np.maximum.accumulate(aX[:, :m], axis=1)[lanes, used]
+    # the largest term up to used; max is exact, so masking keeps the bits
+    floor = 4.0 * _EPS * aX[:, :m].max(axis=1, where=np.arange(m) <= used[:, None], initial=0.0)
     err = np.where(poly, floor * (used + 1), 2.0 * aX[lanes, used] + floor * np.sqrt(used + 1.0))
     return poly | stopped | (width >= _SERIES_CAP), S[lanes, used], err, used
 

@@ -221,7 +221,14 @@ def _dense_particular(op, n, deg):
     idx = _all_indices(deg + 2, n)
     M = _operator_matrix(op, [KineticPolynomial(n, {b: 1}) for b in idx], idx)
     _, null = solve_rational(M, [Fraction(0)] * len(idx))
-    G = [[sum(a * b for a, b in zip(u, w)) for w in null] for u in null]
+    # the Gram matrix over each null vector's nonzero support; it is
+    # symmetric, so the upper triangle is summed and mirrored
+    support = [{j: c for j, c in enumerate(u) if c} for u in null]
+    G = [[Fraction(0)] * len(null) for _ in null]
+    for i, su in enumerate(support):
+        for j in range(i, len(null)):
+            sw = support[j]
+            G[i][j] = G[j][i] = sum((c * sw[k] for k, c in su.items() if k in sw), Fraction(0))
 
     def solve(p):
         assert p.degree() == deg

@@ -175,6 +175,33 @@ def test_exponent_fit_exact_sentinel():
     assert ef.slope == EXACT_FIT_SENTINEL
 
 
+def test_exponent_fit_sums_each_kummer_argument_once(monkeypatch):
+    # T's Kummer argument is invariant under the dilation, so with every
+    # fit before the first residual the six fit point sets share one set of
+    # sums, the six dense sets another, and the scale points a third
+    from kinreg import specfun, tricomi
+
+    monkeypatch.setattr(specfun, "_kept_sums", None)
+    monkeypatch.setattr(tricomi, "_last", None)
+    calls = []
+    compute = specfun._taylor_sums
+
+    def counted(pairs, z):
+        calls.append(z.size)
+        return compute(pairs, z)
+
+    monkeypatch.setattr(specfun, "_taylor_sums", counted)
+    exponent_fit(T_FIELD, Z0, full_space(5, 1), RADII)
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("z0", [Z0, KineticPoint(0.0, 0.4, 0.0)])
+def test_exponent_fit_errors_equal_best_approx_error(z0):
+    spec = full_space(5, 1)
+    ef = exponent_fit(T_FIELD, z0, spec, RADII, seed=1)
+    assert list(ef.errors) == [best_approx_error(T_FIELD, z0, r, spec, seed=1) for r in RADII]
+
+
 def test_scaling_covariance():
     # g = f(frame_map(z0, s, .)): error_g(r) = error_f(s r)
     s = 0.5

@@ -20,6 +20,7 @@ from kinreg.specfun import (
     tricomi_u,
     tricomi_u_array,
 )
+from kinreg import tricomi
 from kinreg.tricomi import TricomiParams, eval_tricomi
 
 # golden values frozen from a 40-digit run of tools/freeze_oracles.py
@@ -499,7 +500,95 @@ def test_taylor_work_tracks_terms_used(monkeypatch):
         return out
 
     monkeypatch.setattr(specfun, "_taylor_terms", counting)
+    monkeypatch.setattr(specfun, "_kept_sums", None)
     pts = sample_cylinder(origin(1), 1.0, 1680, seed=7)
     eval_tricomi(TricomiParams(A=1.0), pts[:, 1], pts[:, 2])
     assert count["terms"] > 0
     assert count["cells"] <= 4 * count["terms"]
+
+
+# _taylor keeps its last call. That is only sound because a lane's sums
+# depend on its z alone: a hit must give the bits a fresh sum gives.
+
+@pytest.fixture
+def sums(monkeypatch):
+    """Drop the kept sums and count the calls that compute them."""
+    monkeypatch.setattr(specfun, "_kept_sums", None)
+    calls = []
+    compute = specfun._taylor_sums
+
+    def counted(pairs, z):
+        calls.append(z.size)
+        return compute(pairs, z)
+
+    monkeypatch.setattr(specfun, "_taylor_sums", counted)
+    return calls
+
+
+def test_kept_sums_hit_returns_copies(sums):
+    z = np.array([-3.0, 0.0, 0.5, 12.0])
+    first = specfun._taylor(_U_PAIRS, z)
+    want = [a.copy() for a in first]
+    for a in first:
+        a[...] = 0
+    again = specfun._taylor(_U_PAIRS, z.copy())
+    assert sums == [4]
+    for a, w, k in zip(again, want, specfun._kept_sums[2]):
+        assert np.array_equal(a, w) and np.array_equal(k, w)
+        a[...] = 0
+    assert all(np.array_equal(k, w) for k, w in zip(specfun._kept_sums[2], want))
+
+
+@pytest.mark.parametrize("pairs, z", [
+    (((-5 / 3, 2 / 3),), np.array([-3.0, 0.0, 0.5, 12.0])),  # other pairs
+    (_U_PAIRS, np.array([-3.0, 0.0, 0.5, np.nextafter(12.0, 13.0)])),  # one lane
+    (_U_PAIRS, np.array([-3.0, -0.0, 0.5, 12.0])),  # signed zero
+    (_U_PAIRS, np.array([-3.0, 0.0, 0.5])),  # length
+])
+def test_kept_sums_misses(sums, pairs, z):
+    specfun._taylor(_U_PAIRS, np.array([-3.0, 0.0, 0.5, 12.0]))
+    got = specfun._taylor(pairs, z)
+    assert sums == [4, z.size]
+    for g, w in zip(got, specfun._taylor_sums(pairs, z)):
+        assert np.array_equal(g, w)
+
+
+def _kept_sums_corpus():
+    """Arguments like those of the Taylor core's golden comparisons: |z|
+    up to 700 in random order, signed zeros, repeated lanes and T's
+    arguments on the probe's dilated point sets."""
+    rng = np.random.default_rng(19)
+    z = rng.permutation(np.concatenate([np.linspace(-700.0, 700.0, 1401),
+                                        rng.uniform(-40.0, 40.0, 1000), [0.0, -0.0, 0.0]]))
+    pts = sample_cylinder(origin(1), 1.0, 840, seed=3)
+    return z, pts[:, 1], pts[:, 2]
+
+
+def test_kept_sums_keep_every_bit(sums, monkeypatch):
+    monkeypatch.setattr(tricomi, "_last", None)
+    z, x, v = _kept_sums_corpus()
+    p = TricomiParams(A=1.0)
+    near = z[np.abs(z) <= 60.0]
+    calls = [
+        (kummer_m_array, (0.4, 1.3, z)), (kummer_m_array, (0.4, 1.3, z)),
+        (kummer_m_array, (-5 / 3, 2 / 3, near[near >= -1.0])),
+        (kummer_m_array, (-5 / 3, 2 / 3, near[near >= -1.0])),
+        (specfun.kummer_m_series_array, (-4 / 3, 4 / 3, near)),
+        (tricomi_u_array, (-5 / 3, 2 / 3, near)), (tricomi_u_array, (-5 / 3, 2 / 3, near)),
+        (tricomi_u_array, (-4 / 3, 4 / 3, near)),
+        # T at the dilated points (r^3 x, r v) has the same Kummer arguments
+        (eval_tricomi, (p, x, v)), (eval_tricomi, (p, x / 8.0, v / 2.0)),
+        (eval_tricomi, (p, x / 64.0, v / 4.0)),
+    ]
+    kept = [fn(*args) for fn, args in calls]
+    computed = len(sums)
+    fresh = []
+    for fn, args in calls:
+        specfun._kept_sums = None
+        tricomi._last = None
+        fresh.append(fn(*args))
+    taylor_calls = len(sums) - computed  # the fresh pass sums at every call
+    assert computed == taylor_calls - 4  # the four repeats were answered from kept sums
+    for (fn, _), k, f in zip(calls, kept, fresh):
+        for a, b in zip(*(r if isinstance(r, tuple) else (r,) for r in (k, f))):
+            assert np.array_equal(a, b), fn.__name__

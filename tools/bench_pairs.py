@@ -12,11 +12,14 @@ PYTHONDONTWRITEBYTECODE=1, so both trees compile kinreg from source in
 every process and `setup_s` compares like with like. `--trace1` adds one
 `--trace 1` run of each tree, and one run of the Tier-1 tests
 (`python3 -m pytest -q --continue-on-collection-errors` with
-PYTHONPATH=src) in a fresh copy of each tree.
+PYTHONPATH=src) in a fresh copy of each tree, with the BLAS/OpenMP pools
+at one thread as perfbench/run.py sets them, so a threaded dgemm under
+contention does not decide the wall time.
 
 The results go into the `trace0` (and `trace1`) lists, whose entries
 record the workload, seed and seconds of their run, the `tier1` block
-`{tree: {wall_s, passed, failed}}` (errors count as failed) and the
+`{tree: {wall_s, passed, failed}, "env": {...}}` (errors count as failed;
+`env` names the thread settings of both runs) and the
 `summary_trace0` block of the JSON file at `--out`, in the layout of
 BENCH_12.json: per metric the median, the quartiles and the number of
 pairs in which the change was lower, plus the cases attempted and failed.
@@ -38,6 +41,8 @@ import tempfile
 import time
 
 TREES = ("parent", "change")
+# the thread settings of perfbench/run.py, for the Tier-1 runs
+ONE_THREAD = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def run_fresh(tree_dir: str, cmd: list[str], **env_extra: str) -> subprocess.CompletedProcess:
@@ -66,10 +71,11 @@ def run_once(tree_dir: str, workload: str, seed: int, seconds: float, trace: int
 
 
 def run_tier1(tree_dir: str) -> dict:
-    """The Tier-1 tests on a fresh copy of tree_dir: wall time and counts."""
+    """The Tier-1 tests on a fresh copy of tree_dir, one BLAS/OpenMP
+    thread: wall time and counts."""
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
     start = time.perf_counter()
-    proc = run_fresh(tree_dir, cmd, PYTHONPATH="src")
+    proc = run_fresh(tree_dir, cmd, PYTHONPATH="src", **ONE_THREAD)
     wall = time.perf_counter() - start
     tail = proc.stdout.strip().splitlines()[-1:] or [""]
     # "1 failed, 2 passed, 1 error in 3.0s"; "error" also matches "errors"
@@ -137,7 +143,9 @@ def main(argv: list[str] | None = None) -> int:
     traced = [{"tree": tree, **run_once(dirs[tree], args.workload, args.seed + args.pairs,
                                         args.seconds, 1)}
               for tree in TREES] if args.trace1 else []
-    tier1 = {tree: run_tier1(dirs[tree]) for tree in TREES} if args.trace1 else {}
+    tier1 = {}
+    if args.trace1:
+        tier1 = {**{tree: run_tier1(dirs[tree]) for tree in TREES}, "env": ONE_THREAD}
 
     doc = {}
     if args.out and os.path.exists(args.out):
