@@ -239,11 +239,11 @@ def limit_rhs_p1(d2phi_at_0: Sequence[np.ndarray], alpha: np.ndarray) -> Kinetic
     hess = [np.asarray(H, dtype=float) for H in d2phi_at_0]
     alpha = np.asarray(alpha, dtype=float)
     n = alpha.shape[0]
+    # KineticPolynomial drops the zero coefficients
     terms: dict[MultiIndex, float] = {}
 
     def add(beta: MultiIndex, val: float):
-        if val != 0.0:
-            terms[beta] = terms.get(beta, 0.0) + val
+        terms[beta] = terms.get(beta, 0.0) + val
 
     for k in range(n):
         ex = tuple(1 if m == k else 0 for m in range(n))
@@ -260,23 +260,13 @@ def limit_rhs_p1(d2phi_at_0: Sequence[np.ndarray], alpha: np.ndarray) -> Kinetic
         for k in range(n):
             for i in range(n):
                 w = hess[i][j, k]
-                if w == 0.0:
-                    continue
                 for l in range(n):
-                    cv = -(w * (alpha[i, l] + alpha[l, i]))
-                    if cv == 0.0:
-                        continue
                     bv = [0] * n
                     bv[j] += 1
                     bv[k] += 1
                     bv[l] += 1
-                    add(mono(n, bv=tuple(bv)), cv)
-
-    out = {}
-    for beta, cval in terms.items():
-        if cval != 0.0:
-            out[beta] = cval
-    return KineticPolynomial(n, out)
+                    add(mono(n, bv=tuple(bv)), -(w * (alpha[i, l] + alpha[l, i])))
+    return KineticPolynomial(n, terms)
 
 
 def p1_normal_restriction(p1: KineticPolynomial) -> tuple[float, float]:

@@ -60,11 +60,11 @@ class ClassificationResult:
 
     particular: KineticPolynomial
     tricomi_terms: list[tuple[int, float]] = field(default_factory=list)
-    is_polynomial: bool = True
     A: float = 1.0
 
-    def __post_init__(self):
-        self.is_polynomial = not self.tricomi_terms
+    @property
+    def is_polynomial(self) -> bool:
+        return not self.tricomi_terms
 
     def solution(self):
         """The assembled solution as a callable on (x, v).

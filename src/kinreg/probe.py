@@ -53,8 +53,9 @@ def sample_cylinder(z0: KineticPoint, r: float, count: int, seed: int = 0) -> np
         raise ValueError("sampling implemented for n = 1")
     if not isinstance(count, numbers.Integral) or count < 1:
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
-    if seed < 0:  # the Halton digits of a negative index never end
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    # the Halton digits of a negative index never end
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be >= 0 and an integer, got {seed!r}")
     start = 1 + 1000 * seed
     end = start + 1000 * count
     pts = np.empty((0, 3))
@@ -221,6 +222,8 @@ def gamma0_tricomi_coefficient(f: Callable[[KineticPoint], float],
         raise ValueError("base point must lie on the grazing set (x = 0, v = 0)")
     spec = tricomi_augmented_space(A)
     radii = tuple(sorted(set(float(r) for r in radii), reverse=True))
+    if not radii:
+        raise ValueError("need at least one radius")
     taus = []
     for r in radii:
         fit = polyfit_on_cylinder(f, z0, r, spec, seed=seed)

@@ -78,8 +78,12 @@ class HalfStripGrid:
             raise ValueError("need nx, nv >= 16")
         if self.nv % 2 != 0:
             raise ValueError("nv must be even so that v = 0 is a cell face")
-        if self.nt > 0 and (self.dt is None or not 0.0 < self.dt < np.inf):
-            raise ValueError("time-dependent grid needs finite dt > 0")
+        if not isinstance(self.nt, numbers.Integral) or self.nt < 0:
+            raise ValueError(f"nt must be an integer >= 0, got {self.nt!r}")
+        if self.dt is None and self.nt > 0:
+            raise ValueError("time-dependent grid needs dt")
+        if self.dt is not None and not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
 
     @property
     def hx(self) -> float:
@@ -104,18 +108,18 @@ class BoundaryCondition:
 
     inflow_profile(t, v) supplies the incoming trace (v > 0 at the left
     edge, every v for 'dirichlet') and is needed by those two modes only;
-    at_xmax(t, v) is the Dirichlet profile on the right edge; at_vmax is
-    either a profile (t, x, v) or the string 'noflux'. The callables take a
-    float t and numpy arrays of coordinates (at_vmax gets x as a column and
-    the two wall velocities as a row) and return values that broadcast
-    against them; a scalar return is fine. ValueError at construction if
-    a piece of data the mode needs is not callable.
+    at_xmax(t, v) and at_vmax(t, x, v) are the Dirichlet data on the right
+    edge and on the walls v = +-v_max. The callables take a float t and
+    numpy arrays of coordinates (at_vmax gets x as a column and the two
+    wall velocities as a row) and return values that broadcast against
+    them; a scalar return is fine. ValueError at construction if a piece
+    of data the mode needs is not callable.
     """
 
     at_x0: str = "specular"
     inflow_profile: Callable[[float, np.ndarray], np.ndarray] | None = None
     at_xmax: Callable[[float, np.ndarray], np.ndarray] | None = None
-    at_vmax: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | str = "noflux"
+    at_vmax: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.at_x0 not in ("specular", "inflow", "dirichlet"):
@@ -124,8 +128,9 @@ class BoundaryCondition:
             raise ValueError("inflow/dirichlet modes need a callable inflow_profile")
         if not callable(self.at_xmax):
             raise ValueError("at_xmax must be a callable: the Dirichlet data at x_max")
-        if not (callable(self.at_vmax) or (isinstance(self.at_vmax, str) and self.at_vmax == "noflux")):
-            raise ValueError(f"at_vmax must be 'noflux' or a callable, got {self.at_vmax!r}")
+        if not callable(self.at_vmax):
+            raise ValueError(f"at_vmax must be a callable: the Dirichlet data at v = +-v_max, "
+                             f"got {self.at_vmax!r}")
 
 
 def _knots(x: np.ndarray, k: int) -> np.ndarray:
@@ -372,14 +377,14 @@ def _source_array(h, grid: HalfStripGrid) -> np.ndarray:
     return _finite(H, "source")
 
 
-def _station_factor(diag_base: np.ndarray, c: float, noflux: bool, top: str) -> np.ndarray:
+def _station_factor(diag_base: np.ndarray, c: float, top: str) -> np.ndarray:
     """The dense inverse of one station's v-tridiagonal (diagonal
     diag_base + 2c, off-diagonals -c), so that a station solve is inv @ rhs.
 
-    Row 0 is the v = -v_max wall: a no-flux ghost or a Dirichlet row.
-    top picks the last row: 'wall' (the v = v_max wall, treated like row 0),
-    'fold' (the mirror fold u_m = u_{m-1} at the v = 0 face) or 'open'
-    (the coupling to prescribed rows beyond it goes to the right-hand side).
+    Row 0 is the v = -v_max wall, a Dirichlet row. top picks the last
+    row: 'wall' (the v = v_max wall, treated like row 0), 'fold' (the
+    mirror fold u_m = u_{m-1} at the v = 0 face) or 'open' (the coupling
+    to prescribed rows beyond it goes to the right-hand side).
     A Dirichlet row is a unit row of the matrix and of its inverse; the
     inverse gets it exactly, so a solve returns the wall data bit for bit.
     """
@@ -391,9 +396,6 @@ def _station_factor(diag_base: np.ndarray, c: float, noflux: bool, top: str) -> 
     if top == "fold":
         M[-1, -1] -= c
     walls = [0, n - 1] if top == "wall" else [0]
-    if noflux:
-        M[walls, walls] -= c
-        return np.linalg.inv(M)
     M[walls] = 0.0
     M[walls, walls] = 1.0
     inv = np.linalg.inv(M)
@@ -447,33 +449,29 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
     nxp1, nv = grid.nx + 1, grid.nv
     m = nv // 2
     k = A / grid.hv ** 2
-    noflux = bc.at_vmax == "noflux"
     a = np.abs(vs) / hx
     apos = np.where(vs > 0, a, 0.0)
     aneg = np.where(vs < 0, a, 0.0)
-    interior = _station_factor(a, k, noflux, "wall")
+    interior = _station_factor(a, k, "wall")
 
     # boundary data enter at t = 0 only
     f = np.zeros((nxp1, nv))
     f[-1, :] = _data(bc.at_xmax, (nv,), "at_xmax data", 0.0, vs)
     wall_cols = slice(None, None, nv - 1)  # the columns v_0 and v_{nv-1}
     # at_vmax data on the rows v_0 and v_{nv-1} at every station
-    walls = None if noflux else _data(bc.at_vmax, (nxp1, 2), "at_vmax data",
-                                      0.0, grid.xs[:, None], vs[[0, -1]])
-    if walls is not None:
-        f[:, wall_cols] = walls
-        # wall rows are Dirichlet rows: their right-hand side is the wall value
-        apos[[0, -1]] = aneg[[0, -1]] = 0.0
+    walls = _data(bc.at_vmax, (nxp1, 2), "at_vmax data", 0.0, grid.xs[:, None], vs[[0, -1]])
+    f[:, wall_cols] = walls
+    # wall rows are Dirichlet rows: their right-hand side is the wall value
+    apos[[0, -1]] = aneg[[0, -1]] = 0.0
     if bc.at_x0 == "dirichlet":
         f[0, :] = _data(bc.inflow_profile, (nv,), "inflow data", 0.0, vs)
     elif bc.at_x0 == "inflow":  # v>0 rows prescribed, v<0 block solved one-sided
         g = _data(bc.inflow_profile, (nv - m,), "inflow data", 0.0, vs[m:])
-        station0 = _station_factor(a[:m], k, noflux, "open")
+        station0 = _station_factor(a[:m], k, "open")
         inflow_coupling = k * g[0]
-        if walls is not None:
-            g[-1] = walls[0, 1]
+        g[-1] = walls[0, 1]
     else:
-        station0 = _station_factor(a[:m], k, noflux, "fold")
+        station0 = _station_factor(a[:m], k, "fold")
     # the inverse applied to the upwind coupling: of the v > 0 rows into
     # the v > 0 rows, and of the v < 0 rows into each half
     neg_to_neg, neg_to_pos = np.split(interior[:, :m] * aneg[:m], 2)
@@ -495,8 +493,7 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
             np.subtract(H, _transport_correction(f, vs, hx, d, tmp, out=R), out=R)
         else:
             np.copyto(R, H)
-        if walls is not None:
-            R[:, wall_cols] = walls
+        R[:, wall_cols] = walls
 
         if bc.at_x0 != "dirichlet":
             rhs = R[0, :m] + aneg[:m] * f[1, :m]
@@ -582,16 +579,21 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float) -> li
     """IMEX time stepping up to horizon T: explicit limited transport,
     implicit v-diffusion. Refuses to run when dt violates the CFL bound
     dt <= 0.5 hx / v_max, and raises ValueError on a negative or
-    non-finite T and non-finite source, initial or boundary data. Returns
+    non-finite T, a T that is not a whole number of steps dt (within 1e-9
+    relative), and non-finite source, initial or boundary data. Returns
     [initial slice, final slice]."""
     if not 0.0 < A < np.inf:
         raise ValueError("diffusion A must be positive and finite")
     if not 0.0 <= T < np.inf:
         raise ValueError(f"horizon T must be finite and >= 0, got {T!r}")
     grid = f0.grid
-    if grid.dt is None or not 0.0 < grid.dt < np.inf:
+    if grid.dt is None:
         raise ValueError("grid needs finite dt > 0")
     dt, hx = grid.dt, grid.hx
+    steps = T / dt
+    if not (steps < np.inf and abs(steps - round(steps)) <= 1e-9 * steps):
+        raise ValueError(f"horizon T = {T!r} is not a whole number of steps dt = {dt!r}")
+    nsteps = round(steps)
     if dt > 0.5 * hx / grid.v_max + 1e-15:
         raise ValueError(f"CFL violation: dt = {dt} > 0.5 hx / v_max = {0.5 * hx / grid.v_max}")
     # the grid's xs and vs properties build new arrays: read them once
@@ -603,16 +605,14 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float) -> li
     # station-0 rows prescribed by inflow_profile after every step
     x0_rows = {"inflow": slice(m, None), "dirichlet": slice(None)}.get(bc.at_x0)
     v_in = None if x0_rows is None else vs[x0_rows]
-    noflux = bc.at_vmax == "noflux"
-    nsteps = int(round(T / dt))
     dt_H = dt * _source_array(h, grid)
 
     f = _finite(f0.values, "initial field")
     initial = Field(grid, f.copy(), dict(f0.metadata, t=0.0))
     c = dt * (A / grid.hv ** 2)
-    full_T = _station_factor(np.ones(grid.nv), c, noflux, "wall").T
+    full_T = _station_factor(np.ones(grid.nv), c, "wall").T
     # the specular station 0 diffuses its v<0 block with the mirror fold
-    fold = _station_factor(np.ones(m), c, noflux, "fold") if bc.at_x0 == "specular" else None
+    fold = _station_factor(np.ones(m), c, "fold") if bc.at_x0 == "specular" else None
     first_full = 0 if fold is None else 1
 
     # d, tmp and out of _transport_apply, allocated once per run
@@ -621,8 +621,7 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float) -> li
     for _ in range(nsteps):
         f = f - dt * _transport_apply(f, vs, hx, *work) + dt_H
         t_next = t + dt
-        if not noflux:
-            f[:, wall_cols] = _data(bc.at_vmax, wall_shape, "at_vmax data", t_next, xs, v_walls)
+        f[:, wall_cols] = _data(bc.at_vmax, wall_shape, "at_vmax data", t_next, xs, v_walls)
         if fold is not None:
             f[0, :m] = fold @ f[0, :m]
             f[0, m:] = f[0, m - 1::-1]

@@ -311,7 +311,7 @@ import numpy as np
 import kinreg, kinreg.cli
 from kinreg.solver import BoundaryCondition, Field, HalfStripGrid, solve_stationary, solve_timedep
 g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=16, nv=16, nt=1, dt=0.01)
-bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0)
+bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0, at_vmax=lambda t, x, v: 0.0)
 fld = solve_stationary(lambda x, v: v, bc, 1.0, g)
 solve_timedep(Field(g, np.zeros((17, 16))), None, bc, 1.0, 0.05)
 fld.interpolator().ev(0.5, 0.1)

@@ -92,6 +92,10 @@ def test_sampler_rejects_negative_seed():
                           env=env, timeout=20)
     assert proc.returncode == 1
     assert "ValueError: seed must be >= 0" in proc.stderr
+    # a fractional seed would start the scan at a fractional Halton index
+    for seed in (0.5, np.nan):
+        with pytest.raises(ValueError, match="seed must be"):
+            sample_cylinder(Z0, 1.0, 4, seed=seed)
 
 
 @pytest.mark.parametrize("seed, rows", [
@@ -206,6 +210,7 @@ def test_scaling_covariance():
     # g = f(frame_map(z0, s, .)): error_g(r) = error_f(s r)
     s = 0.5
     g = lambda z: T_FIELD(frame_map(Z0, s, z))
+    g.values = lambda pts: T_FIELD.values(frame_map(Z0, s, pts))
     for r in (0.5, 0.25):
         eg = best_approx_error(g, Z0, r, full_space(5, 1), seed=2)
         ef = best_approx_error(T_FIELD, Z0, s * r, full_space(5, 1), seed=2)
@@ -242,6 +247,8 @@ def test_tau_zero_for_polynomial():
 def test_tau_requires_grazing_point():
     with pytest.raises(ValueError):
         gamma0_tricomi_coefficient(T_FIELD, KineticPoint(0, 0.5, 0), 1.0, [0.5, 0.25])
+    with pytest.raises(ValueError, match="radius"):
+        gamma0_tricomi_coefficient(T_FIELD, Z0, 1.0, [])
 
 
 # ---------------------------------------------------------------------------

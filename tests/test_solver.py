@@ -38,7 +38,8 @@ def test_grid_validation():
     for bad in (dict(x_max=math.nan), dict(x_max=math.inf), dict(x_max=-1.0),
                 dict(x_max=1.0, x_min=1.0), dict(x_min=-math.inf), dict(v_max=math.nan),
                 dict(v_max=math.inf), dict(v_max=0.0), dict(nt=1, dt=math.nan),
-                dict(nt=1, dt=math.inf), dict(nx=16.5), dict(nv=32.0)):
+                dict(nt=1, dt=math.inf), dict(nx=16.5), dict(nv=32.0), dict(dt=math.nan),
+                dict(dt=-1.0), dict(nt=-1), dict(nt=1.5, dt=0.01)):
         with pytest.raises(ValueError):
             HalfStripGrid(**{"x_max": 1.0, "v_max": 1.0, "nx": 32, "nv": 32, **bad})
     assert HalfStripGrid(x_max=1, v_max=1, nx=np.int64(32), nv=np.int32(16)).nv == 16
@@ -69,13 +70,16 @@ def test_bc_validation():
 @pytest.mark.parametrize("bad, name", [(dict(at_vmax="no-flux"), "at_vmax"),
                                        (dict(at_vmax=3.0), "at_vmax"),
                                        (dict(at_xmax=2.0), "at_xmax"),
-                                       (dict(at_x0="inflow", inflow_profile=1.0), "inflow_profile")])
+                                       (dict(at_x0="inflow", inflow_profile=1.0), "inflow_profile"),
+                                       (dict(at_vmax="noflux"), "at_vmax"),
+                                       (dict(at_vmax=None), "at_vmax")])
 def test_bc_rejects_data_that_is_not_callable(bad, name, solve):
-    # rejected when the condition is built, before a solve calls the data
+    # rejected when the condition is built, before a solve calls the data;
+    # at_vmax=None leaves the walls without data, as if it were not passed
     g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=16, nv=16, nt=1, dt=0.01)
-    data = dict(at_x0="specular", at_xmax=lambda t, v: 0.0, at_vmax="noflux")
+    data = dict(at_x0="specular", at_xmax=lambda t, v: 0.0, at_vmax=lambda t, x, v: 0.0)
     with pytest.raises(ValueError, match=name):
-        bc = BoundaryCondition(**{**data, **bad})
+        bc = BoundaryCondition(**{k: v for k, v in {**data, **bad}.items() if v is not None})
         if solve == "stationary":
             solve_stationary(None, bc, 1.0, g)
         else:
@@ -126,20 +130,11 @@ def test_specular_smooth_exact_cases():
         assert np.max(np.abs(fld.values - ex)) < 1e-10
 
 
-def _noflux_case(at_x0):
-    # h = v e^{-x} under no-flux walls at v = +-v_max
-    bc = BoundaryCondition(at_x0=at_x0, at_vmax="noflux",
-                           inflow_profile=(lambda t, v: 0.0) if at_x0 == "inflow" else None,
-                           at_xmax=lambda t, v: 0.0)
-    return (lambda x, v: v * np.exp(-x), bc,
-            HalfStripGrid(x_max=1.0, v_max=2.0, nx=16, nv=16))
-
-
 def _direct_first_order(h, bc, A, g):
     """The first-order scheme as one sparse linear system: an independent
     reference for the sweep with order=1. Row precedence: the x_max column,
-    then Dirichlet walls, then station 0's prescribed rows, then upwind
-    transport plus implicit diffusion (no-flux walls as ghost rows)."""
+    then the Dirichlet walls, then station 0's prescribed rows, then upwind
+    transport plus implicit diffusion."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import spsolve
 
@@ -148,24 +143,21 @@ def _direct_first_order(h, bc, A, g):
     I, J = np.meshgrid(np.arange(nxp1), np.arange(nv), indexing="ij")
     X, V = np.meshgrid(g.xs, g.vs, indexing="ij")
     a, k = np.abs(V) / g.hx, A / g.hv ** 2
-    noflux = bc.at_vmax == "noflux"
-    edge_v = (J == 0) | (J == nv - 1)
 
     xmax = I == nxp1 - 1
-    wall = ~xmax & edge_v & (not noflux)
+    wall = ~xmax & ((J == 0) | (J == nv - 1))
     x0 = ~xmax & ~wall & (I == 0) & ((V > 0) | (bc.at_x0 == "dirichlet"))
     pde = ~(xmax | wall | x0)
     mirror = x0 & (bc.at_x0 == "specular")
 
     rhs = np.where(pde, np.broadcast_to(h(X, V), X.shape), 0.0)
     rhs[xmax] = bc.at_xmax(0.0, V[xmax])
-    if wall.any():
-        rhs[wall] = bc.at_vmax(0.0, X[wall], V[wall])
+    rhs[wall] = bc.at_vmax(0.0, X[wall], V[wall])
     inflow = x0 & ~mirror
     if inflow.any():
         rhs[inflow] = bc.inflow_profile(0.0, V[inflow])
 
-    diag = np.where(pde, a + 2.0 * k - k * edge_v, 1.0)
+    diag = np.where(pde, a + 2.0 * k, 1.0)
     couplings = [(np.ones_like(pde), idx, diag),
                  (mirror, idx[0, nv - 1 - J], -1.0),   # f(0, v) = f(0, -v)
                  (pde & (V > 0), idx - nv, -a),        # upwind: x_{i-1}
@@ -187,10 +179,9 @@ def test_sweep_matches_direct():
     h = lambda x, v: 3 * x * x * v - 30.0 * v ** 4
     g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=16, nv=16)
     bc = dirichlet_everywhere(fstar, 1.0)
-    for h, bc, g in [(h, bc, g), _noflux_case("inflow")]:
-        s1 = solve_stationary(h, bc, 1.0, g, SolverOptions(order=1, tol=1e-12))
-        s2 = _direct_first_order(h, bc, 1.0, g)
-        assert np.max(np.abs(s1.values - s2)) < 1e-9
+    s1 = solve_stationary(h, bc, 1.0, g, SolverOptions(order=1, tol=1e-12))
+    s2 = _direct_first_order(h, bc, 1.0, g)
+    assert np.max(np.abs(s1.values - s2)) < 1e-9
 
 
 def test_sweep_matches_direct_specular():
@@ -200,10 +191,10 @@ def test_sweep_matches_direct_specular():
     bc = BoundaryCondition(at_x0="specular",
                            at_xmax=lambda t, v: eval_tricomi(tp, 1.0, v),
                            at_vmax=lambda t, x, v: eval_tricomi(tp, x, v))
-    for h, bc, g in [(lambda x, v: C * v ** 3, bc, g), _noflux_case("specular")]:
-        s1 = solve_stationary(h, bc, 1.0, g, SolverOptions(order=1, tol=1e-12))
-        s2 = _direct_first_order(h, bc, 1.0, g)
-        assert np.max(np.abs(s1.values - s2)) < 1e-9
+    h = lambda x, v: C * v ** 3
+    s1 = solve_stationary(h, bc, 1.0, g, SolverOptions(order=1, tol=1e-12))
+    s2 = _direct_first_order(h, bc, 1.0, g)
+    assert np.max(np.abs(s1.values - s2)) < 1e-9
 
 
 def test_tricomi_convergence_monotone_order_ge_1():
@@ -338,7 +329,7 @@ def test_leading_unit_axis_is_not_dropped():
     n = 16
     strip = dict(x_max=1.0, v_max=1.0, nx=n, nv=n)
     bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: np.zeros((1, len(v))),
-                           at_vmax="noflux")
+                           at_vmax=lambda t, x, v: 0.0)
     match = r"at_xmax data of shape \(1, 16\) does not fit \(16,\)"
     with pytest.raises(ValueError, match=match):
         solve_stationary(None, bc, 1.0, HalfStripGrid(**strip))
@@ -351,14 +342,14 @@ def test_complex_callable_data_raises():
     # a float cast would keep only the real part, 1.0 on the x_max row
     n = 16
     bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: (1 + 1j) * np.ones_like(v),
-                           at_vmax="noflux")
+                           at_vmax=lambda t, x, v: 0.0)
     with pytest.raises(ValueError, match="at_xmax data is complex"):
         solve_stationary(None, bc, 1.0, HalfStripGrid(x_max=1.0, v_max=1.0, nx=n, nv=n))
 
 
 def test_complex_source_array_raises():
     n = 16
-    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0, at_vmax="noflux")
+    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0, at_vmax=lambda t, x, v: 0.0)
     H = np.full((n + 1, n), 1.0 + 0.5j)
     with pytest.raises(ValueError, match="source is complex"):
         solve_stationary(H, bc, 1.0, HalfStripGrid(x_max=1.0, v_max=1.0, nx=n, nv=n))
@@ -367,7 +358,7 @@ def test_complex_source_array_raises():
 def test_complex_initial_field_raises():
     n = 16
     g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=n, nv=n, nt=1, dt=0.01)
-    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0, at_vmax="noflux")
+    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0, at_vmax=lambda t, x, v: 0.0)
     f0 = Field(g, np.full((n + 1, n), 1.0 + 0.5j))
     with pytest.raises(ValueError, match="initial field is complex"):
         solve_timedep(f0, None, bc, 1.0, T=0.05)
@@ -414,14 +405,15 @@ def test_stationary_overflow_raises_solver_error():
 def test_timedep_cfl_refusal():
     g = HalfStripGrid(x_max=1.0, v_max=2.0, nx=32, nv=32, nt=1, dt=0.1)
     f0 = Field(g, np.zeros((33, 32)))
-    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0, at_vmax="noflux")
+    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0, at_vmax=lambda t, x, v: 0.0)
     with pytest.raises(ValueError, match="CFL"):
         solve_timedep(f0, None, bc, 1.0, T=0.5)
 
 
 def test_timedep_constant_preserved():
     g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=32, nv=32, nt=1, dt=0.01)
-    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 3.14, at_vmax="noflux")
+    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 3.14,
+                           at_vmax=lambda t, x, v: 3.14)
     f0 = Field(g, np.full((33, 32), 3.14))
     traj = solve_timedep(f0, None, bc, 1.0, T=0.5)
     assert np.max(np.abs(traj[-1].values - 3.14)) <= 1e-12
@@ -432,7 +424,7 @@ def test_timedep_gaussian_variance_growth():
     A, s0 = 0.7, 0.25
     gauss = lambda t, v: np.sqrt(s0 / (s0 + 2 * A * t)) * np.exp(-v * v / (2 * (s0 + 2 * A * t)))
     g = HalfStripGrid(x_max=1.0, v_max=6.0, nx=32, nv=128, nt=1, dt=0.25 * (1 / 32) / 6.0)
-    bc = BoundaryCondition(at_x0="specular", at_xmax=gauss, at_vmax="noflux")
+    bc = BoundaryCondition(at_x0="specular", at_xmax=gauss, at_vmax=lambda t, x, v: gauss(t, v))
     f0 = Field(g, np.tile(gauss(0.0, g.vs), (g.nx + 1, 1)))
     nsteps = 100
     T = nsteps * g.dt
@@ -481,7 +473,7 @@ def test_timedep_honours_time_dependent_boundary_data():
 def test_timedep_dirichlet_imposes_inflow_profile():
     n = 16
     bc = BoundaryCondition(at_x0="dirichlet", inflow_profile=lambda t, v: 5.0,
-                           at_xmax=lambda t, v: 0.0, at_vmax="noflux")
+                           at_xmax=lambda t, v: 0.0, at_vmax=lambda t, x, v: 0.0)
     strip = dict(x_max=1.0, v_max=1.0, nx=n, nv=n)
     st = solve_stationary(lambda x, v: 0.0, bc, 1.0, HalfStripGrid(**strip))
     g = HalfStripGrid(**strip, nt=1, dt=0.01)
@@ -511,16 +503,18 @@ def test_timedep_rejects_bad_input():
     with pytest.raises(ValueError, match="at_vmax"):
         solve_timedep(f0, None, nan_wall, 1.0, T=0.05)
     with pytest.raises(ValueError, match="x_max"):
-        BoundaryCondition(at_x0="specular", at_vmax="noflux")
+        BoundaryCondition(at_x0="specular", at_vmax=lambda t, x, v: 0.0)
     for A in (-1.0, 0.0, math.nan, math.inf):   # as solve_stationary: no anti-diffusion
         with pytest.raises(ValueError, match="diffusion A"):
             solve_timedep(f0, None, bc, A, T=0.05)
 
 
-@pytest.mark.parametrize("T", [math.inf, math.nan, -1.0])
+# with dt = 0.01, T = 0.015 would run 2 steps to t = 0.02, T = 0.004 none,
+# and T / dt overflows for T = 1e308
+@pytest.mark.parametrize("T", [math.inf, math.nan, -1.0, 0.015, 0.004, 1e308])
 def test_timedep_rejects_bad_horizon(T):
     g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=16, nv=16, nt=1, dt=0.01)
-    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0, at_vmax="noflux")
+    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0, at_vmax=lambda t, x, v: 0.0)
     with pytest.raises(ValueError, match="horizon T"):
         solve_timedep(Field(g, np.zeros((17, 16))), None, bc, 1.0, T=T)
 
@@ -543,11 +537,11 @@ def test_field_serialization_roundtrip(tmp_path):
     assert np.array_equal(rows[:, 2], vals.ravel())
 
 
-def _dense_station(base, c, noflux, top):
+def _dense_station(base, c, top):
     """A station's v-tridiagonal entry by entry: diagonal base + 2c and
-    off-diagonals -c, with a no-flux ghost or a Dirichlet unit row at the
-    v = -v_max end, and at the other end the same ('wall'), the mirror
-    fold u_m = u_{m-1} ('fold') or nothing ('open')."""
+    off-diagonals -c, with a Dirichlet unit row at the v = -v_max end, and
+    at the other end the same ('wall'), the mirror fold u_m = u_{m-1}
+    ('fold') or nothing ('open')."""
     n = len(base)
     M = np.zeros((n, n))
     for j in range(n):
@@ -559,18 +553,15 @@ def _dense_station(base, c, noflux, top):
     if top == "fold":
         M[-1, -1] -= c
     for j in ((0, n - 1) if top == "wall" else (0,)):
-        if noflux:
-            M[j, j] -= c
-        else:
-            M[j] = 0.0
-            M[j, j] = 1.0
+        M[j] = 0.0
+        M[j, j] = 1.0
     return M
 
 
+# the ids keep the wall rows' kind, Dirichlet, in the test names
 @pytest.mark.parametrize("nv", [16, 64, 256])
-@pytest.mark.parametrize("noflux", [True, False], ids=["noflux", "dirichlet"])
-@pytest.mark.parametrize("top", ["wall", "fold", "open"])
-def test_station_inverse_matches_dense_solve(nv, noflux, top):
+@pytest.mark.parametrize("top", ["wall", "fold", "open"], ids=lambda top: f"{top}-dirichlet")
+def test_station_inverse_matches_dense_solve(nv, top):
     g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=nv, nv=nv, nt=1, dt=0.25 * (1.0 / nv) / 1.5)
     size = nv if top == "wall" else nv // 2
     rng = np.random.default_rng(nv)
@@ -578,12 +569,12 @@ def test_station_inverse_matches_dense_solve(nv, noflux, top):
     for base, c in ((np.abs(g.vs[:size]) / g.hx, 1.0 / g.hv ** 2),
                     (np.ones(size), g.dt / g.hv ** 2)):
         rhs = rng.standard_normal((size, 8))
-        want = np.linalg.solve(_dense_station(base, c, noflux, top), rhs)
-        got = _station_factor(base, c, noflux, top) @ rhs
+        want = np.linalg.solve(_dense_station(base, c, top), rhs)
+        got = _station_factor(base, c, top) @ rhs
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        if not noflux:   # Dirichlet wall rows return the wall data bit for bit
-            for j in ((0, -1) if top == "wall" else (0,)):
-                assert np.array_equal(got[j], rhs[j])
+        # Dirichlet wall rows return the wall data bit for bit
+        for j in ((0, -1) if top == "wall" else (0,)):
+            assert np.array_equal(got[j], rhs[j])
 
 
 @pytest.mark.parametrize("at_x0", ["inflow", "specular", "dirichlet"])
@@ -644,25 +635,27 @@ def test_interpolator_rejects_other_kinds(tricomi_field_64):
 # ---------------------------------------------------------------------------
 
 
-def _sweep_couplings(g, noflux):
+def _sweep_couplings(g):
     """The two upwind couplings of solve_stationary with A = 1: the inverse
     applied to the v > 0 rows (into the v > 0 rows) and to the v < 0 rows
-    (into the v < 0 rows)."""
+    (into the v < 0 rows). The Dirichlet wall rows couple to nothing."""
     m = g.nv // 2
     a = np.abs(g.vs) / g.hx
     apos, aneg = np.where(g.vs > 0, a, 0.0), np.where(g.vs < 0, a, 0.0)
-    if not noflux:
-        apos[[0, -1]] = aneg[[0, -1]] = 0.0
-    interior = _station_factor(a, 1.0 / g.hv ** 2, noflux, "wall")
+    apos[[0, -1]] = aneg[[0, -1]] = 0.0
+    interior = _station_factor(a, 1.0 / g.hv ** 2, "wall")
     return interior[m:, m:] * apos[m:], interior[:m, :m] * aneg[:m]
 
 
-@pytest.mark.parametrize("nx, nv", [(16, 16), (64, 64), (128, 128), (256, 256), (100, 16)])
-@pytest.mark.parametrize("noflux", [True, False], ids=["noflux", "dirichlet"])
-def test_upwind_scan_matches_station_loop(nx, nv, noflux):
+_SCAN_SIZES = [(16, 16), (64, 64), (128, 128), (256, 256), (100, 16)]
+
+
+@pytest.mark.parametrize("nx, nv", _SCAN_SIZES,
+                         ids=[f"dirichlet-{nx}-{nv}" for nx, nv in _SCAN_SIZES])
+def test_upwind_scan_matches_station_loop(nx, nv):
     g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=nx, nv=nv)
     m = nv // 2
-    pos_to_pos, neg_to_neg = _sweep_couplings(g, noflux)
+    pos_to_pos, neg_to_neg = _sweep_couplings(g)
     rng = np.random.default_rng(nx + nv)
     f = rng.standard_normal((nx + 1, nv))
     known = rng.standard_normal((nx - 1, nv))
