@@ -18,8 +18,6 @@ import numpy as np
 
 from .geometry import KineticPoint
 
-Rat = Fraction
-
 
 def _rat(c) -> Fraction:
     if isinstance(c, Fraction):
@@ -520,9 +518,7 @@ def solve_rational(A: list[list[Fraction]], rhs: list[Fraction]):
     cols = len(A[0]) if rows else 0
     aug = [list(A[r]) + [rhs[r]] for r in range(rows)]
     pivots = _rref(aug)
-    for r in range(len(pivots), rows):
-        if aug[r][cols] != 0:
-            return None, _nullspace_from_rref(aug, pivots, cols)
+    # _rref reduces the rhs column too: an inconsistent system has a pivot there
     if pivots and pivots[-1] == cols:
         return None, _nullspace_from_rref(aug, pivots[:-1], cols)
     x = [Fraction(0)] * cols

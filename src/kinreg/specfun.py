@@ -470,11 +470,18 @@ def tricomi_u_array(a: float, b: float, z) -> HypergeomLanes:
     For moderate z the connection formula through two M evaluations is
     used; the adaptive asymptotic series takes over beyond |z| = 40, with a
     linear blend of the two regimes on 20 <= |z| <= 40. b must be
-    non-integer (the kinetic use has b in {2/3, 4/3}).
+    non-integer (the kinetic use has b in {2/3, 4/3}). A lane whose value
+    or error overflows double precision raises ValueError naming its z.
     """
     z = _finite_lanes(z, "tricomi_u")
-    lanes = _u_lanes(a, b, z.ravel(), np.ones(z.size), np.zeros(z.size))
-    return _lanes(z.shape, *lanes)
+    # an overflowing lane is caught by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        val, err, used, code = _u_lanes(a, b, z.ravel(), np.ones(z.size), np.zeros(z.size))
+    bad = ~(np.isfinite(val) & np.isfinite(err))
+    if bad.any():
+        raise ValueError(f"tricomi_u: U({a}; {b}; z) overflows double precision "
+                         f"at z = {z.ravel()[bad][0]}")
+    return _lanes(z.shape, val, err, used, code)
 
 
 def tricomi_u(a: float, b: float, z: float) -> HypergeomEval:

@@ -122,14 +122,16 @@ def _evaluate(p: TricomiParams, xf, vf):
     if not (np.isfinite(xf).all() and np.isfinite(vf).all()):
         raise ValueError("eval_tricomi: x and v must be finite")
     inner = xf > 0.0
-    if inner.all():
-        out = _interior(p, xf, vf)
-    else:
-        if (xf < 0.0).any():
-            raise ValueError("eval_tricomi requires x >= 0")
-        out = np.array(boundary_trace(p, vf), dtype=float)
-        if inner.any():
-            out[inner] = _interior(p, xf[inner], vf[inner])
+    if not inner.all() and (xf < 0.0).any():
+        raise ValueError("eval_tricomi requires x >= 0")
+    # the check below catches overflow; tau = -inf at subnormal x is the asymptotic limit
+    with np.errstate(over="ignore", invalid="ignore"):
+        if inner.all():
+            out = _interior(p, xf, vf)
+        else:
+            out = np.array(boundary_trace(p, vf), dtype=float)
+            if inner.any():
+                out[inner] = _interior(p, xf[inner], vf[inner])
     if not np.isfinite(out).all():
         raise ValueError("eval_tricomi: T overflows double precision")
     return out
@@ -137,7 +139,7 @@ def _evaluate(p: TricomiParams, xf, vf):
 
 def _interior(p: TricomiParams, x, v):
     """T at 1-D lanes with x > 0, unchecked; the result is not checked for
-    overflow.
+    overflow, and the caller sets the floating-point error state.
 
     The hypergeometric part h = x^c U(-c; 2/3; tau), c = (lam+2)/3 and
     tau = -v^3/(9 A x), is the bounded solution of v h_x - A h_vv = 0. In
@@ -154,8 +156,7 @@ def _interior(p: TricomiParams, x, v):
     lam, A = p.lam, p.A
     c = (lam + 2.0) / 3.0
     K = 2.0 * 9.0 ** c * A ** (-(lam + 2) / 6.0)
-    with np.errstate(over="ignore"):  # tau = -inf at subnormal x: the asymptotic limit
-        tau = -(v ** 3) / (9.0 * A * x)
+    tau = -(v ** 3) / (9.0 * A * x)
     return _u_lanes(-c, 2.0 / 3.0, tau, -K * x ** c, A ** (-(lam + 2) / 2.0) * v ** (lam + 2),
                     scaled_pow=-K * (np.abs(v) ** 3 / (9.0 * A)) ** c,
                     scaled_root=K * (9.0 * A) ** (-1.0 / 3.0) * x ** (c - 1.0 / 3.0) * v)[0]

@@ -265,12 +265,13 @@ def _first_value(x):
 
 
 @pytest.mark.parametrize("corrupt", [
+    lambda data: b"KFP2" + data[4:],
     lambda data: data[:10],         # short header
     lambda data: data[:-8],         # body one value short
     lambda data: data + bytes(8),   # one value too many
     _first_value(float("nan")),
     _first_value(float("inf")),
-], ids=["short-header", "short-body", "long-body", "nan", "inf"])
+], ids=["bad-magic", "short-header", "short-body", "long-body", "nan", "inf"])
 @pytest.mark.parametrize("cmd", ["probe-exponent", "solve-kfp"])
 def test_bad_field_file_is_config_error(corrupt, cmd, tmp_path, capsys):
     import numpy as np
@@ -285,6 +286,25 @@ def test_bad_field_file_is_config_error(corrupt, cmd, tmp_path, capsys):
     assert run_main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "field file" in err and "Traceback" not in err
+
+
+def test_failed_check_exits_1_with_the_report_on_stdout(capsys):
+    # two equal grids give equal errors, order 0 < 1: the check fails
+    assert run_main(["solve-kfp", "--convergence", "16,16"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["pass"] is False and rep["orders"] == [0.0]
+    assert rep["runs"][0]["max_error"] == rep["runs"][1]["max_error"]
+
+
+def test_solve_kfp_zero_source_writes_a_zero_field(tmp_path):
+    import numpy as np
+    from kinreg.solver import Field
+
+    out = tmp_path / "run"
+    assert run_main(["solve-kfp", "--source", "zero", "--nx", "16", "--nv", "16",
+                     "--out", str(out)]) == 0
+    fld = Field.from_binary(str(out) + ".kfp")
+    assert fld.values.shape == (17, 16) and np.all(fld.values == 0.0)
 
 
 def test_probe_exponent_nan_slope_is_not_exact_fit(tmp_path, monkeypatch):
@@ -323,3 +343,15 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_root_imports_no_module():
+    # names are imported from their modules: the root holds only __version__
+    import kinreg
+
+    code = ("import sys, kinreg\n"
+            "print(sorted(m for m in sys.modules if m.startswith('kinreg.')), kinreg.__version__)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kinreg.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "0.1.0"]

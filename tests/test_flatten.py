@@ -203,6 +203,13 @@ def test_counterexample_condition_rejects_non_finite(bad):
         counterexample_condition([H[0], np.full((2, 2), bad)], fvv)
 
 
+def test_counterexample_condition_rejects_inconsistent_dimensions():
+    fvv = np.diag([2.0, -2.0])
+    for hess in ([np.zeros((2, 2))], [np.zeros((3, 3))] * 2, [np.zeros((2, 2))] * 3):
+        with pytest.raises(ValueError, match="inconsistent dimensions"):
+            counterexample_condition(hess, fvv)
+
+
 def test_limit_rhs_p1_zero_hessians():
     p1 = limit_rhs_p1([np.zeros((2, 2)), np.zeros((2, 2))], np.eye(2))
     assert p1.is_zero()

@@ -40,6 +40,15 @@ def test_compose_identity():
     assert close(compose(z, origin(1)), z)
 
 
+def test_point_and_cylinder_reject_bad_input():
+    with pytest.raises(ValueError, match="x has dim 2 but v has dim 1"):
+        KineticPoint(0.0, (1.0, 2.0), (0.0,))
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        KineticPoint(0.0, (), ())
+    with pytest.raises(ValueError, match="radius must be positive"):
+        CylinderSpec(origin(1), 0.0)
+
+
 def test_compose_worked_example():
     out = compose(KineticPoint(1, 2, 3), KineticPoint(1, 1, 1))
     assert out.t == 2 and out.x == (6.0,) and out.v == (4.0,)
@@ -435,3 +444,5 @@ def test_distance_on_rows_matches_points():
             kinetic_distance(A, bad)
     with pytest.raises(ValueError, match="n = 1"):
         kinetic_distance(np.zeros((3, 5)), np.ones((3, 5)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        kinetic_distance(P[0], KineticPoint(0.0, (1.0, 2.0), (0.0, 0.0)))

@@ -46,6 +46,16 @@ def test_rhs_validation():
         HalfSpaceRHS(KineticPolynomial.monomial(1, 1, bt=1), A=1.0)
     with pytest.raises(ValueError):
         HalfSpaceRHS(KineticPolynomial.monomial(1, 1, bv=(10,)), A=1.0)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        HalfSpaceRHS(KineticPolynomial.monomial(2, 1, bv=(1, 0)), A=1.0)
+
+
+def test_classification_rejects_mixed_input():
+    with pytest.raises(ValueError, match="not homogeneous of degree 1"):
+        classify_homogeneous(HalfSpaceRHS(poly_1d({(0, 1): 1, (0, 2): 1}), 1.0), 1)
+    one, two = (classify(HalfSpaceRHS(poly_1d({(0, 1): 1}), A)) for A in (1.0, 2.0))
+    with pytest.raises(ValueError, match="different A"):
+        one.combine(two)
 
 
 def test_classify_zero():

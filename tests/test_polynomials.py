@@ -297,6 +297,12 @@ def test_kernel_basis_matches_dense_rref(spec):
         assert kernel_basis(op, spec) == _dense_kernel(op, spec)
 
 
+def test_solve_rational_reports_an_inconsistent_system():
+    # x1 + x2 = 1 and x1 + x2 = 2: no solution, and the kernel (-1, 1)
+    one, two = Fraction(1), Fraction(2)
+    assert solve_rational([[one, one], [one, one]], [one, two]) == (None, [[-1, 1]])
+
+
 def test_non_finite_coefficient_raises_value_error():
     for c in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from kinreg.polynomials import (
 )
 from kinreg.probe import (
     EXACT_FIT_SENTINEL,
+    ExponentFit,
     best_approx_error,
     exponent_fit,
     field_values,
@@ -73,6 +74,8 @@ def test_sampler_rejects_bad_count():
         with pytest.raises(ValueError, match="count"):
             sample_cylinder(Z0, 0.5, count)
     assert sample_cylinder(Z0, 0.5, np.int64(3)).shape == (3, 3)
+    with pytest.raises(ValueError, match="n = 1"):
+        sample_cylinder(KineticPoint(0.0, (0.0, 0.0), (0.0, 0.0)), 0.5, 3)
 
 
 def test_sampler_rejects_negative_seed():
@@ -177,6 +180,14 @@ def test_exponent_fit_exact_sentinel():
     p = KineticPolynomial(1, {mono(1, bv=(4,)): 3, mono(1, bt=2): 1})
     ef = exponent_fit(p.eval, Z0, full_space(5, 1), RADII[:4])
     assert ef.slope == EXACT_FIT_SENTINEL
+
+
+def test_exponent_fit_rejects_bad_radii():
+    # 3 distinct radii: the repeated 0.5 counts once
+    with pytest.raises(ValueError, match="at least 4 radii"):
+        exponent_fit(T_FIELD, Z0, full_space(3, 1), [1.0, 0.5, 0.5, 0.25])
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        ExponentFit((0.25, 0.5, 1.0, 2.0), (1.0,) * 4, 5.0, 0.0, 1.0)
 
 
 def test_exponent_fit_sums_each_kummer_argument_once(monkeypatch):

@@ -39,7 +39,7 @@ def test_grid_validation():
                 dict(x_max=1.0, x_min=1.0), dict(x_min=-math.inf), dict(v_max=math.nan),
                 dict(v_max=math.inf), dict(v_max=0.0), dict(nt=1, dt=math.nan),
                 dict(nt=1, dt=math.inf), dict(nx=16.5), dict(nv=32.0), dict(dt=math.nan),
-                dict(dt=-1.0), dict(nt=-1), dict(nt=1.5, dt=0.01)):
+                dict(dt=-1.0), dict(nt=-1), dict(nt=1.5, dt=0.01), dict(nt=1)):
         with pytest.raises(ValueError):
             HalfStripGrid(**{"x_max": 1.0, "v_max": 1.0, "nx": 32, "nv": 32, **bad})
     assert HalfStripGrid(x_max=1, v_max=1, nx=np.int64(32), nv=np.int32(16)).nv == 16
@@ -269,6 +269,10 @@ def test_mirror_extend_shapes_and_symmetry():
     # f(-x,-v) = f(x,v) and x*v is invariant
     full_exact = np.array([[x * v for v in ext.grid.vs] for x in ext.grid.xs])
     assert np.max(np.abs(ext.values - full_exact)) < 1e-14
+    with pytest.raises(ValueError, match="requires a specular field"):
+        mirror_extend(Field(g, vals, {"bc": "inflow"}))
+    with pytest.raises(ValueError, match="already a full-strip field"):
+        mirror_extend(ext)
 
 
 def test_solver_data_called_on_arrays():
@@ -386,6 +390,9 @@ def test_stationary_rejects_non_finite_data():
                                  at_vmax=lambda t, x, v: np.where(x > 0.5, np.nan, 0.0))
     with pytest.raises(ValueError, match="at_vmax"):
         solve_stationary(lambda x, v: v, nan_wall, 1.0, g)
+    for A in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="diffusion A"):
+            solve_stationary(None, bc, A, g)
 
 
 def test_stationary_overflow_raises_solver_error():
@@ -507,6 +514,9 @@ def test_timedep_rejects_bad_input():
     for A in (-1.0, 0.0, math.nan, math.inf):   # as solve_stationary: no anti-diffusion
         with pytest.raises(ValueError, match="diffusion A"):
             solve_timedep(f0, None, bc, A, T=0.05)
+    stationary = HalfStripGrid(x_max=1.0, v_max=1.0, nx=n, nv=n)   # no dt
+    with pytest.raises(ValueError, match="dt"):
+        solve_timedep(Field(stationary, np.zeros((n + 1, n))), None, bc, 1.0, T=0.05)
 
 
 # with dt = 0.01, T = 0.015 would run 2 steps to t = 0.02, T = 0.004 none,
@@ -517,6 +527,13 @@ def test_timedep_rejects_bad_horizon(T):
     bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0, at_vmax=lambda t, x, v: 0.0)
     with pytest.raises(ValueError, match="horizon T"):
         solve_timedep(Field(g, np.zeros((17, 16))), None, bc, 1.0, T=T)
+
+
+def test_field_rejects_values_of_wrong_shape():
+    g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=16, nv=16)
+    for shape in ((16, 16), (17, 17), (17 * 16,)):
+        with pytest.raises(ValueError, match="values shape"):
+            Field(g, np.zeros(shape))
 
 
 def test_field_serialization_roundtrip(tmp_path):

@@ -185,6 +185,25 @@ def test_kummer_m_overflow_raises_without_warnings(call):
             call()
 
 
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: tricomi_u(-5 / 3, 2 / 3, 1e300), r"z = 1e\+300", id="U-z-1e300"),
+    pytest.param(lambda: tricomi_u(-5 / 3, 2 / 3, -1e300), r"z = -1e\+300", id="U-z-minus-1e300"),
+    pytest.param(lambda: eval_tricomi(TricomiParams(A=1.0, lam=3), 1.0, 1e100), "T overflows",
+                 id="T-v-1e100"),
+    pytest.param(lambda: eval_tricomi(TricomiParams(A=1.0, lam=3), 1e300, 1.0), "T overflows",
+                 id="T-x-1e300"),
+    pytest.param(lambda: eval_tricomi(TricomiParams(A=1.0, lam=3), 0.0, 1e100), "T overflows",
+                 id="T-trace-v-1e100"),
+])
+def test_tricomi_overflow_raises_without_warnings(call, match):
+    # as for M: a U or T that overflows is reported by the ValueError alone,
+    # never returned as inf or nan, and no numpy RuntimeWarning is printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 def test_kummer_at_zero_exact():
     for a, b in [(0.3, 0.7), (-5 / 3, 2 / 3), (2.0, 5.0)]:
         ev = kummer_m(a, b, 0.0)
@@ -392,6 +411,7 @@ def test_error_estimates_nonnegative_and_regimes():
     pytest.param(lambda: kummer_m(math.nan, 0.5, 0.5), "a = nan", id="M-a-nan"),
     pytest.param(lambda: kummer_m_series(0.5, math.inf, 0.5), "b = inf", id="M-series-b-inf"),
     pytest.param(lambda: tricomi_u(-5 / 3, math.nan, 0.5), "b = nan", id="U-b-nan"),
+    pytest.param(lambda: tricomi_u(0.3, 0.5, -1.0), "negative base", id="U-negative-z-even-root"),
     pytest.param(lambda: gamma_real(math.inf), "non-finite", id="gamma-inf"),
     pytest.param(lambda: gamma_real(-math.inf), "non-finite", id="gamma-minus-inf"),
     pytest.param(lambda: gamma_real(200.0), "overflows", id="gamma-200"),
@@ -399,6 +419,7 @@ def test_error_estimates_nonnegative_and_regimes():
     pytest.param(lambda: asymptotic_m(0.4, 1.3, math.nan), "z = nan", id="asym-m-nan"),
     pytest.param(lambda: asymptotic_m(0.4, 1.3, math.inf), "z = inf", id="asym-m-inf"),
     pytest.param(lambda: asymptotic_m(0.4, 1.3, -math.inf), "z = -inf", id="asym-m-minus-inf"),
+    pytest.param(lambda: asymptotic_m(-2.0, 1.3, 40.0), "terminating", id="asym-m-terminating"),
     pytest.param(lambda: asymptotic_u_kinetic(5 / 3, math.nan), "tau = nan", id="asym-u-nan"),
     pytest.param(lambda: asymptotic_u_kinetic(5 / 3, math.inf), "tau = inf", id="asym-u-inf"),
     pytest.param(lambda: asymptotic_u_kinetic(5 / 3, -math.inf), "tau = -inf",

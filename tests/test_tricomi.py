@@ -90,9 +90,9 @@ def test_residual_vanishes_at_v0():
     assert abs(pde_residual(p, 1.0, 0.0)) <= 1e-4
 
 
-@pytest.mark.parametrize("x", [5e-324], ids=["subnormal-x"])
+@pytest.mark.parametrize("x", [5e-324, 0.0], ids=["subnormal-x", "zero-x"])
 def test_residual_step_underflow_raises(x):
-    # the x-step 0.5 x rounds to 0: a ValueError, not a silent NaN
+    # x = 0, or an x whose step 0.5 x rounds to 0: a ValueError, not a silent NaN
     with pytest.raises(ValueError, match="pde_residual"):
         pde_residual(TricomiParams(A=1.0), x, 0.2)
 
@@ -216,6 +216,11 @@ def test_eval_rejects_negative_x():
     pytest.param(lambda p: boundary_trace(p, np.nan), "v must be finite", id="trace-nan"),
     pytest.param(lambda p: boundary_trace(p, np.array([1.0, -np.inf])), "v must be finite",
                  id="trace-lane-inf"),
+    pytest.param(lambda p: cusp_ratio(p, 0.0), "x > 0", id="cusp-x-0"),
+    pytest.param(lambda p: c41_seminorm_probe(p, origin(1), 0.0), "0 < r <= 1", id="c41-r-0"),
+    pytest.param(lambda p: c41_seminorm_probe(p, origin(1), 2.0), "0 < r <= 1", id="c41-r-2"),
+    pytest.param(lambda p: c41_seminorm_probe(p, KineticPoint(0.0, -0.1, 0.0), 0.5),
+                 "closed half space", id="c41-x-negative"),
 ])
 def test_bad_trace_and_step_raise_value_error(call, match):
     with pytest.raises(ValueError, match=match):
