@@ -210,8 +210,10 @@ def run_solver(args) -> int:
         grids = [HalfStripGrid(x_max=args.x_max, v_max=args.v_max, nx=nx, nv=nv)
                  for nx, nv in sizes]
         opts = SolverOptions(tol=args.tol)
-        params = TricomiParams(A=args.A, lam=3)   # checks --A for every source
+        if not 0.0 < args.A < math.inf:
+            raise ValueError(f"diffusion A must be positive and finite, got {args.A}")
         if args.source == "tricomi":
+            params = TricomiParams(A=args.A, lam=3)   # T needs a narrower range of A
             problems = [_tricomi_problem(params, grid, args.bc) for grid in grids]
         else:
             if args.source == "zero":
@@ -307,7 +309,7 @@ def run_probe(args) -> int:
 
 
 def run_counterexample(args) -> int:
-    # every input is checked before the flattening is built: a bad one exits 2
+    # a bad input, or a curvature that the patch's flattening cannot reach, exits 2
     try:
         if args.gamma == "builtin:parabola":
             dom = _flatten.parabola_domain(args.curvature)
@@ -318,10 +320,10 @@ def run_counterexample(args) -> int:
         fvv = np.array(json.loads(args.f_hessian), dtype=float)
         if fvv.shape != (2, 2) or not np.isfinite(fvv).all():
             raise ValueError(f"--f-hessian must be a finite 2 x 2 matrix, got {args.f_hessian}")
+        fm = _flatten.build_flatten(dom)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    fm = _flatten.build_flatten(dom)
     hess = fm.d2_phi(np.zeros(2))
     cond = _flatten.counterexample_condition(hess, fvv)
     gap = _flatten.reflection_commutation_check(fm, seed=args.seed)

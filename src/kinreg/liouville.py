@@ -7,8 +7,10 @@ term. The dichotomy is decided by the v^(lam+2) coefficient c of the
 particular solution's boundary trace:
 
   * lam even: the trace is automatically even; polynomial.
-  * lam = 1 mod 6 / 5 mod 6: one Kummer basis solution is itself a
-    polynomial and removes the trace; polynomial.
+  * lam = 1 mod 6 / 5 mod 6: the stationary solutions of v h_x - A h_vv = 0
+    that are homogeneous of degree lam + 2 form a line, spanned by a
+    polynomial with a nonzero v^(lam+2) coefficient (a terminating Kummer
+    series), which removes the trace; polynomial.
   * lam = 3 mod 6: no polynomial correction exists; c != 0 forces the
     Tricomi term with multiplier c * A^((lam+2)/2).
 """
@@ -24,11 +26,11 @@ import numpy as np
 from .geometry import kinetic_distance, origin
 from .polynomials import (
     KineticPolynomial,
-    MultiIndex,
     OperatorSpec,
     apply_operator,
     mono,
     particular_solve_1d,
+    _layer_kernel,
     _rat,
 )
 from .tricomi import TricomiParams, eval_tricomi, pde_residual as tricomi_residual
@@ -52,6 +54,9 @@ class HalfSpaceRHS:
             raise ValueError("rhs must be stationary (no t dependence)")
         if self.p.degree() > DEGREE_CAP:
             raise ValueError(f"rhs kinetic degree exceeds cap {DEGREE_CAP}")
+        for lam in range(3, DEGREE_CAP + 1, 6):
+            if lam <= self.p.degree():  # a layer that can carry a T term
+                TricomiParams(A=self.A, lam=lam)
 
 
 @dataclass
@@ -82,15 +87,6 @@ class ClassificationResult:
 
         return f
 
-    def combine(self, other: "ClassificationResult") -> "ClassificationResult":
-        if self.A != other.A:
-            raise ValueError("cannot combine results with different A")
-        terms = dict(self.tricomi_terms)
-        for lam, m in other.tricomi_terms:
-            terms[lam] = terms.get(lam, 0.0) + m
-        merged = [(lam, m) for lam, m in sorted(terms.items()) if m != 0.0]
-        return ClassificationResult(self.particular + other.particular, merged, A=self.A)
-
 
 def _values(p: KineticPolynomial, x, v) -> np.ndarray:
     """p(0, x, v) for a one-dimensional p over broadcast arrays x, v."""
@@ -100,31 +96,6 @@ def _values(p: KineticPolynomial, x, v) -> np.ndarray:
         if b.bt == 0:
             out = out + float(c) * x ** b.bx[0] * v ** b.bv[0]
     return out
-
-
-def _kummer_basis_polynomial(lam: int, A: Fraction, which: int) -> KineticPolynomial:
-    """The terminating Kummer basis solution of v h_x - A h_vv = 0.
-
-    which = 1: x^N M(-N; 2/3; tau), N = (lam+2)/3   (lam = 1 mod 3)
-    which = 2: v x^N M(-N; 4/3; tau), N = (lam+1)/3 (lam = 2 mod 3)
-    with tau = -v^3/(9 A x); both expand into exact polynomials.
-    """
-    if which == 1:
-        N = (lam + 2) // 3
-        b = Fraction(2, 3)
-        v_off = 0
-    else:
-        N = (lam + 1) // 3
-        b = Fraction(4, 3)
-        v_off = 1
-    terms = {}
-    coef = Fraction(1)
-    for j in range(N + 1):
-        if j > 0:
-            coef *= Fraction(-(N - j + 1), 1) / ((b + (j - 1)) * j)
-        c = coef * Fraction(-1, 9) ** j / A ** j
-        terms[mono(1, bx=(N - j,), bv=(3 * j + v_off,))] = c
-    return KineticPolynomial(1, terms)
 
 
 def _trace_v_coefficient(p: KineticPolynomial, degree: int) -> Fraction:
@@ -146,26 +117,27 @@ def classify_homogeneous(rhs: HalfSpaceRHS, lam: int) -> ClassificationResult:
     if lam % 2 == 0 or c_trace == 0:
         return ClassificationResult(particular, A=A)
 
-    if lam % 6 == 1:
-        corr = _kummer_basis_polynomial(lam, Arat, which=1)
-    elif lam % 6 == 5:
-        corr = _kummer_basis_polynomial(lam, Arat, which=2)
-    else:  # lam = 3 mod 6: the obstruction case
+    if lam % 6 == 3:  # the obstruction case
         p1 = particular - KineticPolynomial.monomial(1, c_trace, bv=(lam + 2,))
         m = float(c_trace) * A ** ((lam + 2) / 2.0)
         return ClassificationResult(p1, [(lam, m)], A=A)
 
-    kappa = _trace_v_coefficient(corr, lam + 2)
-    corrected = particular - corr * (c_trace / kappa)
-    return ClassificationResult(corrected, A=A)
+    # lam = 1, 5 mod 6: the stationary kernel of degree lam + 2 is a line.
+    # Its terms run from the highest power of x down, the order in which
+    # _values sums the corrected particular
+    cols = [mono(1, bx=(i,), bv=(lam + 2 - 3 * i,)) for i in range((lam + 2) // 3, -1, -1)]
+    rows = [mono(1, bx=(i,), bv=(lam - 3 * i,)) for i in range(lam // 3, -1, -1)]
+    (corr,) = _layer_kernel(OperatorSpec.make([[Arat]]), cols, rows)
+    return ClassificationResult(particular - corr * (c_trace / _trace_v_coefficient(corr, lam + 2)), A=A)
 
 
 def classify(rhs: HalfSpaceRHS) -> ClassificationResult:
-    """Split p into homogeneous layers, classify each, and sum."""
-    result = ClassificationResult(KineticPolynomial.zero(1), A=rhs.A)
-    for lam, layer in rhs.p.homogeneous_components().items():
-        result = result.combine(classify_homogeneous(HalfSpaceRHS(layer, rhs.A), lam))
-    return result
+    """Split p into homogeneous layers, classify each, and sum; the layers
+    have distinct lam, so each Tricomi term comes from one layer."""
+    parts = [classify_homogeneous(HalfSpaceRHS(layer, rhs.A), lam)
+             for lam, layer in rhs.p.homogeneous_components().items()]
+    return ClassificationResult(sum((r.particular for r in parts), KineticPolynomial.zero(1)),
+                                [t for r in parts for t in r.tricomi_terms], A=rhs.A)
 
 
 def flip_symmetric_shortcut(op: OperatorSpec, p: KineticPolynomial) -> bool:

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -124,9 +124,6 @@ class KineticPolynomial:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "KineticPolynomial":
-        return self * -1
-
     def __eq__(self, other) -> bool:
         return isinstance(other, KineticPolynomial) and self.n == other.n and self.terms == other.terms
 
@@ -149,11 +146,8 @@ class KineticPolynomial:
             layers.setdefault(beta.kinetic_degree, {})[beta] = c
         return {d: KineticPolynomial(self.n, t) for d, t in sorted(layers.items())}
 
-    def is_homogeneous(self, lam: int | None = None) -> bool:
-        degs = {b.kinetic_degree for b in self.terms}
-        if not degs:
-            return True
-        return len(degs) == 1 and (lam is None or degs == {lam})
+    def is_homogeneous(self, lam: int) -> bool:
+        return all(b.kinetic_degree == lam for b in self.terms)
 
     # -- calculus ----------------------------------------------------------
 
@@ -422,10 +416,6 @@ def _indices_up_to(k: int, n: int):
     return out
 
 
-def _monomials(n: int, idx: Sequence[MultiIndex]) -> list[KineticPolynomial]:
-    return [KineticPolynomial(n, {b: Fraction(1)}) for b in idx]
-
-
 @functools.lru_cache(maxsize=None)
 def _space_indices(spec: PolySpaceSpec) -> tuple[MultiIndex, ...]:
     """Exponents of the monomial part of the space, in basis order."""
@@ -438,7 +428,7 @@ def _space_indices(spec: PolySpaceSpec) -> tuple[MultiIndex, ...]:
 
 def space_basis(spec: PolySpaceSpec) -> list:
     """Monomial basis of the space; the augmented space appends a marker."""
-    basis: list = _monomials(spec.n, _space_indices(spec))
+    basis: list = [KineticPolynomial(spec.n, {b: 1}) for b in _space_indices(spec)]
     if spec.kind == "tricomi_augmented":
         basis.append(TricomiMarker(spec.A))
     return basis
@@ -585,16 +575,23 @@ def particular_solve_1d(lambda1: int, lambda2: int, amp, A) -> KineticPolynomial
     return head - particular_solve_1d(lambda1 - 1, lambda2 + 3, tail_amp, A)
 
 
-def _operator_matrix(op: OperatorSpec, basis: list[KineticPolynomial], image_idx: list[MultiIndex]):
-    pos = {b: i for i, b in enumerate(image_idx)}
-    M = [[Fraction(0)] * len(basis) for _ in range(len(image_idx))]
-    for j, q in enumerate(basis):
-        Lq = apply_operator(op, q)
-        for beta, c in Lq.terms.items():
-            if beta not in pos:
-                raise ValueError("operator image leaves the ambient space")
+def _operator_matrix(op: OperatorSpec, cols: list[MultiIndex], rows: list[MultiIndex]):
+    """The matrix of L from the span of the monomials cols into that of rows."""
+    pos = {b: i for i, b in enumerate(rows)}
+    M = [[Fraction(0)] * len(cols) for _ in rows]
+    for j, b in enumerate(cols):
+        for beta, c in apply_operator(op, KineticPolynomial(op.n, {b: 1})).terms.items():
             M[pos[beta]][j] = c
     return M
+
+
+def _layer_kernel(op: OperatorSpec, cols: list[MultiIndex], rows: list[MultiIndex]) -> list[KineticPolynomial]:
+    """Exact nullspace of L from the span of the monomials cols into that
+    of rows: one polynomial per free column of the reduced row echelon
+    form, with its terms in cols order."""
+    M = _operator_matrix(op, cols, rows)
+    return [KineticPolynomial(op.n, dict(zip(cols, vec)))
+            for vec in _nullspace_from_rref(M, _rref(M), len(cols))]
 
 
 def _layers(k: int, n: int) -> dict[int, list[MultiIndex]]:
@@ -622,7 +619,7 @@ def particular_solve_general(op: OperatorSpec, p: KineticPolynomial) -> KineticP
     terms: dict[MultiIndex, Fraction] = {}
     for d, layer in p.homogeneous_components().items():
         cols = layers[d + 2]
-        M = _operator_matrix(op, _monomials(p.n, cols), layers[d])
+        M = _operator_matrix(op, cols, layers[d])
         x = _min_norm_solve(M, [layer.coefficient(b) for b in layers[d]])
         if x is None:
             raise ValueError(f"particular_solve_general failed: no solution of degree <= {dp + 2}")
@@ -636,23 +633,13 @@ def kernel_basis(op: OperatorSpec, spec: PolySpaceSpec) -> list[KineticPolynomia
     Row-reduces one layer at a time (degree d onto degree d - 2); reduced
     row echelon forms are unique, so the vectors and their order are those
     of the row reduction of the whole space."""
-    basis = space_basis(spec)
-    if any(isinstance(q, TricomiMarker) for q in basis):
+    if spec.kind == "tricomi_augmented":
         raise ValueError("kernel_basis is defined for polynomial spaces only")
     rows = _layers(spec.k, spec.n)
-    cols: dict[int, list[KineticPolynomial]] = {}
-    for q in basis:
-        cols.setdefault(q.degree(), []).append(q)
-    out = []
-    for d, layer in cols.items():
-        aug = _operator_matrix(op, layer, rows.get(d - 2, []))
-        for vec in _nullspace_from_rref(aug, _rref(aug), len(layer)):
-            q = KineticPolynomial.zero(spec.n)
-            for c, b in zip(vec, layer):
-                if c != 0:
-                    q = q + b * c
-            out.append(q)
-    return out
+    cols: dict[int, list[MultiIndex]] = {}
+    for b in _space_indices(spec):
+        cols.setdefault(b.kinetic_degree, []).append(b)
+    return [q for d, layer in cols.items() for q in _layer_kernel(op, layer, rows.get(d - 2, []))]
 
 
 # ---------------------------------------------------------------------------

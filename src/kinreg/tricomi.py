@@ -29,7 +29,8 @@ from .specfun import _u_lanes, gamma_real, tricomi_u  # noqa: F401
 
 @dataclass(frozen=True)
 class TricomiParams:
-    """(A, lam) with A > 0 and lam in {3, 9, 15, ...}."""
+    """(A, lam) with A > 0 and lam in {3, 9, 15, ...}, where T's monomial
+    coefficient A^(-(lam+2)/2) must be a finite, normal double."""
 
     A: float
     lam: int = 3
@@ -39,6 +40,11 @@ class TricomiParams:
             raise ValueError("A must be positive and finite")
         if self.lam < 3 or (self.lam - 3) % 6 != 0:
             raise ValueError("lam must be of the form 6k + 3")
+        with np.errstate(over="ignore", under="ignore"):
+            coef = np.float64(self.A) ** (-(self.lam + 2) / 2.0)
+        if not np.finfo(float).tiny <= coef < np.inf:
+            raise ValueError(f"A = {self.A!r} is out of range for lam = {self.lam}: "
+                             "A^(-(lam+2)/2) must be a finite, normal double")
 
     @property
     def homogeneity(self) -> int:

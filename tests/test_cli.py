@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -355,3 +357,42 @@ def test_package_root_imports_no_module():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "0.1.0"]
+
+
+@pytest.mark.parametrize("A", ["1e300", "1e-300"])
+def test_A_out_of_tricomi_range_is_config_error(A, tmp_path, capsys):
+    # A^(-5/2) overflows or underflows: exit 2 with a message, no traceback
+    rhs = tmp_path / "v3.json"
+    rhs.write_text(KineticPolynomial.monomial(1, 1, bv=(3,)).to_json())
+    for argv in (["liouville-classify", "--rhs", str(rhs), "--A", A], ["tricomi-verify", "--A", A]):
+        assert run_main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "out of range" in err and "Traceback" not in err
+
+
+def test_counterexample_curvature_beyond_the_patch_is_config_error(tmp_path, capsys):
+    # the flattening cannot be inverted on the patch at curvature 8
+    assert run_main(["counterexample-check", "--curvature", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert run_main(["counterexample-check", "--curvature", "5", "--out", str(tmp_path / "c.json")]) == 0
+
+
+def test_perfbench_patch_targets_resolve():
+    # perfbench wraps these attributes in a traced run; each must still exist
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.PATCHES
+    for target, _, _ in tracing.PATCHES:
+        owner, attr = tracing.resolve(target)
+        assert callable(getattr(owner, attr)), target
+
+
+def test_solve_kfp_zero_source_takes_an_A_outside_the_tricomi_range(tmp_path, capsys):
+    # only the Tricomi source needs A^(-5/2) to be a normal double
+    argv = ["solve-kfp", "--nx", "16", "--nv", "16", "--A", "1e-200"]
+    assert run_main([*argv, "--source", "zero", "--out", str(tmp_path / "z")]) == 0
+    assert run_main(argv) == 2
+    assert "out of range" in capsys.readouterr().err

@@ -446,3 +446,27 @@ def test_distance_on_rows_matches_points():
         kinetic_distance(np.zeros((3, 5)), np.ones((3, 5)))
     with pytest.raises(ValueError, match="dimension mismatch"):
         kinetic_distance(P[0], KineticPoint(0.0, (1.0, 2.0), (0.0, 0.0)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_distance_nd_closed_forms(n):
+    # equal times, equal points and equal velocities have closed forms in
+    # any dimension; random pairs never reach the branches that take them
+    tol = 1e-9
+    z1 = KineticPoint(0.3, (0.5, -0.2), (0.1, 0.4))
+    z2 = KineticPoint(0.3, (0.1, 0.1), (-0.3, 0.2))
+    assert abs(kinetic_distance(z1, z2, tol) - 0.5 ** (1.0 / 3.0)) <= tol
+    rng = np.random.RandomState(37)
+    for s in (1.0, 30.0):   # at s = 30 the distances pass 10
+        for _ in range(6):
+            t, t2 = rng.uniform(-s, s, 2)
+            x1, x2, v1, v2 = rng.uniform(-s, s, size=(4, n))
+            a, b = KineticPoint(t, x1, v1), KineticPoint(t, x2, v2)
+            want = max(np.linalg.norm(x1 - x2) ** (1.0 / 3.0), np.linalg.norm(v1 - v2) / 2.0)
+            assert abs(kinetic_distance(a, b, tol) - want) <= tol
+            assert kinetic_distance(a, a, tol) == 0.0
+            # equal velocities w: the n = 1 distance of (dt, |dx - dt w|, 0) from 0
+            a, b = KineticPoint(t, x1, v1), KineticPoint(t2, x2, v1)
+            dt = t - t2
+            want = kinetic_distance(KineticPoint(dt, np.linalg.norm(x1 - x2 - dt * v1), 0.0), origin(1))
+            assert abs(kinetic_distance(a, b, tol) - want) <= tol

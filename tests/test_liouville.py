@@ -53,9 +53,6 @@ def test_rhs_validation():
 def test_classification_rejects_mixed_input():
     with pytest.raises(ValueError, match="not homogeneous of degree 1"):
         classify_homogeneous(HalfSpaceRHS(poly_1d({(0, 1): 1, (0, 2): 1}), 1.0), 1)
-    one, two = (classify(HalfSpaceRHS(poly_1d({(0, 1): 1}), A)) for A in (1.0, 2.0))
-    with pytest.raises(ValueError, match="different A"):
-        one.combine(two)
 
 
 def test_classify_zero():
@@ -271,3 +268,29 @@ def test_verify_solution_batches_tricomi_calls(monkeypatch):
     assert len(res.tricomi_terms) == 2
     assert verify_solution(res, rhs).passed
     assert len(calls) == 4 * len(res.tricomi_terms)
+
+
+def test_odd_layers_corrected_exactly():
+    # lam = 1, 5, 7: the stationary kernel of degree lam + 2 is a line, so
+    # L P = p and a zero v^(lam+2) coefficient pin the particular exactly
+    for A in (1.0, 0.5, 1.7):
+        op = OperatorSpec.make([[A]])
+        for lam in (1, 5, 7):
+            for bx in range(lam // 3 + 1):
+                p = poly_1d({(bx, lam - 3 * bx): 2})
+                P = classify_homogeneous(HalfSpaceRHS(p, A), lam).particular
+                assert P.coefficient(mono(1, bv=(lam + 2,))) == 0, (A, lam, bx)
+                assert apply_operator(op, P) == p, (A, lam, bx)
+
+
+def test_rhs_rejects_A_out_of_range_for_its_tricomi_layers():
+    # A^(-(lam+2)/2) must be a finite, normal double for every lam = 3 mod 6
+    # up to the degree of p; lower layers carry no T term
+    for A in (1e-300, 1e300):
+        with pytest.raises(ValueError, match="out of range"):
+            HalfSpaceRHS(poly_1d({(0, 3): 1}), A=A)
+        assert classify(HalfSpaceRHS(poly_1d({(0, 1): 1}), A)).is_polynomial
+    # lam = 9 narrows the range: 1e60^(-11/2) underflows, 1e60^(-5/2) does not
+    HalfSpaceRHS(poly_1d({(0, 3): 1}), A=1e60)
+    with pytest.raises(ValueError, match="lam = 9"):
+        HalfSpaceRHS(poly_1d({(0, 3): 1, (0, 9): 1}), A=1e60)

@@ -219,7 +219,7 @@ def _dense_particular(op, n, deg):
     Gram matrix depend on (op, deg) alone, so they are built once; returns
     the solve for one right-hand side p."""
     idx = _all_indices(deg + 2, n)
-    M = _operator_matrix(op, [KineticPolynomial(n, {b: 1}) for b in idx], idx)
+    M = _operator_matrix(op, idx, idx)
     _, null = solve_rational(M, [Fraction(0)] * len(idx))
     # the Gram matrix over each null vector's nonzero support; it is
     # symmetric, so the upper triangle is summed and mirrored
@@ -245,7 +245,7 @@ def _dense_particular(op, n, deg):
 def _dense_kernel(op, spec):
     """Reference: the RREF nullspace of the operator on the whole space."""
     basis = space_basis(spec)
-    aug = _operator_matrix(op, basis, _all_indices(spec.k, spec.n))
+    aug = _operator_matrix(op, [b for q in basis for b in q.terms], _all_indices(spec.k, spec.n))
     vecs = _nullspace_from_rref(aug, _rref(aug), len(basis))
     return [sum((q * c for c, q in zip(vec, basis) if c != 0), KineticPolynomial.zero(spec.n))
             for vec in vecs]

@@ -33,6 +33,19 @@ def test_params_validation():
     assert TricomiParams(A=1.0, lam=9).homogeneity == 11
 
 
+def test_params_reject_A_whose_monomial_coefficient_is_not_normal():
+    # where A^(-(lam+2)/2) overflows or is subnormal, T, its trace or its
+    # residual constant would overflow or vanish
+    for A, lam in ((1e-130, 3), (1e-300, 3), (1e300, 3), (1e125, 3), (1e-60, 9), (1e60, 9)):
+        with pytest.raises(ValueError, match="out of range"):
+            TricomiParams(A=A, lam=lam)
+    for A, lam in ((1e-120, 3), (1e120, 3), (1e-50, 9), (1e50, 9)):
+        p = TricomiParams(A=A, lam=lam)
+        assert np.isfinite(residual_constant(p)) and residual_constant(p) != 0.0
+        assert np.isfinite(boundary_trace(p, 0.5)) and boundary_trace(p, 0.5) != 0.0
+        assert np.isfinite(eval_tricomi(p, 1e-3, 0.5))
+
+
 def test_golden_value_at_origin_ray():
     p = TricomiParams(A=1.0, lam=3)
     assert eval_tricomi(p, 1.0, 0.0) == pytest.approx(T13_AT_X1_V0, rel=1e-12)
