@@ -10,6 +10,7 @@ traceback on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,13 +20,14 @@ import traceback
 import numpy as np
 
 from .geometry import KineticPoint
-from .liouville import HalfSpaceRHS, classify, verify_solution
+from .liouville import HalfSpaceRHS, classify, require_verifiable, verify_solution
 from .polynomials import KineticPolynomial, full_space, tricomi_augmented_space
 # best_approx_error is re-exported: perfbench/tracing.py wraps
 # kinreg.cli.best_approx_error.
 from .probe import (  # noqa: F401
     EXACT_FIT_SENTINEL,
     _approx_errors,
+    _multiplier_report,
     best_approx_error,
     exponent_fit,
     gamma0_tricomi_coefficient,
@@ -38,7 +40,8 @@ from .solver import (
     SolverOptions,
     solve_stationary,
 )
-from .tricomi import TricomiParams, as_field, cusp_ratio, eval_tricomi, pde_residual, residual_constant
+from .tricomi import (TricomiParams, as_field, cusp_ratio, eval_tricomi, pde_residual,
+                      require_finite_up_to, residual_constant)
 from . import flatten as _flatten
 
 EXIT_OK = 0
@@ -99,6 +102,7 @@ def _status(report: dict) -> int:
 def run_tricomi_verify(args) -> int:
     try:
         params = TricomiParams(A=args.A, lam=args.lam)
+        require_finite_up_to(params, 150.0)   # the homogeneity draws reach |r v| < 100 * 1.5
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -161,6 +165,7 @@ def run_liouville(args) -> int:
         with open(args.rhs) as fh:
             p = KineticPolynomial.from_json(fh.read())
         rhs = HalfSpaceRHS(p, args.A)
+        require_verifiable(rhs)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -290,13 +295,16 @@ def run_probe(args) -> int:
         report.update(radii=list(fit.radii), errors=list(fit.errors),
                       slope="exact-fit" if fit.slope == EXACT_FIT_SENTINEL else fit.slope,
                       r_squared=fit.r_squared)
+        fits = fit.fits
     else:
         rs = sorted(set(radii), reverse=True)
-        errs = _approx_errors(f, z0, spec, rs, seed=args.seed)
+        errs, fits = _approx_errors(f, z0, spec, rs, seed=args.seed)
         report.update(radii=rs, errors=errs, slope=None)
     if args.space == "p5+tricomi" or args.tau:
         if z0.x[0] == 0.0 and z0.v[0] == 0.0:
-            rep = gamma0_tricomi_coefficient(f, z0, args.A, radii, seed=args.seed)
+            # the fits over p5+tricomi are the ones gamma0_tricomi_coefficient makes
+            rep = (_multiplier_report(fits) if args.space == "p5+tricomi"
+                   else gamma0_tricomi_coefficient(f, z0, args.A, radii, seed=args.seed))
             report["tau"] = rep.tau
             report["tau_stable"] = rep.stable
     _emit(report, args.out)
@@ -358,14 +366,13 @@ def run_suite(args) -> int:
             ("solver_tricomi", ["solve-kfp", "--convergence", "32,64"], "solver_tricomi"),
             ("probe_p5", ["probe-exponent"], "probe_p5.json"),
             ("counterexample", ["counterexample-check"], "counterexample.json"))
-    parser = build_parser()
     combined = {}
     rc_all = EXIT_OK
     for key, argv, name in runs:
         out = os.path.join(outdir, name)
-        ns = parser.parse_args([*argv, f"--out={out}"])
+        ns = build_parser().parse_args([*argv, f"--out={out}"])
         ns.seed = args.seed
-        rc_all = max(rc_all, ns.func(ns))
+        rc_all = max(rc_all, _run(ns))
         combined[key] = _load(os.path.splitext(out)[0] + ".json")  # solve-kfp's --out is a prefix
 
     _emit(combined, os.path.join(outdir, "suite.json"))
@@ -375,7 +382,11 @@ def run_suite(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; parse_args returns a
+    fresh Namespace on each call. Each subcommand names its run_* function
+    in func, which _run looks up when it is called."""
     ap = argparse.ArgumentParser(prog="kinreg",
                                  description="kinetic boundary-regularity laboratory")
     ap.add_argument("--seed", default=None,
@@ -387,13 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=int, default=3)
     p.add_argument("--csv", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=run_tricomi_verify)
+    p.set_defaults(func="run_tricomi_verify")
 
     p = sub.add_parser("liouville-classify", help="classify a half-space right-hand side")
     p.add_argument("--rhs", required=True, help="polynomial JSON file")
     p.add_argument("--A", type=float, default=1.0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=run_liouville)
+    p.set_defaults(func="run_liouville")
 
     p = sub.add_parser("solve-kfp", help="stationary half-strip solve")
     p.add_argument("--nx", type=int, default=64)
@@ -406,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=SolverOptions().tol)
     p.add_argument("--convergence", default=None, help="comma list of grid sizes")
     p.add_argument("--out", default=None, help="output prefix (.json/.csv/.kfp)")
-    p.set_defaults(func=run_solver)
+    p.set_defaults(func="run_solver")
 
     p = sub.add_parser("probe-exponent", help="best-approximation exponent fit")
     p.add_argument("--field", default="builtin:tricomi")
@@ -416,19 +427,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", type=float, default=1.0)
     p.add_argument("--tau", action="store_true", help="also extract the Tricomi coefficient")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=run_probe)
+    p.set_defaults(func="run_probe")
 
     p = sub.add_parser("counterexample-check", help="curvature obstruction test")
     p.add_argument("--gamma", default="builtin:parabola")
     p.add_argument("--curvature", type=float, default=1.0)
     p.add_argument("--f-hessian", dest="f_hessian", default="[[2,0],[0,-2]]")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=run_counterexample)
+    p.set_defaults(func="run_counterexample")
 
     p = sub.add_parser("suite", help="run every verification at desk scale")
     p.add_argument("--out", default=None, help="output directory")
-    p.set_defaults(func=run_suite)
+    p.set_defaults(func="run_suite")
     return ap
+
+
+def _run(args) -> int:
+    # by name at call time: a run_* function rebound on this module after
+    # the parser was built still runs
+    return globals()[args.func](args)
 
 
 def main(argv=None) -> int:
@@ -439,7 +456,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return args.func(args)
+        return _run(args)
     except Exception:  # a fault in the lab, not a failed check
         traceback.print_exc()
         return EXIT_INTERNAL

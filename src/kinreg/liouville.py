@@ -33,9 +33,13 @@ from .polynomials import (
     _layer_kernel,
     _rat,
 )
-from .tricomi import TricomiParams, eval_tricomi, pde_residual as tricomi_residual
+from .tricomi import (TricomiParams, eval_tricomi, pde_residual as tricomi_residual,
+                      require_finite_up_to)
 
 DEGREE_CAP = 9
+# the largest |v| at which verify_solution evaluates a solution: its growth
+# samples are at 3 * v for the grid's |v| <= 1.5
+VERIFY_V_MAX = 4.5
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,11 @@ class HalfSpaceRHS:
             raise ValueError("rhs must be stationary (no t dependence)")
         if self.p.degree() > DEGREE_CAP:
             raise ValueError(f"rhs kinetic degree exceeds cap {DEGREE_CAP}")
+        for beta, c in self.p.terms.items():
+            try:
+                float(c)
+            except OverflowError:
+                raise ValueError(f"rhs coefficient of {beta} is beyond double range") from None
         for lam in range(3, DEGREE_CAP + 1, 6):
             if lam <= self.p.degree():  # a layer that can carry a T term
                 TricomiParams(A=self.A, lam=lam)
@@ -163,6 +172,14 @@ class VerificationReport:
     growth_constant: float
     passed: bool
     notes: list[str] = field(default_factory=list)
+
+
+def require_verifiable(rhs: HalfSpaceRHS) -> None:
+    """ValueError naming A unless every T term that classify(rhs) can
+    produce stays finite where verify_solution evaluates it."""
+    for lam in range(3, DEGREE_CAP + 1, 6):
+        if lam <= rhs.p.degree():
+            require_finite_up_to(TricomiParams(A=rhs.A, lam=lam), VERIFY_V_MAX)
 
 
 def verify_solution(res: ClassificationResult, rhs: HalfSpaceRHS) -> VerificationReport:

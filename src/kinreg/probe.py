@@ -15,9 +15,10 @@ fit; field_values is the one adapter that evaluates a field on it.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,6 +43,18 @@ def _radical_inverse(idx: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _unit_rows(start: int, stop: int) -> np.ndarray:
+    """The read-only (stop - start, 3) Halton rows of indices start..stop-1
+    in [0, 1). Kept for the last 32 ranges: the ranges depend only on the
+    seed, the count and the rejections, so the radii of a probe at the
+    grazing set, where x > 0 does not depend on r, share them."""
+    idx = np.arange(start, stop)
+    unit = np.stack([_radical_inverse(idx, b) for b in _HALTON_PRIMES], axis=1)
+    unit.setflags(write=False)
+    return unit
+
+
 def sample_cylinder(z0: KineticPoint, r: float, count: int, seed: int = 0) -> np.ndarray:
     """count low-discrepancy points of H_r(z0) = Q_r(z0) (cap x > 0), as a
     (count, 3) array of rows (t, x, v).
@@ -62,9 +75,9 @@ def sample_cylinder(z0: KineticPoint, r: float, count: int, seed: int = 0) -> np
     while len(pts) < count:
         if start >= end:
             raise RuntimeError("rejection sampling starved; cylinder mostly outside domain")
-        idx = np.arange(start, min(start + 2 * count, end))
-        start += len(idx)
-        unit = np.stack([_radical_inverse(idx, b) for b in _HALTON_PRIMES], axis=1)
+        stop = min(start + 2 * count, end)
+        unit = _unit_rows(start, stop)
+        start = stop
         z = frame_map(z0, r, 2.0 * unit - 1.0)
         pts = np.concatenate([pts, z[z[:, 1] > 0.0]])
     return pts[:count]
@@ -143,32 +156,36 @@ def best_approx_error(f: Callable[[KineticPoint], float], z0: KineticPoint,
     for the minimax error, evaluated on a 4x denser residual grid. Upper
     bound up to a dimension-dependent factor; all downstream acceptance
     checks compare ratios, which cancels the factor."""
-    return _approx_errors(f, z0, spec, (r,), seed)[0]
+    return _approx_errors(f, z0, spec, (r,), seed)[0][0]
 
 
 def _approx_errors(f: Callable[[KineticPoint], float], z0: KineticPoint,
-                   spec: PolySpaceSpec, radii: Sequence[float], seed: int) -> list[float]:
-    """best_approx_error at every radius, in order. Every fit comes before
-    the first residual, so the field is evaluated on the fit points of
-    each radius in turn, then on the dense points: at the grazing set,
-    radii a power of 2 apart give T the same Kummer arguments on both
-    sets (specfun._taylor keeps the last sums)."""
-    fits = [polyfit_on_cylinder(f, z0, r, spec, seed=seed) for r in radii]
+                   spec: PolySpaceSpec, radii: Sequence[float],
+                   seed: int) -> tuple[list[float], tuple[CylinderFit, ...]]:
+    """best_approx_error at every radius, in order, and the fit of each
+    radius. Every fit comes before the first residual, so the field is
+    evaluated on the fit points of each radius in turn, then on the dense
+    points: at the grazing set, radii a power of 2 apart give T the same
+    Kummer arguments on both sets (specfun._taylor keeps the last sums)."""
+    fits = tuple(polyfit_on_cylinder(f, z0, r, spec, seed=seed) for r in radii)
     count = 80 * space_dim(spec)
     errs = []
     for fit in fits:
         dense = sample_cylinder(z0, fit.r, count, seed=seed + 7)
         errs.append(float(np.max(np.abs(field_values(f, dense) - fit.values(dense)))))
-    return errs
+    return errs, fits
 
 
 @dataclass
 class ExponentFit:
+    """The slope fit and, in fits, the CylinderFit of each radius."""
+
     radii: tuple[float, ...]
     errors: tuple[float, ...]
     slope: float
     intercept: float
     r_squared: float
+    fits: tuple[CylinderFit, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if any(b >= a for a, b in zip(self.radii, self.radii[1:])):
@@ -186,10 +203,10 @@ def exponent_fit(f: Callable[[KineticPoint], float], z0: KineticPoint,
     radii = tuple(sorted(set(float(r) for r in radii), reverse=True))
     if len(radii) < 4:
         raise ValueError("need at least 4 radii")
-    errs = _approx_errors(f, z0, spec, radii, seed)
+    errs, fits = _approx_errors(f, z0, spec, radii, seed)
     scale = float(np.max(np.abs(field_values(f, sample_cylinder(z0, radii[0], 64, seed=seed)))))
     if all(e <= _EXACT_FIT_FLOOR * max(1.0, scale) for e in errs):
-        return ExponentFit(radii, tuple(errs), EXACT_FIT_SENTINEL, -math.inf, 1.0)
+        return ExponentFit(radii, tuple(errs), EXACT_FIT_SENTINEL, -math.inf, 1.0, fits)
     lr = np.log(radii)
     le = np.log(np.maximum(errs, 1e-300))
     slope, intercept = np.polyfit(lr, le, 1)
@@ -197,7 +214,7 @@ def exponent_fit(f: Callable[[KineticPoint], float], z0: KineticPoint,
     ss_res = float(np.sum((le - pred) ** 2))
     ss_tot = float(np.sum((le - le.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return ExponentFit(radii, tuple(errs), float(slope), float(intercept), r2)
+    return ExponentFit(radii, tuple(errs), float(slope), float(intercept), r2, fits)
 
 
 @dataclass
@@ -224,11 +241,14 @@ def gamma0_tricomi_coefficient(f: Callable[[KineticPoint], float],
     radii = tuple(sorted(set(float(r) for r in radii), reverse=True))
     if not radii:
         raise ValueError("need at least one radius")
-    taus = []
-    for r in radii:
-        fit = polyfit_on_cylinder(f, z0, r, spec, seed=seed)
-        taus.append(fit.tricomi_coefficient())
+    return _multiplier_report([polyfit_on_cylinder(f, z0, r, spec, seed=seed) for r in radii])
+
+
+def _multiplier_report(fits: Sequence[CylinderFit]) -> TricomiCoefficientReport:
+    """The Tricomi coefficient report of fits over the Tricomi-augmented
+    space, largest radius first (see gamma0_tricomi_coefficient)."""
+    taus = [fit.tricomi_coefficient() for fit in fits]
     tau = taus[-1]
     ref = max(abs(t) for t in taus)
     stable = ref == 0.0 or all(abs(t - tau) <= 0.5 * ref for t in taus)
-    return TricomiCoefficientReport(tau, tuple(taus), radii, stable)
+    return TricomiCoefficientReport(tau, tuple(taus), tuple(fit.r for fit in fits), stable)

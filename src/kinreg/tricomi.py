@@ -69,6 +69,22 @@ def boundary_trace(p: TricomiParams, v):
     return -3.0 * p.A ** (-(p.lam + 2) / 2.0) * np.abs(v) ** (p.lam + 2)
 
 
+def require_finite_up_to(p: TricomiParams, v_max: float) -> None:
+    """ValueError naming A unless T is finite at |v| = v_max, on the
+    boundary and at x = 1, for a caller that evaluates T up to that |v|.
+
+    T_A(x, v) = A^(-(lam+2)/2) T_1(A x, v): at the small A where T
+    overflows, A x is small at every x such a caller samples, so T there
+    is within rounding of its value at x = 1 (the interior form, which
+    overflows first) or on the boundary. Nothing is kept for eval_tricomi.
+    """
+    try:
+        _evaluate(p, np.array([0.0, 1.0, 1.0]), np.array([v_max, v_max, -v_max]))
+    except ValueError:
+        raise ValueError(f"A = {p.A!r} is out of range for lam = {p.lam} at |v| <= {v_max}: "
+                         "T overflows double precision") from None
+
+
 # The last evaluation of more than one lane: (p, x bits, v bits, T, lanes),
 # where lanes maps (x bits, v bits) to a lane and is filled by the first
 # one-lane lookup against this entry.

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import struct
 import subprocess
@@ -52,6 +53,8 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     def boom(args):
         raise RuntimeError("lab fault")
 
+    # a parser built by an earlier call still dispatches to the rebound handler
+    assert run_main(["--seed", "-1", "tricomi-verify"]) == 2
     monkeypatch.setattr(cli, "run_tricomi_verify", boom)
     assert run_main(["tricomi-verify"]) == cli.EXIT_INTERNAL == 3
     err = capsys.readouterr().err
@@ -359,9 +362,10 @@ def test_package_root_imports_no_module():
     assert proc.stdout.split() == ["[]", "0.1.0"]
 
 
-@pytest.mark.parametrize("A", ["1e300", "1e-300"])
+@pytest.mark.parametrize("A", ["1e300", "1e-300", "1e-122"])
 def test_A_out_of_tricomi_range_is_config_error(A, tmp_path, capsys):
-    # A^(-5/2) overflows or underflows: exit 2 with a message, no traceback
+    # A^(-5/2) overflows or underflows, or (1e-122) T overflows where the
+    # command evaluates it: exit 2 with a message, no traceback
     rhs = tmp_path / "v3.json"
     rhs.write_text(KineticPolynomial.monomial(1, 1, bv=(3,)).to_json())
     for argv in (["liouville-classify", "--rhs", str(rhs), "--A", A], ["tricomi-verify", "--A", A]):
@@ -396,3 +400,92 @@ def test_solve_kfp_zero_source_takes_an_A_outside_the_tricomi_range(tmp_path, ca
     assert run_main([*argv, "--source", "zero", "--out", str(tmp_path / "z")]) == 0
     assert run_main(argv) == 2
     assert "out of range" in capsys.readouterr().err
+
+
+def test_repeated_probe_computes_each_halton_range_once(tmp_path, monkeypatch):
+    # every radius at the grazing origin, and a second run in the same
+    # process, asks for Halton ranges already computed
+    import kinreg.probe as probe
+
+    calls = []
+    compute = probe._radical_inverse
+
+    def counted(idx, base):
+        calls.append((int(idx[0]), len(idx), base))
+        return compute(idx, base)
+
+    monkeypatch.setattr(probe, "_radical_inverse", counted)
+    probe._unit_rows.cache_clear()
+    argv = ["probe-exponent", "--space", "p5", "--radii", "1,0.5,0.25,0.125,0.0625,0.03125"]
+    for i in range(2):
+        assert run_main([*argv, "--out", str(tmp_path / f"p{i}.json")]) == 0
+    assert calls and len(calls) == len(set(calls))
+    assert (tmp_path / "p0.json").read_bytes() == (tmp_path / "p1.json").read_bytes()
+
+
+def test_tau_reuses_the_exponent_fits(tmp_path, monkeypatch):
+    # with --space p5+tricomi the multiplier comes from the 4 fits of the
+    # exponent fit, not from 4 more
+    import kinreg.probe as probe
+
+    calls = []
+    fit = probe.polyfit_on_cylinder
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(probe, "polyfit_on_cylinder", counted)
+    out = tmp_path / "tau.json"
+    assert run_main(["probe-exponent", "--space", "p5+tricomi", "--tau", "--out", str(out)]) == 0
+    assert calls == [1.0, 0.5, 0.25, 0.125]
+    rep = json.loads(out.read_text())
+    assert rep["tau_stable"] and abs(rep["tau"] - 1.0) <= 1e-3
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    import argparse
+
+    import kinreg.cli as cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert run_main(["--seed", "-1", "tricomi-verify"]) == 2
+    assert built.count("kinreg") == 1
+
+
+def test_A_just_inside_where_T_stays_finite_runs_the_checks(tmp_path, capsys):
+    # T must stay finite at tricomi-verify's |r v| < 150 and at
+    # verify_solution's |v| = 4.5 (lam = 3 and 9): just outside exits 2,
+    # just inside runs every check to a finite report
+    v9 = tmp_path / "v9.json"
+    v9.write_text(KineticPolynomial(1, {mono(1, bv=(3,)): 1, mono(1, bx=(2,), bv=(3,)): 1}).to_json())
+    assert run_main(["liouville-classify", "--rhs", str(v9), "--A", "1e-55"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: A = 1e-55 is out of range for lam = 9") and "Traceback" not in err
+    out = tmp_path / "rep.json"
+    assert run_main(["tricomi-verify", "--A", "2e-119", "--out", str(out)]) in (0, 1)
+    rep = json.loads(out.read_text())
+    assert all(math.isfinite(rep[k]["worst_rel"])
+               for k in ("homogeneity", "residual_span", "cusp_ratio"))
+    v3 = tmp_path / "v3.json"
+    v3.write_text(KineticPolynomial.monomial(1, 1, bv=(3,)).to_json())
+    for rhs, A in ((v3, "1.8e-122"), (v9, "3e-55")):
+        assert run_main(["liouville-classify", "--rhs", str(rhs), "--A", A, "--out", str(out)]) in (0, 1)
+        assert math.isfinite(json.loads(out.read_text())["verification"]["growth_constant"])
+
+
+def test_liouville_coefficient_beyond_double_range_is_config_error(tmp_path, capsys):
+    rhs = tmp_path / "big.json"
+    rhs.write_text('{"n": 1, "terms": [{"bt": 0, "bx": [0], "bv": [3], "c": "1e400"}]}')
+    assert run_main(["liouville-classify", "--rhs", str(rhs)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rhs coefficient") and "Traceback" not in err

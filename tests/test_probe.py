@@ -117,6 +117,21 @@ def test_sampler_first_rows_frozen(seed, rows):
     np.testing.assert_array_equal(got[:3], rows)
 
 
+
+def test_sample_arrays_do_not_share_the_kept_rows():
+    # the Halton rows of a range are kept across calls, read-only: writing
+    # to a returned sample leaves the next call's bits as they were
+    from kinreg import probe
+
+    first = sample_cylinder(Z0, 0.5, 50, seed=3)
+    want = first.copy()
+    first[:] = 7.0
+    np.testing.assert_array_equal(sample_cylinder(Z0, 0.5, 50, seed=3), want)
+    rows = probe._unit_rows(3001, 3101)
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 7.0
+    np.testing.assert_array_equal(sample_cylinder(Z0, 0.5, 50, seed=3), want)
+
 def test_in_space_function_recovered():
     p = KineticPolynomial(1, {mono(1, bx=(1,), bv=(2,)): 1, mono(1, bt=1): -2})
     err = best_approx_error(p.eval, Z0, 0.5, full_space(5, 1))
