@@ -283,6 +283,10 @@ def run_probe(args) -> int:
         if not all(0.0 < r < math.inf for r in radii):
             raise ValueError(f"--radii must be finite and positive, got {args.radii}")
         params = TricomiParams(A=args.A, lam=3)
+        grazing_tau = args.tau and x0 == 0.0 and v0 == 0.0
+        if args.field == "builtin:tricomi" or args.space == "p5+tricomi" or grazing_tau:
+            # T is sampled or fitted with; the samples reach |v| <= |v0| + r
+            require_finite_up_to(params, max(radii) + abs(v0))
         f = (as_field(params) if args.field == "builtin:tricomi"
              else phase_field(Field.from_binary(args.field).interpolator().ev))
     except (OSError, ValueError) as exc:

@@ -259,23 +259,6 @@ class KineticPolynomial:
     def from_json(cls, s: str) -> "KineticPolynomial":
         return cls.from_json_dict(json.loads(s))
 
-    def __repr__(self):
-        if not self.terms:
-            return "KineticPolynomial(0)"
-        bits = []
-        for b, c in sorted(self.terms.items(), key=lambda kv: (kv[0].kinetic_degree, kv[0].bt, kv[0].bx, kv[0].bv)):
-            mon = []
-            if b.bt:
-                mon.append(f"t^{b.bt}" if b.bt > 1 else "t")
-            for i, e in enumerate(b.bx):
-                if e:
-                    mon.append(f"x{i}^{e}" if e > 1 else f"x{i}")
-            for i, e in enumerate(b.bv):
-                if e:
-                    mon.append(f"v{i}^{e}" if e > 1 else f"v{i}")
-            bits.append(f"{c}*" + "*".join(mon) if mon else f"{c}")
-        return " + ".join(bits)
-
 
 def transport_derivative(p: KineticPolynomial, beta: MultiIndex) -> KineticPolynomial:
     """D^beta p = (d_t + v.grad_x)^bt  dx^bx  dv^bv  p."""
@@ -353,9 +336,6 @@ class TricomiMarker:
         if A <= 0:
             raise ValueError("A must be positive")
         self.A = float(A)
-
-    def __repr__(self):
-        return f"TricomiMarker(A={self.A})"
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ the standard library: math.gamma for the Gamma function, compensated
 Taylor summation for the confluent hypergeometric M, and the connection
 formula for U (DLMF 13.2.42). Negative arguments of U use the real
 Kummer-basis combination (cube roots taken real), which is the branch
-relevant to the kinetic obstruction function; Poincare series summed to
-their smallest term (DLMF 13.7) provide the large-argument regime.
+relevant to the kinetic obstruction function. From |z| = 17 on, U is
+instead the Poincare series (DLMF 13.7) summed to its smallest term; one
+switch on |z| picks the formula, so each argument runs exactly one.
 
 The series work lane by lane over numpy arrays, one lane per argument z,
 following Pearson, Olver & Porter, Numer. Algorithms 74 (2017). Lanes are
@@ -281,9 +282,13 @@ def _taylor_terms(factors, deg):
 
 def _poincare(p: float, q: float, w):
     """sum_s (p)_s (q)_s / s! w^(-s), s <= 60, summed lane by lane to its
-    smallest term. Returns (sum, estimate, terms_used); the estimate is
-    the first omitted term, or the last one when all 61 decrease. Lanes
-    go in blocks of at most _BLOCK."""
+    smallest term. The terms may grow while s < max(-p, -q), so a rise
+    counts only from s = ceil(max(-p, -q)) on: the sum stops at the first
+    term after that which is not smaller than the one before. Returns
+    (sum, estimate, terms_used); the estimate is twice the first omitted
+    term (the last one when all 61 are used) plus the roundoff floor of
+    _taylor_terms at the scale of the largest term used. Lanes go in
+    blocks of at most _BLOCK."""
     if w.size > _BLOCK:
         parts = [_poincare(p, q, w[lo:lo + _BLOCK]) for lo in range(0, w.size, _BLOCK)]
         return tuple(np.concatenate(col) for col in zip(*parts))
@@ -293,10 +298,13 @@ def _poincare(p: float, q: float, w):
     np.cumprod((p + s) * (q + s) / ((s + 1.0) * w[:, None]), axis=1, out=P[:, 1:])
     aP = np.abs(P)
     rise = aP[:, 1:] >= aP[:, :-1]
+    rise[:, :math.ceil(max(-p, -q, 0.0))] = False
     used = np.where(rise.any(axis=1), rise.argmax(axis=1) + 1, _POINCARE_TERMS)
     rows = np.arange(w.size)
     total = np.cumsum(P, axis=1)[rows, used - 1]
-    return total, aP[rows, np.minimum(used, _POINCARE_TERMS - 1)], used
+    big = aP.max(axis=1, where=np.arange(_POINCARE_TERMS) < used[:, None], initial=0.0)
+    return (total, 2.0 * aP[rows, np.minimum(used, _POINCARE_TERMS - 1)]
+            + 4.0 * _EPS * big * np.sqrt(used), used)
 
 
 def _m_lanes(a: float, b: float, z, transform: bool):
@@ -363,8 +371,8 @@ def kummer_m_series(a: float, b: float, z: float) -> HypergeomEval:
     return kummer_m_series_array(a, b, z).lane()
 
 
-_U_BLEND_LO = 20.0
-_U_BLEND_HI = 40.0
+# |z| at and above which U is summed from its Poincare series
+_U_SWITCH = 17.0
 
 
 @lru_cache(maxsize=64)
@@ -390,14 +398,19 @@ def _u_connection(a, b, z, scale, scaled_root, offset):
 
     The larger product and both sums are compensated (TwoProduct, TwoSum)
     and rounded once, so the result is about as accurate as the two
-    series."""
+    series and the factors c1 * scale and c2 * scaled_root. Those carry a
+    few ulps each from Gamma and the root; the estimate adds them at the
+    scale of each product, which dominates where the products cancel, as
+    near |z| = 17 on z > 0."""
     c1, c2, _, _ = _u_constants(a, b)
     (m1, m2), (e1, e2), (k1, k2) = _taylor(((a, b), (a - b + 1.0, 2.0 - b)), z)
     p1, r1 = _two_prod(c1 * scale, m1)
-    s, rs = _two_sum(p1, c2 * scaled_root * m2)
+    p2 = c2 * scaled_root * m2
+    s, rs = _two_sum(p1, p2)
     t, rt = _two_sum(offset, s)
     return (t + (rt + rs + r1),
-            np.abs(c1 * scale) * e1 + np.abs(c2 * scaled_root) * e2,
+            np.abs(c1 * scale) * e1 + np.abs(c2 * scaled_root) * e2
+            + 4.0 * _EPS * (np.abs(p1) + np.abs(p2)),
             k1 + k2)
 
 
@@ -417,14 +430,15 @@ def _u_lanes(a: float, b: float, z, scale, offset, scaled_pow=None, scaled_root=
     """offset + scale * U(a;b;z) over the lanes of a 1-D z, as (value,
     error, terms, regime); scale and offset are arrays like z.
 
-    The connection formula through two Kummer series serves |z| <= 20, the
+    Each lane runs one formula, chosen by |z| alone: the connection formula
+    through two Kummer series below |z| = 17, and at or above it the
     Poincare series U ~ |z|^(-a) sum_s (a)_s (a-b+1)_s / s! (-z)^(-s) (real
-    branch for z < 0) serves |z| >= 40, and 20 < |z| < 40 blends the two
-    linearly (both are accurate there, and the blend keeps the evaluator
-    continuous in z). A caller that knows scale * |z|^(-a) and
-    scale * z^(1-b) in closed form passes them as scaled_pow and
-    scaled_root: near the grazing set that avoids overflow, and it keeps
-    roundings that vary with z out of the result.
+    branch for z < 0). At |z| = 17 the connection formula's e^z cancellation
+    still leaves about 1e-13 relative, and the Poincare series, summed past
+    the terms that grow at first, is as accurate. A caller that knows
+    scale * |z|^(-a) and scale * z^(1-b) in closed form passes them as
+    scaled_pow and scaled_root: near the grazing set that avoids overflow,
+    and it keeps roundings that vary with z out of the result.
     """
     _finite_params("tricomi_u", a=a, b=b)
     if abs(b - round(b)) < 1e-12:
@@ -432,46 +446,31 @@ def _u_lanes(a: float, b: float, z, scale, offset, scaled_pow=None, scaled_root=
     if abs(abs(1.0 - b) - 1.0 / 3.0) >= 1e-12 and (z < 0.0).any():
         # the real branch takes odd roots only
         raise ValueError(f"real power of negative base undefined for exponent {1.0 - b}")
-    az = np.abs(z)
-    ser = az < _U_BLEND_HI
-    asy = ~(az <= _U_BLEND_LO)
-    if scaled_root is None:
-        zs = z[ser]
-        scaled_root = np.zeros(z.size)
-        scaled_root[ser] = scale[ser] * np.copysign(
-            np.power(np.abs(zs), 1.0 - b, out=np.zeros(zs.size), where=zs != 0.0), zs)
-    if not asy.any():
-        return (*_u_connection(a, b, z, scale, scaled_root, offset), np.full(z.size, _CONNECTION))
-    zpow = scale[asy] * az[asy] ** -a if scaled_pow is None else scaled_pow[asy]
-    av, ae, ak = _u_asymptotic(a, b, z[asy], zpow, offset[asy])
-    if not ser.any():
-        return av, ae, ak, np.full(z.size, _ASYMPTOTIC)
+    asy = np.abs(z) >= _U_SWITCH
+    con = ~asy
     val = np.empty(z.size)
     err = np.empty(z.size)
     used = np.empty(z.size, dtype=np.int64)
-    code = np.where(asy, _ASYMPTOTIC, _CONNECTION)
-    val[ser], err[ser], used[ser] = _u_connection(a, b, z[ser], scale[ser], scaled_root[ser],
-                                                  offset[ser])
-    blend = asy & ser
-    w = (az[blend] - _U_BLEND_LO) / (_U_BLEND_HI - _U_BLEND_LO)
-    inner = blend[asy]
-    sv, se = val[blend], err[blend]
-    av[inner], ae[inner] = ((1.0 - w) * sv + w * av[inner],
-                            (1.0 - w) * se + w * ae[inner] + np.abs(sv - av[inner]))
-    ak[inner] += used[blend]
-    val[asy], err[asy], used[asy] = av, ae, ak
-    return val, err, used, code
+    if con.any():
+        zc = z[con]
+        root = scaled_root[con] if scaled_root is not None else scale[con] * np.copysign(
+            np.power(np.abs(zc), 1.0 - b, out=np.zeros(zc.size), where=zc != 0.0), zc)
+        val[con], err[con], used[con] = _u_connection(a, b, zc, scale[con], root, offset[con])
+    if asy.any():
+        zpow = scale[asy] * np.abs(z[asy]) ** -a if scaled_pow is None else scaled_pow[asy]
+        val[asy], err[asy], used[asy] = _u_asymptotic(a, b, z[asy], zpow, offset[asy])
+    return val, err, used, np.where(asy, _ASYMPTOTIC, _CONNECTION)
 
 
 def tricomi_u_array(a: float, b: float, z) -> HypergeomLanes:
     """Tricomi's confluent hypergeometric U(a;b;z) at every entry of z,
     real branch for z < 0.
 
-    For moderate z the connection formula through two M evaluations is
-    used; the adaptive asymptotic series takes over beyond |z| = 40, with a
-    linear blend of the two regimes on 20 <= |z| <= 40. b must be
-    non-integer (the kinetic use has b in {2/3, 4/3}). A lane whose value
-    or error overflows double precision raises ValueError naming its z.
+    Below |z| = 17 the connection formula through two M evaluations is
+    used; at or above it, the adaptive asymptotic series (_u_lanes). b
+    must be non-integer (the kinetic use has b in {2/3, 4/3}). A lane whose
+    value or error overflows double precision raises ValueError naming its
+    z.
     """
     z = _finite_lanes(z, "tricomi_u")
     # an overflowing lane is caught by the finiteness check below

@@ -107,6 +107,17 @@ def test_liouville_classify_tricomi_case(tmp_path):
     assert rep["verification"]["pass"]
 
 
+def test_tricomi_and_liouville_pass_where_tau_reaches_the_asymptotic_lanes(tmp_path):
+    # at small A the verify draws and the classifier's check points reach
+    # |tau| >= 17, where U is summed from its Poincare series
+    assert run_main(["tricomi-verify", "--A", "0.1"]) == 0
+    rhs = tmp_path / "v3.json"
+    rhs.write_text(KineticPolynomial.monomial(1, 1, bv=(3,)).to_json())
+    out = tmp_path / "cls.json"
+    assert run_main(["liouville-classify", "--rhs", str(rhs), "--A", "0.01", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["verification"]["pass"]
+
+
 def test_liouville_classify_polynomial_case(tmp_path):
     p = KineticPolynomial(1, {mono(1, bv=(3,)): 1, mono(1, bx=(1,)): -2})
     rhs = tmp_path / "exc.json"
@@ -372,6 +383,25 @@ def test_A_out_of_tricomi_range_is_config_error(A, tmp_path, capsys):
         assert run_main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and "out of range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, space", [("builtin:tricomi", "p5"), ("file", "p5+tricomi"),
+                                          ("file", "p5 --tau")])
+def test_probe_where_T_overflows_is_config_error(field, space, tmp_path, capsys):
+    # T_{1e-120,3} overflows at |v| = 80: the probe exits 2 before its first fit
+    # whether T is the probed field, a basis element of the space or of the
+    # --tau fits at the grazing point
+    if field == "file":
+        import numpy as np
+        from kinreg.solver import Field, HalfStripGrid
+
+        field = str(tmp_path / "zero.kfp")
+        Field(HalfStripGrid(x_max=1.0, v_max=1.0, nx=16, nv=16), np.zeros((17, 16))).to_binary(field)
+    argv = ["probe-exponent", "--field", field, "--space", *space.split(), "--A", "1e-120",
+            "--radii", "80,40,20,10"]
+    assert run_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflows" in err and "Traceback" not in err
 
 
 def test_counterexample_curvature_beyond_the_patch_is_config_error(tmp_path, capsys):

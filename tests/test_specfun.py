@@ -89,7 +89,8 @@ U_REAL_NEG_GOLDEN = {
     -300.0: 27087.67580986197197623,
 }
 
-# real-branch U(-5/3; 2/3; z) across the 20 <= |z| <= 40 blend window
+# real-branch U(-5/3; 2/3; z) on 25 <= |z| <= 39, past the regime switch
+# at |z| = 17; the name is that of the former 20 < |z| < 40 blend window
 U_BLEND_GOLDEN = {
     -39.0: 948.2829856785100203383,
     -35.0: 796.6975285559063173624,
@@ -99,6 +100,19 @@ U_BLEND_GOLDEN = {
     30.0: 268.2707671550086813264,
     35.0: 350.7934454509989773059,
     39.0: 423.0287047936357556515,
+}
+
+# real-branch U(-17/3; 2/3; z) and U(-23/3; 2/3; z), lam = 15 and 21, past
+# the regime switch: the first terms of their Poincare series grow
+U_GROWING_TERMS_GOLDEN = {
+    (-17 / 3, -30.0): 1124024427.675724585045,
+    (-17 / 3, -25.0): 464655983.0035640758996,
+    (-17 / 3, -22.0): 253337415.3481672512053,
+    (-17 / 3, 22.0): 6021261.469614832019276,
+    (-17 / 3, 25.0): 17135827.06379627029794,
+    (-17 / 3, 30.0): 67656128.77255293320749,
+    (-23 / 3, -25.0): 634949623736.6567016678,
+    (-23 / 3, 25.0): 1312992713.823826808466,
 }
 
 U_AT_ZERO = 0.8792730042874622700456737  # Gamma(1/3) / Gamma(-4/3)
@@ -302,12 +316,23 @@ def test_tricomi_u_negative_real_branch_golden():
 
 
 def test_tricomi_u_blend_window_golden():
-    # the blend carries the connection formula's e^z cancellation on z > 0;
-    # its error estimate must still cover the true error
+    # one formula per lane: no e^z cancellation of the connection formula
+    # reaches these lanes, and the error estimate covers the true error
     for z, want in U_BLEND_GOLDEN.items():
         ev = tricomi_u(-5 / 3, 2 / 3, z)
         assert ev.regime is Regime.ASYMPTOTIC
         assert abs(ev.value - want) <= ev.est_abs_error, z
+        assert abs(ev.value - want) <= 1e-13 * abs(want), z
+
+
+def test_tricomi_u_golden_where_poincare_terms_grow_first():
+    # lam = 15 and 21: the sum runs past the terms that grow at first and
+    # stops at its smallest term
+    for (a, z), want in U_GROWING_TERMS_GOLDEN.items():
+        ev = tricomi_u(a, 2 / 3, z)
+        assert ev.regime is Regime.ASYMPTOTIC
+        assert abs(ev.value - want) <= 1e-13 * abs(want), (a, z)
+        assert abs(ev.value - want) <= ev.est_abs_error, (a, z)
 
 
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
@@ -319,7 +344,8 @@ def test_tricomi_u_rejects_non_finite(z):
 
 
 def test_array_lanes_match_one_lane_calls():
-    # both signs, z = 0, the blend window and both regime edges in one batch
+    # both signs, z = 0, both sides of the regime switch at |z| = 17 and
+    # far into the asymptotic regime in one batch
     zs = np.array([0.0, -0.0, 1e-9, -0.3, 0.3, -7.5, 7.5, -19.99, 20.0, -20.0, 20.01,
                    -25.0, 30.0, -35.5, 39.99, 40.0, -40.0, 41.0, -120.0, 300.0, -2000.0])
     for a, b in [(-5 / 3, 2 / 3), (-4 / 3, 4 / 3), (-11 / 3, 2 / 3)]:
@@ -329,8 +355,7 @@ def test_array_lanes_match_one_lane_calls():
             one = tricomi_u(a, b, float(z))
             got = lanes.lane(i)
             assert got.regime is one.regime and got.terms_used == one.terms_used, (a, b, z)
-            tol = one.est_abs_error if 20.0 < abs(z) < 40.0 else 1e-14 * abs(one.value)
-            assert abs(got.value - one.value) <= tol, (a, b, z)
+            assert abs(got.value - one.value) <= 1e-14 * abs(one.value), (a, b, z)
     # Kummer M: terminating case, the transformation (z < -1) and the raw series
     zk = np.array([-30.0, -5.0, -1.0, 0.0, 0.5, 12.0])
     for a, b in [(0.4, 1.3), (-2.0, 0.7), (-5 / 3, 2 / 3)]:

@@ -23,6 +23,8 @@ RNG = np.random.RandomState(11)
 T13_AT_X1_V0 = -68.4790800812908113905114
 # T_{1,3}(1e-300, v) for v = 1, -1 (tools/freeze_oracles.py): the trace -3
 T13_GRAZING = {1.0: -3.0, -1.0: -3.0}
+# T_{1,15}(1e-3, v) for v = 0.6, -0.6 (tools/freeze_oracles.py): tau = -+24
+T115_GOLDEN = {0.6: -0.001784600367926274827889, -0.6: -0.0002325497957330528982518}
 
 
 def test_params_validation():
@@ -191,28 +193,22 @@ def test_eval_rejects_non_finite(x, v):
 
 
 def test_batch_matches_one_point_calls(monkeypatch):
-    # x = 0 rows, both signs of tau, the blend window (20 < |tau| < 40)
-    # and the asymptotic regime in one batch; the one-point calls evaluate
-    # afresh, not from the kept batch
-    from kinreg.specfun import tricomi_u
-
+    # x = 0 rows, both signs of tau, both sides of the regime switch at
+    # |tau| = 17 and far into the asymptotic regime in one batch; the
+    # one-point calls evaluate afresh, not from the kept batch
     monkeypatch.setattr(tricomi, "_last", None)
     p = TricomiParams(A=1.0, lam=3)
     xs = np.array([0.0, 1e-3, 3e-3, 0.01, 0.3, 1.7])
     vs = np.array([-1.4, -1.0, -0.2, 0.0, 0.45, 1.0, 1.3])
     batch = eval_tricomi(p, xs[:, None], vs[None, :])
     assert batch.shape == (6, 7)
-    K = 2.0 * 9.0 ** (5 / 3)
     taus = set()
     for i, x in enumerate(xs):
         for j, v in enumerate(vs):
             one = _one_lane_fresh(p, float(x), float(v))
             tau = -v ** 3 / (9.0 * x) if x > 0 else 0.0
             taus.add(np.sign(tau) * min(abs(tau) // 20, 2))
-            tol = 1e-14 * abs(one)
-            if 20.0 < abs(tau) < 40.0:
-                tol = K * x ** (5 / 3) * tricomi_u(-5 / 3, 2 / 3, tau).est_abs_error
-            assert abs(batch[i, j] - one) <= tol, (x, v)
+            assert abs(batch[i, j] - one) <= 1e-14 * abs(one), (x, v)
     assert {-2, -1, 0, 1, 2} <= taus
     for got, x, v in zip(pde_residual(p, xs[1:], vs[1:6]), xs[1:], vs[1:6]):
         assert got == pytest.approx(pde_residual(p, float(x), float(v)), rel=1e-14, abs=1e-14)
@@ -250,6 +246,14 @@ def test_lambda9_basics():
     assert got == pytest.approx(-110.0, rel=1e-3)
     # even boundary trace
     assert eval_tricomi(p, 0.0, 1.3) == eval_tricomi(p, 0.0, -1.3)
+
+
+def test_lambda15_golden_past_the_regime_switch():
+    # |tau| = 24 is summed from the Poincare series, whose first terms grow
+    # for lam = 15 before they shrink
+    p = TricomiParams(A=1.0, lam=15)
+    for v, want in T115_GOLDEN.items():
+        assert abs(eval_tricomi(p, 1e-3, v) - want) <= 1e-13 * abs(want), v
 
 
 def test_c41_seminorm_probe_bounded():

@@ -4,7 +4,10 @@ Regenerates every golden constant frozen into the test suite:
   * Gamma grid, Gamma across [-30, 171.5] and at the thirds of the U
     constants for lam = 3, 9, 15, 1/Gamma(150) and 1/Gamma(-150.5)
   * Kummer M grid, classical-U grid, real-branch U grid
-  * the real-branch U across the 20 <= |z| <= 40 blend window
+  * the real-branch U(-5/3; 2/3; z) on 25 <= |z| <= 39, past the regime
+    switch at |z| = 17
+  * U(-17/3; 2/3; .), U(-23/3; 2/3; .) and T_{1,15} where the Poincare
+    terms grow before they shrink
   * U(-5/3; 2/3; 0) = Gamma(1/3)/Gamma(-4/3)
   * T_{1,3}(1, 0), T_{1,3}(1e-300, +-1) and the obstruction normalization checks
   * the PDE residual constant -(lam+1)(lam+2) A^{-lam/2}
@@ -67,9 +70,18 @@ def main():
     for z in [-0.7, -5.0, -21.0, -300.0]:
         print(f"  z={z!r}: {mp.nstr(u_real(mp.mpf(-5) / 3, mp.mpf(2) / 3, z), 22)}")
 
-    print("# real-branch U in the blend window")
+    print("# real-branch U past the regime switch at |z| = 17")
     for z in [-39.0, -35.0, -30.0, -25.0, 25.0, 30.0, 35.0, 39.0]:
         print(f"  z={z!r}: {mp.nstr(u_real(mp.mpf(-5) / 3, mp.mpf(2) / 3, z), 22)}")
+
+    print("# real-branch U for lam = 15 and 21, whose Poincare terms grow at first")
+    for k, zs in [(17, [-30.0, -25.0, -22.0, 22.0, 25.0, 30.0]), (23, [-25.0, 25.0])]:
+        for z in zs:
+            print(f"  (-{k}/3,{z!r}): {mp.nstr(u_real(-mp.mpf(k) / 3, mp.mpf(2) / 3, z), 22)}")
+
+    print("# T_{1,15}(1e-3, v), tau = -v^3 / 9e-3 = -+24")
+    for v in [0.6, -0.6]:
+        print(f"  v={v!r}: {mp.nstr(tricomi(15, 1, 1e-3, v), 22)}")
 
     print("# real-branch sanity: agrees with hyperu on z > 0")
     for z in [0.5, 10.0, 40.0]:
