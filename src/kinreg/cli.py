@@ -166,7 +166,7 @@ def run_liouville(args) -> int:
             p = KineticPolynomial.from_json(fh.read())
         rhs = HalfSpaceRHS(p, args.A)
         require_verifiable(rhs)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     res = classify(rhs)
@@ -279,6 +279,8 @@ def run_probe(args) -> int:
             raise ValueError(f"unknown space {args.space!r}")
         t0, x0, v0 = (float(c) for c in args.z0.split(","))
         z0 = KineticPoint(t0, x0, v0)
+        if x0 < 0.0:
+            raise ValueError(f"--z0 must lie in the closed half-space x >= 0, got x = {x0}")
         radii = [float(r) for r in args.radii.split(",")]
         if not all(0.0 < r < math.inf for r in radii):
             raise ValueError(f"--radii must be finite and positive, got {args.radii}")

@@ -92,8 +92,9 @@ def build_flatten(dom: GraphDomain) -> FlattenMap:
         g1 = dom.d1(y1)
         g2 = dom.d2(y1)
         s = math.hypot(1.0, g1)
-        # (g1/s)' = g2 / s^3, (1/s)' = -g1 g2 / s^3
-        col1 = np.array([1.0 - y2 * g2 / s ** 3, g1 - y2 * g1 * g2 / s ** 3])
+        # (g1/s)' = g2 / s^3, (1/s)' = -g1 g2 / s^3; s * s * s is inf, not
+        # an OverflowError, where s^3 leaves the double range
+        col1 = np.array([1.0 - y2 * g2 / (s * s * s), g1 - y2 * g1 * g2 / (s * s * s)])
         col2 = np.array([-g1 / s, 1.0 / s])
         return np.column_stack([col1, col2])
 
@@ -135,19 +136,20 @@ def build_flatten(dom: GraphDomain) -> FlattenMap:
 
     fm = FlattenMap(phi, phi_inverse, d_phi, d_phi_inverse, d2_phi, dom)
 
-    # verification of the defining boundary identities on the patch
+    # verification of the defining boundary identities on the patch; each
+    # check is written so that an inf or NaN fails it
     for y1 in np.linspace(-PATCH_RADIUS, PATCH_RADIUS, 9):
         x = phi_inverse(np.array([y1, 0.0]))
-        if abs(dom.gamma(x[0]) - x[1]) > 1e-10:
+        if not abs(dom.gamma(x[0]) - x[1]) <= 1e-10:
             raise ValueError("boundary does not map to {y2 = 0}")
         # eq. of the normal column: d(phi^{-1})/dy2 = -outward normal
         col = d_phi_inverse(np.array([y1, 0.0]))[:, 1]
-        if np.max(np.abs(col + dom.outward_normal(x[0]))) > 1e-10:
+        if not np.max(np.abs(col + dom.outward_normal(x[0]))) <= 1e-10:
             raise ValueError("normal column identity fails")
         for y2 in (0.0, 0.4 * PATCH_RADIUS, 0.8 * PATCH_RADIUS):
             y = np.array([y1, y2])
             rt = phi(phi_inverse(y))
-            if np.max(np.abs(rt - y)) > 1e-9:
+            if not np.max(np.abs(rt - y)) <= 1e-9:
                 raise ValueError("injectivity check failed on the patch")
     return fm
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -149,41 +150,6 @@ class KineticPolynomial:
     def is_homogeneous(self, lam: int) -> bool:
         return all(b.kinetic_degree == lam for b in self.terms)
 
-    # -- calculus ----------------------------------------------------------
-
-    def deriv_t(self) -> "KineticPolynomial":
-        out = {}
-        for b, c in self.terms.items():
-            if b.bt > 0:
-                out[MultiIndex(b.bt - 1, b.bx, b.bv)] = c * b.bt
-        return KineticPolynomial(self.n, out)
-
-    def deriv_x(self, i: int) -> "KineticPolynomial":
-        out = {}
-        for b, c in self.terms.items():
-            if b.bx[i] > 0:
-                bx = list(b.bx)
-                bx[i] -= 1
-                out[MultiIndex(b.bt, tuple(bx), b.bv)] = c * b.bx[i]
-        return KineticPolynomial(self.n, out)
-
-    def deriv_v(self, i: int) -> "KineticPolynomial":
-        out = {}
-        for b, c in self.terms.items():
-            if b.bv[i] > 0:
-                bv = list(b.bv)
-                bv[i] -= 1
-                out[MultiIndex(b.bt, b.bx, tuple(bv))] = c * b.bv[i]
-        return KineticPolynomial(self.n, out)
-
-    def transport(self) -> "KineticPolynomial":
-        """(d_t + v . grad_x) applied once."""
-        out = self.deriv_t()
-        for i in range(self.n):
-            vi = KineticPolynomial.monomial(self.n, 1, bv=tuple(1 if j == i else 0 for j in range(self.n)))
-            out = out + vi * self.deriv_x(i)
-        return out
-
     def eval(self, z: KineticPoint) -> float:
         if z.n != self.n:
             raise ValueError("dimension mismatch in eval")
@@ -247,31 +213,24 @@ class KineticPolynomial:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "KineticPolynomial":
-        n = int(d["n"])
+        """Inverse of to_json_dict; ValueError names a missing or malformed field."""
+        def field(obj, key, conv):
+            try:
+                return conv(obj[key])
+            except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+                raise ValueError(f"polynomial field {key!r}: {exc!r}") from None
+
+        ints = lambda e: tuple(map(operator.index, e))
+        n = field(d, "n", operator.index)
         terms = {}
-        for t in d["terms"]:
-            beta = MultiIndex(int(t["bt"]), tuple(int(b) for b in t["bx"]), tuple(int(b) for b in t["bv"]))
-            c = t["c"]
-            terms[beta] = Fraction(c) if isinstance(c, str) else _rat(c)
+        for t in field(d, "terms", list):
+            beta = MultiIndex(field(t, "bt", operator.index), field(t, "bx", ints), field(t, "bv", ints))
+            terms[beta] = field(t, "c", _rat)
         return cls(n, terms)
 
     @classmethod
     def from_json(cls, s: str) -> "KineticPolynomial":
         return cls.from_json_dict(json.loads(s))
-
-
-def transport_derivative(p: KineticPolynomial, beta: MultiIndex) -> KineticPolynomial:
-    """D^beta p = (d_t + v.grad_x)^bt  dx^bx  dv^bv  p."""
-    out = p
-    for i, e in enumerate(beta.bv):
-        for _ in range(e):
-            out = out.deriv_v(i)
-    for i, e in enumerate(beta.bx):
-        for _ in range(e):
-            out = out.deriv_x(i)
-    for _ in range(beta.bt):
-        out = out.transport()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +274,58 @@ def kolmogorov_operator(n: int) -> OperatorSpec:
     return OperatorSpec.make(a)
 
 
+def _bump(e: tuple[int, ...], i: int, d: int) -> tuple[int, ...]:
+    return e[:i] + (e[i] + d,) + e[i + 1:]
+
+
+def _operator_image(a, b: MultiIndex) -> list[tuple[int, MultiIndex, Fraction]]:
+    """L applied to the monomial with exponent b, read off the exponents:
+    (term, exponent, coefficient) triples with nonzero coefficients. Term 0
+    is d_t, term 1 + i is v_i d_x_i, and the diffusion terms (i, j) with
+    i <= j follow in row-major order; (i, j) and (j, i) land on one
+    exponent, so their images are added."""
+    out = []
+    if b.bt:
+        out.append((0, MultiIndex(b.bt - 1, b.bx, b.bv), Fraction(b.bt)))
+    for i, e in enumerate(b.bx):
+        if e:
+            out.append((1 + i, MultiIndex(b.bt, _bump(b.bx, i, -1), _bump(b.bv, i, 1)), Fraction(e)))
+    pairs = [(i, j) for i in range(b.n) for j in range(i, b.n)]
+    for k, (i, j) in enumerate(pairs, 1 + b.n):
+        m = (2 - (i == j)) * b.bv[i] * (b.bv[j] - (i == j))
+        if m and a[i][j]:
+            out.append((k, MultiIndex(b.bt, b.bx, _bump(_bump(b.bv, i, -1), j, -1)), -m * a[i][j]))
+    return out
+
+
 def apply_operator(op: OperatorSpec, p: KineticPolynomial) -> KineticPolynomial:
+    """L p, summed term of L by term of L, each over p in its order; the
+    terms of the result, which float sums over them follow, come in that
+    order. A coefficient that cancels to 0 leaves the sum and a later term
+    of L puts it back at the end, as a sum of polynomials does."""
     if op.n != p.n:
         raise ValueError("dimension mismatch between operator and polynomial")
-    out = p.transport()
-    for i in range(op.n):
-        for j in range(op.n):
-            if op.a[i][j] != 0:
-                out = out - KineticPolynomial.constant(p.n, op.a[i][j]) * p.deriv_v(i).deriv_v(j)
+    images = [(k, beta, c * m) for b, c in p.terms.items() for k, beta, m in _operator_image(op.a, b)]
+    out: dict[MultiIndex, Fraction] = {}
+    for _, beta, c in sorted(images, key=lambda e: e[0]):
+        if out.get(beta) == 0:
+            del out[beta]
+        out[beta] = out.get(beta, 0) + c
+    return KineticPolynomial(p.n, out)
+
+
+def transport_derivative(p: KineticPolynomial, beta: MultiIndex) -> KineticPolynomial:
+    """D^beta p = (d_t + v.grad_x)^bt  dx^bx  dv^bv  p: falling factorials
+    on the exponents in x and v, then L with a = 0 applied bt times."""
+    terms = {}
+    for b, c in p.terms.items():
+        c *= math.prod(map(math.perm, b.bx + b.bv, beta.bx + beta.bv))
+        if c:
+            terms[MultiIndex(b.bt, tuple(map(operator.sub, b.bx, beta.bx)),
+                             tuple(map(operator.sub, b.bv, beta.bv)))] = c
+    out = KineticPolynomial(p.n, terms)
+    for _ in range(beta.bt):
+        out = apply_operator(OperatorSpec.make([[0] * p.n] * p.n), out)
     return out
 
 
@@ -473,7 +476,7 @@ def _rref(M: list[list[Fraction]]):
         for r in range(rows):
             if r != rank and M[r][col] != 0:
                 f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[rank])]
+                M[r] = [a - f * b if b else a for a, b in zip(M[r], M[rank])]
         pivots.append(col)
         rank += 1
         if rank == rows:
@@ -560,7 +563,7 @@ def _operator_matrix(op: OperatorSpec, cols: list[MultiIndex], rows: list[MultiI
     pos = {b: i for i, b in enumerate(rows)}
     M = [[Fraction(0)] * len(cols) for _ in rows]
     for j, b in enumerate(cols):
-        for beta, c in apply_operator(op, KineticPolynomial(op.n, {b: 1})).terms.items():
+        for _, beta, c in _operator_image(op.a, b):
             M[pos[beta]][j] = c
     return M
 

@@ -87,7 +87,7 @@ def test_solve_kfp_bad_input_is_config_error(argv, capsys):
     ["counterexample-check", "--gamma", "bogus"], ["counterexample-check", "--f-hessian", "3"],
     ["counterexample-check", "--f-hessian", "[[NaN,0],[0,-2]]"],
     ["counterexample-check", "--f-hessian", "[[1e400,0],[0,-2]]"],
-    ["counterexample-check", "--f-hessian", "[[2]]"]])
+    ["counterexample-check", "--f-hessian", "[[2]]"], ["probe-exponent", "--z0", "0,-1,0"]])
 def test_probe_and_counterexample_bad_input_is_config_error(argv, capsys):
     # checked before any fit or flattening: exit 2 with a message, no traceback
     assert run_main(argv) == 2
@@ -519,3 +519,33 @@ def test_liouville_coefficient_beyond_double_range_is_config_error(tmp_path, cap
     assert run_main(["liouville-classify", "--rhs", str(rhs)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: rhs coefficient") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 1, "terms": 5}', "[1, 2]",
+    '{"n": 1, "terms": [{"bt": 0, "bx": [0], "bv": [3], "c": null}]}',
+    '{"n": 1, "terms": [{"bt": 0, "bx": [0], "bv": [3], "c": "1/0"}]}'],
+    ids=["terms-not-a-list", "top-level-list", "c-null", "c-1/0"])
+def test_liouville_malformed_rhs_is_config_error(text, tmp_path, capsys):
+    rhs = tmp_path / "bad.json"
+    rhs.write_text(text)
+    assert run_main(["liouville-classify", "--rhs", str(rhs)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: polynomial field") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("curvature", ["1e155", "1e308", "-1e308"])
+def test_counterexample_curvature_beyond_double_range_is_config_error(curvature, capsys):
+    # s^3 leaves the double range in the flattening's Jacobian
+    assert run_main(["counterexample-check", f"--curvature={curvature}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_probe_exponent_tau_over_p4(tmp_path):
+    # at the grazing origin --tau fits p5+tricomi whatever the probed space
+    out = tmp_path / "probe.json"
+    assert run_main(["probe-exponent", "--space", "p4", "--tau", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert abs(rep["tau"] - 1.0) <= 1e-12
+    assert rep["tau_stable"] is True

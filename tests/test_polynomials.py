@@ -97,6 +97,48 @@ def test_apply_operator_worked_examples():
     assert apply_operator(op, txv2) == want2
 
 
+def test_apply_operator_worked_examples_n2():
+    # L = d_t + v1 d_x1 + v2 d_x2 - (2 d_v1v1 + 2 d_v1v2 + 3 d_v2v2): the
+    # mixed derivative enters as a_12 + a_21 = 2
+    op = OperatorSpec.make([[2, 1], [1, 3]])
+    m = lambda bt=0, bx=(0, 0), bv=(0, 0): mono(2, bt, bx, bv)
+    assert apply_operator(op, KineticPolynomial(2, {m(bv=(1, 1)): 1})) == KineticPolynomial(2, {m(): -2})
+    # v1^2 v2^2 -> -2*2 v2^2 - 2*4 v1 v2 - 3*2 v1^2, in the order a_11, a_12, a_22
+    got = apply_operator(op, KineticPolynomial(2, {m(bv=(2, 2)): 1}))
+    want = {m(bv=(0, 2)): -4, m(bv=(1, 1)): -8, m(bv=(2, 0)): -6}
+    assert got.terms == want and list(got.terms) == list(want)
+    # t x1 v2 -> x1 v2 (from d_t) + t v1 v2 (from v1 d_x1)
+    got = apply_operator(op, KineticPolynomial(2, {m(bt=1, bx=(1, 0), bv=(0, 1)): 1}))
+    assert got == KineticPolynomial(2, {m(bx=(1, 0), bv=(0, 1)): 1, m(bt=1, bv=(1, 1)): 1})
+    # x2 v1 v2^2 -> v1 v2^3 (from v2 d_x2) - 2*2 x2 v2 - 3*2 x2 v1
+    got = apply_operator(op, KineticPolynomial(2, {m(bx=(0, 1), bv=(1, 2)): Fraction(1, 2)}))
+    assert got == KineticPolynomial(2, {m(bv=(1, 3)): Fraction(1, 2), m(bx=(0, 1), bv=(0, 1)): -2,
+                                        m(bx=(0, 1), bv=(1, 0)): -3})
+
+
+def test_apply_operator_term_order():
+    # the terms of L p come term of L by term of L; v cancels after v d_x
+    # (t v -> v, -x -> -v) and the diffusion of v^3 puts it back at the end
+    op = kolmogorov_operator(1)
+    p = KineticPolynomial(1, {mono(1, bv=(1,), bt=1): 1, mono(1, bx=(1,)): -1,
+                              mono(1, bx=(1,), bv=(1,)): 1, mono(1, bv=(3,)): 1})
+    got = apply_operator(op, p)
+    assert got == KineticPolynomial(1, {mono(1, bv=(2,)): 1, mono(1, bv=(1,)): -6})
+    assert list(got.terms) == [mono(1, bv=(2,)), mono(1, bv=(1,))]
+
+
+def test_transport_derivative_in_x():
+    x2v3 = KineticPolynomial.monomial(1, 1, bx=(2,), bv=(3,))
+    txv = KineticPolynomial.monomial(1, 1, bt=1, bx=(1,), bv=(1,))
+    got = transport_derivative(x2v3 + txv, mono(1, bx=(1,)))
+    assert got == KineticPolynomial(1, {mono(1, bx=(1,), bv=(3,)): 2, mono(1, bt=1, bv=(1,)): 1})
+    # dv: 3 x^2 v^2, dx: 6 x v^2, d_t + v d_x: 6 v^3
+    assert transport_derivative(x2v3, mono(1, bt=1, bx=(1,), bv=(1,))) == KineticPolynomial.monomial(1, 6, bv=(3,))
+    assert transport_derivative(x2v3, mono(1, bx=(3,))).is_zero()
+    q = KineticPolynomial(2, {mono(2, bx=(1, 2), bv=(1, 0)): 1, mono(2, bx=(0, 1)): 5})
+    assert transport_derivative(q, mono(2, bx=(0, 2))) == KineticPolynomial(2, {mono(2, bx=(1, 0), bv=(1, 0)): 2})
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_grading_property(n):
     # L maps P_k into P_{k-2} for every k <= 8, basis by basis
@@ -309,6 +351,20 @@ def test_non_finite_coefficient_raises_value_error():
             KineticPolynomial.monomial(1, c)
     with pytest.raises(ValueError):
         KineticPolynomial.from_json('{"n": 1, "terms": [{"bt": 0, "bx": [0], "bv": [3], "c": Infinity}]}')
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"n": 1, "terms": 5}', "terms"), ("[1, 2]", "n"), ('{"terms": []}', "n"),
+    ('{"n": 1, "terms": [{"bt": 0, "bx": [0], "bv": [3], "c": null}]}', "c"),
+    ('{"n": 1, "terms": [{"bt": 0, "bx": [0], "bv": [3], "c": "1/0"}]}', "c"),
+    ('{"n": 1, "terms": [{"bt": 0, "bx": 0, "bv": [3], "c": 1}]}', "bx"),
+    ('{"n": 1, "terms": [{"bt": Infinity, "bx": [0], "bv": [3], "c": 1}]}', "bt"),
+    ('{"n": 1, "terms": [{"bt": 0, "bx": [0], "bv": [3.7], "c": 1}]}', "bv")],
+    ids=["terms-not-a-list", "top-level-list", "no-n", "c-null", "c-1/0", "bx-not-a-list", "bt-inf",
+         "bv-not-an-integer"])
+def test_malformed_json_raises_value_error_naming_the_field(text, field):
+    with pytest.raises(ValueError, match=f"field '{field}'"):
+        KineticPolynomial.from_json(text)
 
 
 def test_kernel_basis_p1_is_everything():
