@@ -68,7 +68,8 @@ class FlattenMap:
     domain: GraphDomain
 
     def map_phase(self, t: float, x: np.ndarray, v: np.ndarray):
-        """Phi(t, x, v) = (t, phi(x), Dphi(x) v)."""
+        """Phi(t, x, v) = (t, phi(x), Dphi(x) v).
+        Paper: carries the equation and specular condition in Omega to a flat boundary."""
         x = np.asarray(x, dtype=float)
         return t, self.phi(x), self.d_phi(x) @ np.asarray(v, dtype=float)
 
@@ -237,6 +238,7 @@ def limit_rhs_p1(d2phi_at_0: Sequence[np.ndarray], alpha: np.ndarray) -> Kinetic
       p1 = sum_{i != j, k} [d2phi^j_{ik} + d2phi^i_{jk}] alpha_{ij} x_k
            + 4 sum_{i, k} d2phi^i_{ik} alpha_{ii} x_k
            - sum_{i,j,k} d2phi^i_{jk} v_j v_k sum_l (alpha_{il} + alpha_{li}) v_l.
+    Paper: "not C^5_kin in general" in curved domains; p1 is criterion 8's condition.
     """
     hess = [np.asarray(H, dtype=float) for H in d2phi_at_0]
     alpha = np.asarray(alpha, dtype=float)
@@ -273,7 +275,8 @@ def limit_rhs_p1(d2phi_at_0: Sequence[np.ndarray], alpha: np.ndarray) -> Kinetic
 
 def p1_normal_restriction(p1: KineticPolynomial) -> tuple[float, float]:
     """(alpha, beta) with p1(0, (0,..,x_n), (0,..,v_n)) = alpha x_n + beta v_n^3.
-    The obstruction holds iff alpha != -2 beta (over the unit diffusion)."""
+    The obstruction holds iff alpha != -2 beta (over the unit diffusion).
+    Paper: "not C^5_kin in general"; agrees with criterion 8's counterexample_condition."""
     n = p1.n
     ax = tuple(1 if m == n - 1 else 0 for m in range(n))
     bv3 = tuple(3 if m == n - 1 else 0 for m in range(n))

@@ -160,7 +160,8 @@ class HalfSpaceDomain:
 
 
 def reflect_velocity(z: KineticPoint, d: HalfSpaceDomain) -> KineticPoint:
-    """Specular reflection R_x v = v - 2 (v . n) n; flips v[normal_axis]."""
+    """Specular reflection R_x v = v - 2 (v . n) n; flips v[normal_axis].
+    Paper: the specular reflection condition f(t, x, R_x v) = f(t, x, v)."""
     k = d.normal_axis
     v = list(z.v)
     v[k] = -v[k]
@@ -168,7 +169,8 @@ def reflect_velocity(z: KineticPoint, d: HalfSpaceDomain) -> KineticPoint:
 
 
 def reflected_set_membership(c: CylinderSpec, d: HalfSpaceDomain, z: KineticPoint) -> bool:
-    """Membership in S(Q) = Q union R(Q)."""
+    """Membership in S(Q) = Q union R(Q).
+    Paper: the set S(Q) of a cylinder Q that meets the specular boundary."""
     return cylinder_contains(c, z) or cylinder_contains(c, reflect_velocity(z, d))
 
 
@@ -275,7 +277,8 @@ def _distance_nd(z1: KineticPoint, z2: KineticPoint, tol: float) -> float:
     """d_ell for n >= 2 to within tol: the sublevel set in w at height r is
     an intersection of convex sets, so membership is decided exactly and
     the radius found by bisection. The minimizing w need not be unique;
-    only feasibility of the level set is used."""
+    only feasibility of the level set is used.
+    Paper: d_ell, the metric of C^{4,1}_kin, for n >= 2; _feasible_nd, _dist_to_lens serve it."""
     if z1 == z2:
         return 0.0
     dt = z1.t - z2.t
@@ -327,7 +330,8 @@ def kinetic_distance(z1, z2, tol: float = 1e-9):
 
 def comparability_proxy(z1: KineticPoint, z2: KineticPoint) -> float:
     """max(|t1-t2|^(1/2), |x1-x2-(t1-t2)v1|^(1/3), |v1-v2|), the one-sided
-    comparison quantity that matches d_ell up to a universal constant."""
+    comparison quantity that matches d_ell up to a universal constant.
+    Paper: C^{4,1}_kin is the same space for either quantity, as the constant is universal."""
     dt = z1.t - z2.t
     dx = math.sqrt(sum((x1 - x2 - dt * w) ** 2 for x1, x2, w in zip(z1.x, z2.x, z1.v)))
     dv = math.sqrt(sum((a - b) ** 2 for a, b in zip(z1.v, z2.v)))

@@ -170,6 +170,7 @@ class KineticPolynomial:
 
         Substitutes t -> t0 + r^2 t, x_i -> x0_i + r^3 x_i + r^2 t v0_i,
         v_i -> v0_i + r v_i; stays in the same kinetic-degree class.
+        Paper: C^{4,1}_kin expands f in the frames z0 o S_r (uses constant and __mul__).
         """
         r = _rat(r)
         n = self.n
@@ -316,7 +317,8 @@ def apply_operator(op: OperatorSpec, p: KineticPolynomial) -> KineticPolynomial:
 
 def transport_derivative(p: KineticPolynomial, beta: MultiIndex) -> KineticPolynomial:
     """D^beta p = (d_t + v.grad_x)^bt  dx^bx  dv^bv  p: falling factorials
-    on the exponents in x and v, then L with a = 0 applied bt times."""
+    on the exponents in x and v, then L with a = 0 applied bt times.
+    Paper: the grading of "C^{4,1}_kin, i.e. C^1_{t,x} and C^2_v" in the abstract."""
     terms = {}
     for b, c in p.terms.items():
         c *= math.prod(map(math.perm, b.bx + b.bv, beta.bx + beta.bv))
@@ -331,7 +333,8 @@ def transport_derivative(p: KineticPolynomial, beta: MultiIndex) -> KineticPolyn
 
 class TricomiMarker:
     """Placeholder basis element standing for the Tricomi obstruction
-    function T_{A,3}(x_n, v_n) inside an augmented polynomial space."""
+    function T_{A,3}(x_n, v_n) inside an augmented polynomial space.
+    Paper: T is what is left of f past C^{4,1}_kin, so f is not C^5_kin (criterion 7)."""
 
     __slots__ = ("A",)
 
@@ -372,6 +375,7 @@ def full_space(k: int, n: int = 1) -> PolySpaceSpec:
 
 
 def specular_space(k: int, n: int = 1) -> PolySpaceSpec:
+    """Paper: the polynomials that meet the specular reflection condition at x_n = 0."""
     return PolySpaceSpec("specular", k, n)
 
 
@@ -615,7 +619,8 @@ def kernel_basis(op: OperatorSpec, spec: PolySpaceSpec) -> list[KineticPolynomia
 
     Row-reduces one layer at a time (degree d onto degree d - 2); reduced
     row echelon forms are unique, so the vectors and their order are those
-    of the row reduction of the whole space."""
+    of the row reduction of the whole space.
+    Paper: the polynomial solutions of the Liouville classification (criterion 5)."""
     if spec.kind == "tricomi_augmented":
         raise ValueError("kernel_basis is defined for polynomial spaces only")
     rows = _layers(spec.k, spec.n)

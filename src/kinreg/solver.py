@@ -63,7 +63,7 @@ class HalfStripGrid:
     v_max: float
     nx: int
     nv: int
-    nt: int = 0
+    nt: int = 0  # checked, and perfbench passes nt=1, but no solver reads it
     dt: float | None = None
     x_min: float = 0.0
 
@@ -278,6 +278,7 @@ class SolverOptions:
 
 
 class SolverError(RuntimeError):
+    """A solve that fails: exit 3 in the CLI, so it never reads as a failed check."""
     def __init__(self, msg, residual_history=None):
         super().__init__(msg)
         self.residual_history = residual_history or []
@@ -536,25 +537,6 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
             return fld
     raise SolverError(f"stationary sweep did not converge in {opts.max_iter} iterations",
                       history)
-
-
-def mirror_extend(fld: Field) -> Field:
-    """Extend across x = 0 by f(-x, -v) = f(x, v).
-
-    Only meaningful for fields solved with the specular condition; the
-    extension solves the same constant-coefficient equation on the full
-    strip."""
-    if fld.metadata.get("bc") not in (None, "specular"):
-        raise ValueError("mirror extension requires a specular field")
-    g = fld.grid
-    if g.x_min != 0.0:
-        raise ValueError("field is already a full-strip field")
-    full = HalfStripGrid(x_max=g.x_max, v_max=g.v_max, nx=2 * g.nx, nv=g.nv,
-                         nt=g.nt, dt=g.dt, x_min=-g.x_max)
-    vals = np.empty((2 * g.nx + 1, g.nv))
-    vals[g.nx:, :] = fld.values
-    vals[:g.nx, :] = fld.values[g.nx:0:-1, ::-1]
-    return Field(full, vals, dict(fld.metadata, extended=True))
 
 
 def _transport_apply(f, vs, hx, d, tmp, out):

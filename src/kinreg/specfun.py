@@ -503,16 +503,3 @@ def asymptotic_m(a: float, b: float, z: float) -> float:
         return gamma_real(b) * rgamma(a) * math.exp(z) * z ** (a - b) * S
     S = _poincare(a, a - b + 1.0, np.array([-z]))[0][0]
     return gamma_real(b) * rgamma(b - a) * (-z) ** (-a) * S
-
-
-def asymptotic_u_kinetic(a: float, tau: float) -> float:
-    """Leading-order U(-a; 2/3; -tau^3) for |tau| >= 5:
-    K |tau|^(3a) as tau -> +inf with K = 2 cos(pi (a + 1/3)), and
-    |tau|^(3a) as tau -> -inf."""
-    _finite_params("asymptotic_u_kinetic", a=a, tau=tau)
-    if abs(tau) < 5.0:
-        raise ValueError("asymptotic_u_kinetic requires |tau| >= 5")
-    if tau > 0:
-        K = 2.0 * math.cos(math.pi * (a + 1.0 / 3.0))
-        return K * abs(tau) ** (3.0 * a)
-    return abs(tau) ** (3.0 * a)

@@ -10,7 +10,6 @@ from kinreg.solver import (
     HalfStripGrid,
     SolverError,
     SolverOptions,
-    mirror_extend,
     solve_stationary,
     solve_timedep,
     _doubling_powers,
@@ -255,24 +254,8 @@ def test_mirror_consistency_first_order():
     full = solve_stationary(H_full, bcf, 1.0, gf, SolverOptions(tol=1e-12, order=1))
 
     assert np.max(np.abs(half.values - full.values[n:, :])) <= 1e-8
-    # the full-strip solution is mirror symmetric, hence equals the extension
-    ext = mirror_extend(half)
-    assert np.max(np.abs(ext.values - full.values)) <= 1e-8
-
-
-def test_mirror_extend_shapes_and_symmetry():
-    g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=16, nv=16)
-    vals = np.array([[x * v for v in g.vs] for x in g.xs])
-    fld = Field(g, vals, {"bc": "specular"})
-    ext = mirror_extend(fld)
-    assert ext.values.shape == (33, 16)
-    # f(-x,-v) = f(x,v) and x*v is invariant
-    full_exact = np.array([[x * v for v in ext.grid.vs] for x in ext.grid.xs])
-    assert np.max(np.abs(ext.values - full_exact)) < 1e-14
-    with pytest.raises(ValueError, match="requires a specular field"):
-        mirror_extend(Field(g, vals, {"bc": "inflow"}))
-    with pytest.raises(ValueError, match="already a full-strip field"):
-        mirror_extend(ext)
+    # the full-strip solution is mirror symmetric: f(-x, -v) = f(x, v)
+    assert np.max(np.abs(full.values[:n] - half.values[n:0:-1, ::-1])) <= 1e-8
 
 
 def test_solver_data_called_on_arrays():

@@ -11,7 +11,6 @@ from kinreg.probe import sample_cylinder
 from kinreg.specfun import (
     Regime,
     asymptotic_m,
-    asymptotic_u_kinetic,
     gamma_real,
     kummer_m,
     kummer_m_series,
@@ -80,6 +79,7 @@ U_GOLDEN = {
     (-5 / 3, 2 / 3, 7.3): 19.23438585669501617192,
     (-5 / 3, 2 / 3, 120.0): 2865.442968653299369513,
     (-11 / 3, 2 / 3, 4.0): -18.23367456080133180059,
+    (-5 / 3, 2 / 3, 1000.0): 99777.80246730782782918,
 }
 
 U_REAL_NEG_GOLDEN = {
@@ -87,6 +87,7 @@ U_REAL_NEG_GOLDEN = {
     -5.0: 42.5295732979607863222,
     -21.0: 353.6990830937445283056,
     -300.0: 27087.67580986197197623,
+    -1000.0: 200444.4938308205075385,
 }
 
 # real-branch U(-5/3; 2/3; z) on 25 <= |z| <= 39, past the regime switch
@@ -394,21 +395,6 @@ def test_asymptotic_m_overlap():
         asymptotic_m(0.4, 1.3, 3.0)
 
 
-def test_asymptotic_u_kinetic_constants():
-    # K = 2 cos(pi (a + 1/3)); a = 5/3 gives exactly 2
-    assert asymptotic_u_kinetic(5 / 3, 10.0) == pytest.approx(2.0 * 10.0 ** 5, rel=1e-12)
-    assert asymptotic_u_kinetic(5 / 3, -10.0) == pytest.approx(10.0 ** 5, rel=1e-12)
-    with pytest.raises(ValueError):
-        asymptotic_u_kinetic(5 / 3, 2.0)
-
-
-def test_asymptotic_u_kinetic_overlap_with_evaluator():
-    for tau in (10.0, -10.0):
-        got = tricomi_u(-5 / 3, 2 / 3, -tau ** 3).value
-        ref = asymptotic_u_kinetic(5 / 3, tau)
-        assert got == pytest.approx(ref, rel=0.03), tau
-
-
 def test_eval_tricomi_matches_u():
     # T = A^{-5/2} v^5 - K x^{5/3} U(-5/3; 2/3; -v^3/(9Ax)) for either sign of v
     for A in (1.0, 2.0):
@@ -445,10 +431,6 @@ def test_error_estimates_nonnegative_and_regimes():
     pytest.param(lambda: asymptotic_m(0.4, 1.3, math.inf), "z = inf", id="asym-m-inf"),
     pytest.param(lambda: asymptotic_m(0.4, 1.3, -math.inf), "z = -inf", id="asym-m-minus-inf"),
     pytest.param(lambda: asymptotic_m(-2.0, 1.3, 40.0), "terminating", id="asym-m-terminating"),
-    pytest.param(lambda: asymptotic_u_kinetic(5 / 3, math.nan), "tau = nan", id="asym-u-nan"),
-    pytest.param(lambda: asymptotic_u_kinetic(5 / 3, math.inf), "tau = inf", id="asym-u-inf"),
-    pytest.param(lambda: asymptotic_u_kinetic(5 / 3, -math.inf), "tau = -inf",
-                 id="asym-u-minus-inf"),
 ])
 def test_bad_parameters_raise_value_error(call, match):
     with pytest.raises(ValueError, match=match):

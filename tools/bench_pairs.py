@@ -25,6 +25,8 @@ BENCH_12.json: per metric the median, the quartiles and the number of
 pairs in which the change was lower, plus the cases attempted and failed.
 Entries of other workloads in an existing file are kept; those of W are
 replaced. Without `--out` the JSON goes to stdout.
+
+On SIGTERM it kills the run in progress, removes its copy and exits 143.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -123,6 +126,9 @@ def main(argv: list[str] | None = None) -> int:
                     help="add one --trace 1 run and one Tier-1 test run of each tree")
     ap.add_argument("--out", help="BENCH JSON file to create or update")
     args = ap.parse_args(argv)
+    # SIGTERM as an exception, so subprocess.run kills and reaps its child and
+    # each TemporaryDirectory removes its copy on the way out
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     dirs = {"parent": args.parent_dir, "change": args.change_dir}

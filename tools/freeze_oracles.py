@@ -3,7 +3,7 @@
 Regenerates every golden constant frozen into the test suite:
   * Gamma grid, Gamma across [-30, 171.5] and at the thirds of the U
     constants for lam = 3, 9, 15, 1/Gamma(150) and 1/Gamma(-150.5)
-  * Kummer M grid, classical-U grid, real-branch U grid
+  * Kummer M grid, classical-U grid, real-branch U grid, both out to |z| = 1000
   * the real-branch U(-5/3; 2/3; z) on 25 <= |z| <= 39, past the regime
     switch at |z| = 17
   * U(-17/3; 2/3; .), U(-23/3; 2/3; .) and T_{1,15} where the Poincare
@@ -65,9 +65,11 @@ def main():
                     (-11 / 3, 2 / 3, 4.0)]:
         print(f"  ({a!r},{b!r},{z!r}): {mp.nstr(mp.hyperu(a, b, z), 22)}")
     print(f"  U(-5/3;2/3;0) = {mp.nstr(mp.gamma(mp.mpf(1) / 3) / mp.gamma(mp.mpf(-4) / 3), 25)}")
+    # hyperu, not u_real: the connection formula cancels e^z-scale terms on z > 0
+    print(f"  (-5/3,2/3,1000.0): {mp.nstr(mp.hyperu(mp.mpf(-5) / 3, mp.mpf(2) / 3, 1000), 22)}")
 
     print("# real-branch U on the negative axis")
-    for z in [-0.7, -5.0, -21.0, -300.0]:
+    for z in [-0.7, -5.0, -21.0, -300.0, -1000.0]:
         print(f"  z={z!r}: {mp.nstr(u_real(mp.mpf(-5) / 3, mp.mpf(2) / 3, z), 22)}")
 
     print("# real-branch U past the regime switch at |z| = 17")
