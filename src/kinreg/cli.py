@@ -240,7 +240,8 @@ def run_solver(args) -> int:
     for grid, (h, bc, exact) in zip(grids, problems):
         fld = solve_stationary(h, bc, args.A, grid, opts)
         last_field = fld
-        row = {"n": grid.nx, "sweeps": fld.metadata["sweeps"]}
+        row = {"n": grid.nx, "sweeps": fld.metadata["sweeps"],
+               "last_update": fld.metadata["last_update"]}
         if exact is not None:
             row["max_error"] = float(np.max(np.abs(fld.values - exact)))
         rows.append(row)

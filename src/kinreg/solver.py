@@ -36,15 +36,19 @@ needed.
 
 An IMEX step at the sizes the lab uses (n ~ 24) works on arrays of a few
 hundred entries, so its cost is set by the number of numpy calls, not by
-the arithmetic. A step forms the limited transport from one difference
-array and one minmod over the whole field, adds the first-order upwind
-differences into the correction in place, diffuses all full stations in
-one matrix product and calls each boundary callable once, filling a new
-array that is checked for fit and finiteness. The grid coordinates,
-dt * h and the inverse are formed once per run. Every rewrite of the step
-keeps the floating-point operations and their order, so results are
-bit-identical to the full-width forms that tests/test_solver.py keeps as
-references.
+the arithmetic. The transport's constants (the slope signs, vs / hx and
+the outflow coefficient), its work arrays, a buffer for the first-order
+upwind term, dt * h and the inverse are made once per run. A step forms
+the limited transport from one difference array and one minmod over the
+whole field, writes the first-order term onto its rows of the buffer and
+adds it with one full-width sum, then updates the field in place
+(f -= dt * transport, f += dt * h). It diffuses all full stations in one
+matrix product into a second field buffer, and the two buffers swap.
+Each boundary callable is called once per step and its result written
+straight into its rows of the field, then checked for fit, complex
+values and finiteness. Every rewrite of the step keeps the floating-point
+operations and their order, so results are bit-identical to the plain
+full-width step that tests/test_solver.py keeps as a reference.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from __future__ import annotations
 import numbers
 import struct
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -294,7 +298,23 @@ def _minmod(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> n
     return np.minimum(lo, np.maximum(b, 0.0, out=tmp), out=lo)
 
 
-def _transport_correction(f: np.ndarray, vs: np.ndarray, hx: float, d: np.ndarray,
+class _Transport(NamedTuple):
+    """The per-run constants of the transport kernels, for the velocities
+    vs (sorted and symmetric, as HalfStripGrid.vs) and the step hx."""
+
+    vs: np.ndarray
+    hx: float
+    half_sign: np.ndarray   # np.copysign(0.5, vs): the sign of each column's half-slope
+    v_hx: np.ndarray        # vs / hx
+    outflow: np.ndarray     # -(vs[:m] / (2 hx)): station 0's one-sided correction
+
+    @classmethod
+    def of(cls, vs: np.ndarray, hx: float) -> "_Transport":
+        m = len(vs) // 2
+        return cls(vs, hx, np.copysign(0.5, vs), vs / hx, -(vs[:m] / (2.0 * hx)))
+
+
+def _transport_correction(f: np.ndarray, tr: _Transport, d: np.ndarray,
                           tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Deferred correction lifting first-order upwind to limited second
     order: corr[i, j] such that v df/dx ~ v (f_i - f_upwind)/hx + corr,
@@ -309,10 +329,9 @@ def _transport_correction(f: np.ndarray, vs: np.ndarray, hx: float, d: np.ndarra
     so no smooth-across-the-wall stencil is used: station 0 (v<0 rows)
     gets a one-sided second-order correction and the wall-adjacent faces
     fall back to centered differences, whatever the condition at x = 0.
-    The rows of vs are sorted and symmetric (as HalfStripGrid.vs), so the
-    v < 0 columns are the first half and the v > 0 columns the second.
+    The v < 0 columns are the first half and the v > 0 columns the second.
     """
-    m = len(vs) // 2
+    m = len(tr.outflow)
     # slope[k], formed in place in d: the half-slope that face k+1/2 adds
     # to the value of its upwind station, k for v > 0 and k+1 for v < 0
     # (there with a minus sign). It is the minmod of the station's two
@@ -322,13 +341,13 @@ def _transport_correction(f: np.ndarray, vs: np.ndarray, hx: float, d: np.ndarra
     mm = _minmod(d[:-1], d[1:], *tmp)
     d[1:, m:] = mm[:, m:]
     d[:-1, :m] = mm[:, :m]
-    d *= np.copysign(0.5, vs)
+    d *= tr.half_sign
     np.subtract(d[1:], d[:-1], out=out[1:-1])
-    out[1:-1] *= vs / hx
+    out[1:-1] *= tr.v_hx
     out[-1] = 0.0
     out[0, m:] = 0.0
     # one-sided second-order correction at the outflow station
-    out[0, :m] = -(vs[:m] / (2.0 * hx)) * (f[0, :m] - 2.0 * f[1, :m] + f[2, :m])
+    out[0, :m] = tr.outflow * (f[0, :m] - 2.0 * f[1, :m] + f[2, :m])
     return out
 
 
@@ -343,25 +362,24 @@ def _finite(values, what: str) -> np.ndarray:
     return arr
 
 
-def _data(fn, shape: tuple, what: str, *args) -> np.ndarray:
-    """One call fn(*args) on coordinate arrays, broadcast to shape, as a
-    new float array; ValueError if it does not fit, is complex or is not
-    finite."""
+def _data(fn, dst: np.ndarray, what: str, *args) -> np.ndarray:
+    """One call fn(*args) on coordinate arrays, written into dst (a float
+    array or a slice of the field), which is returned; ValueError if the
+    result does not fit dst, is complex or is not finite."""
     values = fn(*args)
     if np.iscomplexobj(values):
         raise ValueError(f"{what} is complex")
-    arr = np.empty(shape)
     try:
         # np.broadcast_to's rule: an assignment alone would also drop
         # leading unit axes, e.g. fit (1, nv) into (nv,)
-        if np.ndim(values) > len(shape):
+        if np.ndim(values) > dst.ndim:
             raise ValueError
-        arr[...] = values
+        dst[...] = values
     except ValueError:
-        raise ValueError(f"{what} of shape {np.shape(values)} does not fit {shape}") from None
-    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} of shape {np.shape(values)} does not fit {dst.shape}") from None
+    if not np.isfinite(dst).all():
         raise ValueError(f"{what} contains non-finite values")
-    return arr
+    return dst
 
 
 def _source_array(h, grid: HalfStripGrid) -> np.ndarray:
@@ -371,7 +389,7 @@ def _source_array(h, grid: HalfStripGrid) -> np.ndarray:
     if h is None:
         return np.zeros(shape)
     if callable(h):
-        return _data(h, shape, "source", grid.xs[:, None], grid.vs[None, :])
+        return _data(h, np.empty(shape), "source", grid.xs[:, None], grid.vs[None, :])
     H = np.asarray(h)
     if H.shape != shape:
         raise ValueError(f"source array has wrong shape {H.shape} != {shape}")
@@ -439,6 +457,8 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
 
     h may be an (nx+1, nv) array, a callable h(x, v) called once on the
     grid's coordinate arrays, or None (zero source), as in solve_timedep.
+    The result's metadata holds A, bc, sweeps and last_update, the update
+    of the last sweep relative to max(1, max|f|), which is below opts.tol.
     Raises ValueError on non-finite source or boundary data, and
     SolverError with the residual history on non-convergence.
     """
@@ -454,20 +474,22 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
     apos = np.where(vs > 0, a, 0.0)
     aneg = np.where(vs < 0, a, 0.0)
     interior = _station_factor(a, k, "wall")
+    tr = _Transport.of(vs, hx)
 
     # boundary data enter at t = 0 only
     f = np.zeros((nxp1, nv))
-    f[-1, :] = _data(bc.at_xmax, (nv,), "at_xmax data", 0.0, vs)
+    _data(bc.at_xmax, f[-1], "at_xmax data", 0.0, vs)
     wall_cols = slice(None, None, nv - 1)  # the columns v_0 and v_{nv-1}
     # at_vmax data on the rows v_0 and v_{nv-1} at every station
-    walls = _data(bc.at_vmax, (nxp1, 2), "at_vmax data", 0.0, grid.xs[:, None], vs[[0, -1]])
+    walls = _data(bc.at_vmax, np.empty((nxp1, 2)), "at_vmax data", 0.0, grid.xs[:, None],
+                  vs[[0, -1]])
     f[:, wall_cols] = walls
     # wall rows are Dirichlet rows: their right-hand side is the wall value
     apos[[0, -1]] = aneg[[0, -1]] = 0.0
     if bc.at_x0 == "dirichlet":
-        f[0, :] = _data(bc.inflow_profile, (nv,), "inflow data", 0.0, vs)
+        _data(bc.inflow_profile, f[0], "inflow data", 0.0, vs)
     elif bc.at_x0 == "inflow":  # v>0 rows prescribed, v<0 block solved one-sided
-        g = _data(bc.inflow_profile, (nv - m,), "inflow data", 0.0, vs[m:])
+        g = _data(bc.inflow_profile, np.empty(nv - m), "inflow data", 0.0, vs[m:])
         station0 = _station_factor(a[:m], k, "open")
         inflow_coupling = k * g[0]
         g[-1] = walls[0, 1]
@@ -491,7 +513,7 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
         np.copyto(f_old, f)
         if opts.order == 2:
             np.subtract(f[1:], f[:-1], out=d)
-            np.subtract(H, _transport_correction(f, vs, hx, d, tmp, out=R), out=R)
+            np.subtract(H, _transport_correction(f, tr, d, tmp, out=R), out=R)
         else:
             np.copyto(R, H)
         R[:, wall_cols] = walls
@@ -532,28 +554,31 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
         if not np.isfinite(delta):
             raise SolverError("stationary sweep produced non-finite values", history)
         if delta / scale < opts.tol:
-            fld = Field(grid, f, {"A": A, "bc": bc.at_x0, "sweeps": sweep + 1})
+            fld = Field(grid, f, {"A": A, "bc": bc.at_x0, "sweeps": sweep + 1,
+                                  "last_update": history[-1]})
             fld.check_finite()
             return fld
     raise SolverError(f"stationary sweep did not converge in {opts.max_iter} iterations",
                       history)
 
 
-def _transport_apply(f, vs, hx, d, tmp, out):
+def _transport_apply(f, tr: _Transport, d, tmp, out, first):
     """Full second-order limited transport operator v df/dx (explicit),
     written into out, with the work arrays d and tmp of
-    _transport_correction."""
-    m = len(vs) // 2
+    _transport_correction and first, of out's shape."""
+    vs, hx = tr.vs, tr.hx
+    m = len(tr.outflow)
     np.subtract(f[1:], f[:-1], out=d)
-    # the first-order upwind difference, one-sided at the rows where the
-    # upwind node lies outside: v > 0 at station 0, v < 0 at station nx.
-    # It is formed before the correction turns d into slopes.
-    first = vs * d / hx
-    _transport_correction(f, vs, hx, d, tmp, out)
-    out[1:, m:] += first[:, m:]
-    out[0, m:] += first[0, m:]
-    out[:-1, :m] += first[:, :m]
-    out[-1, :m] += first[-1, :m]
+    # the first-order upwind difference (vs * d) / hx, one-sided at the
+    # rows where the upwind node lies outside: v > 0 at station 0, v < 0 at
+    # station nx. It is formed before the correction turns d into slopes.
+    np.multiply(vs[m:], d[:, m:], out=first[1:, m:])
+    np.multiply(vs[:m], d[:, :m], out=first[:-1, :m])
+    first /= hx
+    first[0, m:] = first[1, m:]
+    first[-1, :m] = first[-2, :m]
+    _transport_correction(f, tr, d, tmp, out)
+    out += first
     return out
 
 
@@ -563,7 +588,7 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float) -> li
     dt <= 0.5 hx / v_max, and raises ValueError on a negative or
     non-finite T, a T that is not a whole number of steps dt (within 1e-9
     relative), and non-finite source, initial or boundary data. Returns
-    [initial slice, final slice]."""
+    [initial slice, final slice]; f0 is left as it is."""
     if not 0.0 < A < np.inf:
         raise ValueError("diffusion A must be positive and finite")
     if not 0.0 <= T < np.inf:
@@ -582,7 +607,6 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float) -> li
     vs, xs = grid.vs, grid.xs[:, None]
     v_walls = vs[[0, -1]]
     wall_cols = slice(None, None, grid.nv - 1)  # the columns v_0 and v_{nv-1}
-    wall_shape = (grid.nx + 1, 2)
     m = grid.nv // 2
     # station-0 rows prescribed by inflow_profile after every step
     x0_rows = {"inflow": slice(m, None), "dirichlet": slice(None)}.get(bc.at_x0)
@@ -597,22 +621,32 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float) -> li
     fold = _station_factor(np.ones(m), c, "fold") if bc.at_x0 == "specular" else None
     first_full = 0 if fold is None else 1
 
-    # d, tmp and out of _transport_apply, allocated once per run
-    work = np.empty((grid.nx, grid.nv)), np.empty((2, grid.nx - 1, grid.nv)), np.empty_like(f)
+    # allocated once per run: the transport's constants and work arrays
+    # (d, tmp, out and first of _transport_apply), and g, which each step
+    # diffuses f into before the two swap
+    tr = _Transport.of(vs, hx)
+    work = (np.empty((grid.nx, grid.nv)), np.empty((2, grid.nx - 1, grid.nv)),
+            np.empty_like(f), np.empty_like(f))
+    g = np.empty_like(f)
     t = 0.0
     for _ in range(nsteps):
-        f = f - dt * _transport_apply(f, vs, hx, *work) + dt_H
+        # f - dt * transport + dt * h, in place and in that order
+        out = _transport_apply(f, tr, *work)
+        out *= dt
+        f -= out
+        f += dt_H
         t_next = t + dt
-        f[:, wall_cols] = _data(bc.at_vmax, wall_shape, "at_vmax data", t_next, xs, v_walls)
+        _data(bc.at_vmax, f[:, wall_cols], "at_vmax data", t_next, xs, v_walls)
         if fold is not None:
-            f[0, :m] = fold @ f[0, :m]
-            f[0, m:] = f[0, m - 1::-1]
+            np.matmul(fold, f[0, :m], out=g[0, :m])
+            g[0, m:] = g[0, m - 1::-1]
         # one product for all full stations: each row is a right-hand side
-        f[first_full:] = f[first_full:] @ full_T
-        f[-1, :] = _data(bc.at_xmax, vs.shape, "at_xmax data", t_next, vs)
+        np.matmul(f[first_full:], full_T, out=g[first_full:])
+        f, g = g, f
+        _data(bc.at_xmax, f[-1], "at_xmax data", t_next, vs)
         if x0_rows is not None:
-            f[0, x0_rows] = _data(bc.inflow_profile, v_in.shape, "inflow data", t_next, v_in)
+            _data(bc.inflow_profile, f[0, x0_rows], "inflow data", t_next, v_in)
         t = t_next
-    final = Field(grid, f.copy(), dict(f0.metadata, t=t))
+    final = Field(grid, f, dict(f0.metadata, t=t))
     final.check_finite()
     return [initial, final]

@@ -250,6 +250,18 @@ def test_console_entry_point(tmp_path):
     assert json.loads(out.read_text())["homogeneity"]["pass"]
 
 
+@pytest.mark.parametrize("tol", [None, "1e-12"])
+def test_solve_kfp_reports_the_last_update(tol, capsys):
+    # each run row carries the relative update of its last sweep, the one
+    # that stopped it below tol
+    argv = ["solve-kfp", "--nx", "24", "--nv", "24"] + ([] if tol is None else ["--tol", tol])
+    assert run_main(argv) == 0
+    rep = json.loads(capsys.readouterr().out)
+    bound = 1e-10 if tol is None else float(tol)
+    for row in rep["runs"]:
+        assert 0.0 <= row["last_update"] < bound and row["sweeps"] >= 1
+
+
 def test_solve_kfp_file_source_and_probe_field_file(tmp_path):
     # write a source field, solve with it, then probe the solved field file
     import numpy as np

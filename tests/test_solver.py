@@ -15,6 +15,7 @@ from kinreg.solver import (
     _doubling_powers,
     _minmod,
     _station_factor,
+    _Transport,
     _transport_apply,
     _transport_correction,
     _upwind_scan,
@@ -502,6 +503,80 @@ def test_timedep_rejects_bad_input():
         solve_timedep(Field(stationary, np.zeros((n + 1, n))), None, bc, 1.0, T=0.05)
 
 
+@pytest.mark.parametrize("bad, message", [(math.nan, "contains non-finite values"),
+                                          (math.inf, "contains non-finite values"),
+                                          (1j, "is complex")], ids=["nan", "inf", "complex"])
+@pytest.mark.parametrize("name, what", [("at_vmax", "at_vmax data"), ("at_xmax", "at_xmax data"),
+                                        ("inflow_profile", "inflow data")])
+def test_timedep_rejects_bad_data_at_a_later_step(name, what, bad, message):
+    # the data turn bad after the second step, once the step has written
+    # good data straight into the field; the initial field stays as it was
+    n = 16
+    g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=n, nv=n, nt=1, dt=0.01)
+    f0 = Field(g, np.random.default_rng(3).standard_normal((n + 1, n)))
+    kept = f0.values.copy()
+    times = []
+
+    def late(t, *xv):
+        times.append(t)
+        return bad if t > 0.02 else 0.5
+
+    data = dict(inflow_profile=lambda t, v: 0.0, at_xmax=lambda t, v: 0.0,
+                at_vmax=lambda t, x, v: 0.0)
+    data[name] = late
+    with pytest.raises(ValueError, match=rf"^{what} {message}$"):
+        solve_timedep(f0, None, BoundaryCondition(at_x0="inflow", **data), 1.0, T=0.05)
+    assert len(times) == 3 and times[-1] > 0.02
+    assert np.array_equal(f0.values, kept)
+
+
+def _timedep_reference(f0, H, bc, A, nsteps):
+    """The IMEX step in plain full-width expressions, each stage making a
+    new array: the reference for the in-place step of solve_timedep."""
+    g = f0.grid
+    vs, xs, hx, dt = g.vs, g.xs[:, None], g.hx, g.dt
+    m = g.nv // 2
+    c = dt * (A / g.hv ** 2)
+    full = _station_factor(np.ones(g.nv), c, "wall")
+    fold = _station_factor(np.ones(m), c, "fold")
+    first_full = 1 if bc.at_x0 == "specular" else 0
+    f, t = f0.values.copy(), 0.0
+    for _ in range(nsteps):
+        f = f - dt * _transport_full_width(f, vs, hx) + dt * H
+        t = t + dt
+        f[:, [0, -1]] = bc.at_vmax(t, xs, vs[[0, -1]])
+        if bc.at_x0 == "specular":
+            f[0, :m] = fold @ f[0, :m]
+            f[0, m:] = f[0, m - 1::-1]
+        f[first_full:] = f[first_full:] @ full.T
+        f[-1] = bc.at_xmax(t, vs)
+        if bc.at_x0 == "inflow":
+            f[0, m:] = bc.inflow_profile(t, vs[m:])
+        elif bc.at_x0 == "dirichlet":
+            f[0] = bc.inflow_profile(t, vs)
+    return f, t
+
+
+@pytest.mark.parametrize("at_x0", ["specular", "inflow", "dirichlet"])
+def test_timedep_step_is_bit_identical_to_reference(at_x0):
+    n, nsteps, A = 24, 60, 0.8
+    g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=n, nv=n, nt=1, dt=0.25 * (1 / n) / 1.5)
+    rng = np.random.default_rng(27)
+    f0 = Field(g, rng.standard_normal((n + 1, n)))
+    H = rng.standard_normal((n + 1, n))
+    kept = f0.values.copy()
+    bc = BoundaryCondition(at_x0=at_x0,
+                           inflow_profile=None if at_x0 == "specular"
+                           else (lambda t, v: 1.0 + t * v + np.sin(3.0 * v)),
+                           at_xmax=lambda t, v: np.cos(5.0 * t) * v * v,
+                           at_vmax=lambda t, x, v: np.sin(7.0 * t + x) * v)
+    want, t = _timedep_reference(f0, H, bc, A, nsteps)
+    final = solve_timedep(f0, H, bc, A, T=nsteps * g.dt)[-1]
+    assert np.array_equal(final.values, want)
+    assert final.metadata["t"] == t
+    assert np.array_equal(f0.values, kept)
+
+
 # with dt = 0.01, T = 0.015 would run 2 steps to t = 0.02, T = 0.004 none,
 # and T / dt overflows for T = 1e308
 @pytest.mark.parametrize("T", [math.inf, math.nan, -1.0, 0.015, 0.004, 1e308])
@@ -731,9 +806,10 @@ def test_transport_kernels_match_full_width_forms(nx, nv):
                               _minmod_where(d[:-1], d[1:]))
         d_work, tmp, out = _nan_work(f)
         d_work[...] = d
-        assert _transport_correction(f, g.vs, g.hx, d_work, tmp, out) is out
+        tr = _Transport.of(g.vs, g.hx)
+        assert _transport_correction(f, tr, d_work, tmp, out) is out
         assert np.array_equal(out, _correction_full_width(f, g.vs, g.hx))
-        assert np.array_equal(_transport_apply(f, g.vs, g.hx, *_nan_work(f)),
+        assert np.array_equal(_transport_apply(f, tr, *_nan_work(f), np.full(f.shape, np.nan)),
                               _transport_full_width(f, g.vs, g.hx))
 
 
