@@ -22,17 +22,21 @@ Every interior station has the same v-tridiagonal (its diagonal does not
 depend on x), so each solve inverts it once, densely, plus the half-size
 block of station 0 (at nv <= 256 an inverse holds at most 512 KB). A
 station solve is then a matrix-vector product. In each pass of a sweep,
-the part of every station's right-hand side that is known before the
-pass goes through the inverse in one matrix product. What is left, the
-half of the rows that carries fresh values to the next station, is the
-linear recurrence y[i] = known[i] + P y[i-1] with one fixed matrix P per
-pass. A doubling scan solves it on whole arrays: log2(nx) matrix products
-with the powers P, P^2, P^4, ..., which each solve builds once. The work
-arrays of a sweep are allocated once per solve too, and every ufunc and
-matrix product of a sweep writes into them, so a sweep allocates nothing
-of field size (fresh arrays of that size cost allocator work, cache misses
-and, past the allocator's mmap threshold, page faults). Only numpy is
-needed.
+the half of the rows that carries fresh values to the next station obeys
+the linear recurrence y[i] = known[i] + P y[i-1], with one fixed matrix P
+per pass. Its wall row neither couples nor is coupled, and on the other
+rows P is diagonalizable with real eigenvalues in [0, 1): P = W Lam W^-1,
+which each solve computes once per pass. The part of every station's
+right-hand side that is known before the pass goes through W^-1 times
+the inverse in one matrix product. In that eigenbasis the recurrence is
+z[i] = known[i] + lam z[i-1] lane by lane, and a doubling scan solves it
+on whole arrays: log2(nx) elementwise multiply-adds with lam, lam^2,
+lam^4, ... on contiguous rows. One product by W then writes the rows of
+the field. The work arrays of a sweep are allocated once per solve too,
+and every ufunc and matrix product of a sweep writes into them, so a
+sweep allocates nothing of field size (fresh arrays of that size cost
+allocator work, cache misses and, past the allocator's mmap threshold,
+page faults). Only numpy is needed.
 
 An IMEX step at the sizes the lab uses (n ~ 24) works on arrays of a few
 hundred entries, so its cost is set by the number of numpy calls, not by
@@ -375,8 +379,13 @@ def _data(fn, dst: np.ndarray, what: str, *args) -> np.ndarray:
         if np.ndim(values) > dst.ndim:
             raise ValueError
         dst[...] = values
-    except ValueError:
-        raise ValueError(f"{what} of shape {np.shape(values)} does not fit {dst.shape}") from None
+    except (ValueError, TypeError, OverflowError) as exc:
+        shape = np.shape(values)
+        if len(shape) > dst.ndim or any(s not in (1, t) for s, t in zip(shape[::-1],
+                                                                        dst.shape[::-1])):
+            raise ValueError(f"{what} of shape {shape} does not fit {dst.shape}") from None
+        # it fits, so its entries are what a float cannot hold
+        raise ValueError(f"{what} is not numeric: {exc}") from None
     if not np.isfinite(dst).all():
         raise ValueError(f"{what} contains non-finite values")
     return dst
@@ -422,33 +431,74 @@ def _station_factor(diag_base: np.ndarray, c: float, top: str) -> np.ndarray:
     return inv
 
 
-def _doubling_powers(P: np.ndarray, rows: int) -> list[np.ndarray]:
-    """[P, P^2, P^4, ...]: each P^s with s < rows, the matrices that
-    _upwind_scan needs for a recurrence over rows stations."""
-    powers = [P]
-    while 2 ** len(powers) < rows:
-        powers.append(powers[-1] @ powers[-1])
-    return powers
+class _UpwindPass(NamedTuple):
+    """The upwind coupling P of one pass of the stationary sweep on its
+    inner lanes, in its eigenbasis: P = W diag(lam) W_inv. powers[k] is
+    lam^s, s = 2^k < rows, tiled over the rows - s rows that a scan over
+    rows stations multiplies by it (numpy multiplies by a broadcast
+    operand one row at a time, half again as slowly), with the entries
+    that would be subnormal, and slow to multiply, set to 0.
 
-
-def _upwind_scan(y: np.ndarray, carry: np.ndarray, powers: list[np.ndarray],
-                 tmp: np.ndarray) -> np.ndarray:
-    """The rows y[i] = known[i] + P y[i-1], i = 0 .. len(known) - 1, with
-    y[-1] = carry and powers = _doubling_powers(P, len(known)), in place:
-    y holds known on entry and is returned. tmp is scratch of y's shape.
-
-    A doubling (Hillis-Steele) scan: once the carry is folded into row 0,
-    y[i] = sum over j <= i of P^(i-j) known[j]. After the step with P^s,
-    every row holds the terms with i - j < 2s, so log2(len(known)) matrix
-    products over all rows replace the loop over stations.
+    P = B D, with B a principal block of the interior inverse and D > 0
+    the diagonal of upwind weights d. The exact B is symmetric positive
+    definite, so P is similar to S = D^1/2 B D^1/2 = D^1/2 P D^-1/2, a
+    symmetric matrix, and its eigenvalues are real, distinct and in
+    (0, 1). The computed B is not symmetric: at n = 128 its v < 0 rows
+    miss their transpose by 1e-13 of its largest entry, and eigenvectors
+    of S's symmetric part alone would change the sweep's coupling by that
+    much. So they get a first-order correction for the antisymmetric part.
     """
-    y[0] += powers[0] @ carry
+
+    W: np.ndarray
+    W_inv: np.ndarray
+    lam: np.ndarray
+    powers: list[np.ndarray]
+
+    @classmethod
+    def of(cls, P: np.ndarray, d: np.ndarray, rows: int) -> "_UpwindPass":
+        r = np.sqrt(d)
+        S = P * r[:, None] / r
+        sym = 0.5 * (S + S.T)
+        lam, Q = np.linalg.eigh(sym)
+        # In the basis Q, S = diag(lam) + N with N antisymmetric, so N has
+        # a zero diagonal: to first order in N the eigenvalues stay, and
+        # the eigenvectors are the columns of Q X, X = I + N_ij / (lam_j - lam_i).
+        # Pairs whose eigenvalues agree to rounding (P is the identity to
+        # rounding when A is tiny) get no correction.
+        N = Q.T @ (S - sym) @ Q
+        gap = lam - lam[:, None]
+        X = np.divide(N, gap, out=np.zeros_like(N),
+                      where=np.abs(gap) > len(lam) * np.finfo(float).eps * lam[-1])
+        np.fill_diagonal(X, 1.0)
+        powers, power, s = [], lam.copy(), 1
+        while s < rows:
+            powers.append(np.tile(power, (rows - s, 1)))
+            power *= power
+            power[power < np.finfo(float).tiny] = 0.0
+            s *= 2
+        return cls(Q @ X / r[:, None], np.linalg.solve(X, Q.T) * r, lam, powers)
+
+
+def _diagonal_scan(z: np.ndarray, powers: list[np.ndarray], tmp: np.ndarray,
+                   upward: bool) -> np.ndarray:
+    """The rows z[i] = known[i] + lam z[i-1] (z[i+1] if upward), in place,
+    with powers those of _UpwindPass: z holds known on entry, with the
+    carry already added to its first row (its last if upward), and is
+    returned. tmp is scratch of z's shape.
+
+    A doubling (Hillis-Steele) scan with a diagonal coupling: after the
+    step with lam^s, every row holds the terms of the rows less than 2s
+    away, so log2(len(z)) multiply-adds on contiguous rows replace the
+    loop over stations.
+    """
     s = 1
-    for Ps in powers:
-        later = y[s:]  # one view as input and output: numpy skips its overlap check
-        np.add(later, np.matmul(y[:-s], Ps.T, out=tmp[s:]), out=later)
+    for power in powers:
+        if upward:
+            np.add(z[:-s], np.multiply(z[s:], power, out=tmp[s:]), out=z[:-s])
+        else:
+            np.add(z[s:], np.multiply(z[:-s], power, out=tmp[:-s]), out=z[s:])
         s *= 2
-    return y
+    return z
 
 
 def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
@@ -495,19 +545,33 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
         g[-1] = walls[0, 1]
     else:
         station0 = _station_factor(a[:m], k, "fold")
-    # the inverse applied to the upwind coupling: of the v > 0 rows into
-    # the v > 0 rows, and of the v < 0 rows into each half
-    neg_to_neg, neg_to_pos = np.split(interior[:, :m] * aneg[:m], 2)
-    pos_powers = _doubling_powers(interior[m:, m:] * apos[m:], nxp1 - 2)
-    neg_powers = _doubling_powers(neg_to_neg, nxp1 - 2)
+    # Each pass scans in the eigenbasis of its upwind coupling on its inner
+    # lanes: the v > 0 rows but the v_max wall (forward), the v < 0 rows but
+    # the -v_max wall (backward). A wall row is a unit row of the inverse
+    # with no upwind weight: it neither couples nor is coupled.
+    rows, inner = nxp1 - 2, m - 1
+    pos = _UpwindPass.of(interior[m:-1, m:-1] * apos[m:-1], apos[m:-1], rows)
+    neg = _UpwindPass.of(interior[1:m, 1:m] * aneg[1:m], aneg[1:m], rows)
+    pos_station = (pos.W_inv @ interior[m:-1]).T
+    neg_station = (neg.W_inv @ interior[1:m]).T
+    # the inverse applied to the v < 0 rows' upwind coupling into the v > 0 rows
+    neg_to_pos = interior[m:, :m] * aneg[:m]
 
     # Work arrays, allocated once per solve: a sweep writes every ufunc and
     # product into them and allocates nothing of field size. d and tmp are
     # the correction's; each pass then sums its right-hand side in tmp[0]
-    # and runs its scan in the two halves of the other, viewed as a pair of
-    # (nx - 1, nv / 2) arrays.
+    # and keeps the rows it scans, contiguous, in tmp[1]: z, then the
+    # forward scan's scratch or the backward pass's v > 0 rows.
     f_old, R = np.empty_like(f), np.empty_like(f)
-    d, tmp = np.empty((nxp1 - 1, nv)), np.empty((2, nxp1 - 2, nv))
+    d, tmp = np.empty((nxp1 - 1, nv)), np.empty((2, rows, nv))
+    rhs_buf, scan_buf = tmp.reshape(2, -1)
+    z = scan_buf[:rows * inner].reshape(rows, inner)
+    z_tmp = scan_buf[rows * inner:2 * rows * inner].reshape(rows, inner)
+    known_pos = scan_buf[rows * inner:rows * (inner + m)].reshape(rows, m)
+    # once the backward pass's products are made, its right-hand side in
+    # tmp[0] is dead: the scan's scratch and the v > 0 coupling go there
+    z_tmp_neg = rhs_buf[:rows * inner].reshape(rows, inner)
+    coupled = rhs_buf[:rows * m].reshape(rows, m)
     history = []
     for sweep in range(opts.max_iter):
         np.copyto(f_old, f)
@@ -528,24 +592,28 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
             else:
                 f[0, m:] = g
 
-        # What a pass knows before it starts goes through the inverse in one
-        # product; the fresh upwind values follow by a scan over the stations.
-        # The forward pass gives the v > 0 rows fresh upstream values. The
-        # backward pass overwrites every row, and reads only the v > 0 rows
-        # of the forward pass, so the forward pass solves only those.
+        # What a pass knows before it starts goes through the inverse, into
+        # the eigenbasis of its coupling, in one product; the fresh upwind
+        # values follow by a diagonal scan over the stations, and one more
+        # product maps them back. The forward pass gives the v > 0 rows
+        # fresh upstream values. The backward pass overwrites every row, and
+        # reads only the v > 0 rows of the forward pass, so the forward pass
+        # solves only those.
         rhs = np.multiply(aneg, f[2:], out=tmp[0])
         np.add(R[1:-1], rhs, out=rhs)
-        y, scratch = tmp[1].reshape(2, nxp1 - 2, m)
-        np.matmul(rhs, interior[m:].T, out=y)
-        f[1:-1, m:] = _upwind_scan(y, f[0, m:], pos_powers, scratch)
+        np.matmul(rhs, pos_station, out=z)
+        z[0] += pos.lam * (pos.W_inv @ f[0, m:-1])
+        _diagonal_scan(z, pos.powers, z_tmp, upward=False)
+        np.matmul(z, pos.W.T, out=f[1:-1, m:-1])
         # the backward pass gives the v < 0 rows fresh downstream values
         np.multiply(apos, f[:-2], out=rhs)
         np.add(R[1:-1], rhs, out=rhs)
-        known = np.matmul(rhs, interior.T, out=tmp[1])
-        y, scratch = tmp[0].reshape(2, nxp1 - 2, m)
-        np.copyto(y, known[::-1, :m])
-        f[-2:0:-1, :m] = _upwind_scan(y, f[-1, :m], neg_powers, scratch)
-        np.add(known[:, m:], np.matmul(f[2:, :m], neg_to_pos.T, out=scratch), out=f[1:-1, m:])
+        np.matmul(rhs, neg_station, out=z)
+        np.matmul(rhs, interior[m:].T, out=known_pos)
+        z[-1] += neg.lam * (neg.W_inv @ f[-1, 1:m])
+        _diagonal_scan(z, neg.powers, z_tmp_neg, upward=True)
+        np.matmul(z, neg.W.T, out=f[1:-1, 1:m])
+        np.add(known_pos, np.matmul(f[2:, :m], neg_to_pos.T, out=coupled), out=f[1:-1, m:])
 
         # the update norm and the scale reuse f_old, which the next sweep refills
         delta = float(np.max(np.abs(np.subtract(f, f_old, out=f_old), out=f_old)))

@@ -12,13 +12,13 @@ from kinreg.solver import (
     SolverOptions,
     solve_stationary,
     solve_timedep,
-    _doubling_powers,
+    _diagonal_scan,
     _minmod,
     _station_factor,
     _Transport,
     _transport_apply,
     _transport_correction,
-    _upwind_scan,
+    _UpwindPass,
 )
 from kinreg.tricomi import TricomiParams, eval_tricomi, residual_constant
 
@@ -323,6 +323,26 @@ def test_leading_unit_axis_is_not_dropped():
         solve_stationary(None, bc, 1.0, HalfStripGrid(**strip))
     g = HalfStripGrid(**strip, nt=1, dt=0.01)
     with pytest.raises(ValueError, match=match):
+        solve_timedep(Field(g, np.zeros((n + 1, n))), None, bc, 1.0, T=0.05)
+
+
+# each fits the shape asked for, and none of them is a float
+@pytest.mark.parametrize("bad, reason", [
+    ("abc", "could not convert string to float"),
+    (object(), r"float\(\) argument must be"),
+    (10 ** 400, "int too large to convert to float"),
+], ids=["string", "object", "huge-int"])
+def test_data_that_is_not_numeric_raises(bad, reason):
+    n = 16
+    strip = dict(x_max=1.0, v_max=1.0, nx=n, nv=n)
+    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: bad,
+                           at_vmax=lambda t, x, v: 0.0)
+    with pytest.raises(ValueError, match=f"^at_xmax data is not numeric: {reason}"):
+        solve_stationary(None, bc, 1.0, HalfStripGrid(**strip))
+    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0,
+                           at_vmax=lambda t, x, v: bad)
+    g = HalfStripGrid(**strip, nt=1, dt=0.01)
+    with pytest.raises(ValueError, match=f"^at_vmax data is not numeric: {reason}"):
         solve_timedep(Field(g, np.zeros((n + 1, n))), None, bc, 1.0, T=0.05)
 
 
@@ -710,16 +730,17 @@ def test_interpolator_rejects_other_kinds(tricomi_field_64):
 # ---------------------------------------------------------------------------
 
 
-def _sweep_couplings(g):
-    """The two upwind couplings of solve_stationary with A = 1: the inverse
+def _sweep_couplings(g, A=1.0):
+    """The two upwind couplings of solve_stationary with diffusion A: the inverse
     applied to the v > 0 rows (into the v > 0 rows) and to the v < 0 rows
-    (into the v < 0 rows). The Dirichlet wall rows couple to nothing."""
+    (into the v < 0 rows), and the upwind weights |v| / hx. The Dirichlet
+    wall rows couple to nothing."""
     m = g.nv // 2
     a = np.abs(g.vs) / g.hx
     apos, aneg = np.where(g.vs > 0, a, 0.0), np.where(g.vs < 0, a, 0.0)
     apos[[0, -1]] = aneg[[0, -1]] = 0.0
-    interior = _station_factor(a, 1.0 / g.hv ** 2, "wall")
-    return interior[m:, m:] * apos[m:], interior[:m, :m] * aneg[:m]
+    interior = _station_factor(a, A / g.hv ** 2, "wall")
+    return interior[m:, m:] * apos[m:], interior[:m, :m] * aneg[:m], a
 
 
 _SCAN_SIZES = [(16, 16), (64, 64), (128, 128), (256, 256), (100, 16)]
@@ -730,7 +751,7 @@ _SCAN_SIZES = [(16, 16), (64, 64), (128, 128), (256, 256), (100, 16)]
 def test_upwind_scan_matches_station_loop(nx, nv):
     g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=nx, nv=nv)
     m = nv // 2
-    pos_to_pos, neg_to_neg = _sweep_couplings(g)
+    pos_to_pos, neg_to_neg, a = _sweep_couplings(g)
     rng = np.random.default_rng(nx + nv)
     f = rng.standard_normal((nx + 1, nv))
     known = rng.standard_normal((nx - 1, nv))
@@ -740,14 +761,114 @@ def test_upwind_scan_matches_station_loop(nx, nv):
         ref[i, m:] = known[i - 1, m:] + pos_to_pos @ ref[i - 1, m:]
     for i in range(nx - 1, 0, -1):
         ref[i, :m] = known[i - 1, :m] + neg_to_neg @ ref[i + 1, :m]
-    scratch = np.full((nx - 1, nv - m), np.nan)
-    forward = _upwind_scan(known[:, m:].copy(), f[0, m:], _doubling_powers(pos_to_pos, nx - 1),
-                           scratch)
-    backward = _upwind_scan(known[::-1, :m].copy(), f[-1, :m],
-                            _doubling_powers(neg_to_neg, nx - 1), scratch)
+    # the wall lanes couple to nothing, so the scans run on the inner lanes
+    for P in (pos_to_pos[-1], pos_to_pos[:, -1], neg_to_neg[0], neg_to_neg[:, 0]):
+        assert not P.any()
     scale = np.max(np.abs(ref))
-    assert np.max(np.abs(forward - ref[1:-1, m:])) <= 1e-14 * scale
-    assert np.max(np.abs(backward[::-1] - ref[1:-1, :m])) <= 1e-14 * scale
+    # forward from the carry f[0], backward (upward in the rows) from f[-1]
+    for P, lanes, carry, upward in ((pos_to_pos[:-1, :-1], slice(m, -1), 0, False),
+                                    (neg_to_neg[1:, 1:], slice(1, m), -1, True)):
+        up = _UpwindPass.of(P, a[lanes], nx - 1)
+        z = known[:, lanes] @ up.W_inv.T
+        z[carry] += up.lam * (up.W_inv @ f[carry, lanes])
+        scan = _diagonal_scan(z, up.powers, np.full_like(z, np.nan), upward)
+        assert scan is z
+        assert np.max(np.abs(scan @ up.W.T - ref[1:-1, lanes])) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+def test_upwind_eigenbasis_reproduces_coupling(n):
+    g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=n, nv=n)
+    m = n // 2
+    pos_to_pos, neg_to_neg, a = _sweep_couplings(g)
+    for P, d in ((pos_to_pos[:-1, :-1], a[m:-1]), (neg_to_neg[1:, 1:], a[1:m])):
+        up = _UpwindPass.of(P, d, n - 1)
+        assert np.all((0.0 <= up.lam) & (up.lam < 1.0))
+        assert np.max(np.abs((up.W * up.lam) @ up.W_inv - P)) <= 1e-14 * np.max(np.abs(P))
+        # lam^s for s = 1, 2, 4, ... < n - 1, one row per row it multiplies,
+        # with the subnormal entries 0
+        assert [len(power) for power in up.powers] == [n - 1 - 2 ** k
+                                                        for k in range(len(up.powers))]
+        assert 2 ** len(up.powers) >= n - 1 > 2 ** (len(up.powers) - 1)
+        for k, power in enumerate(up.powers):
+            want = up.lam ** 2 ** k
+            want[want < np.finfo(float).tiny] = 0.0
+            assert np.allclose(power, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("A", [1e-200, 1e-20, 1e-8])
+def test_upwind_eigenbasis_when_eigenvalues_cluster(A):
+    # as A -> 0 the coupling tends to the identity and its eigenvalues
+    # agree to rounding: no first-order correction may divide by their gaps
+    n = 64
+    g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=n, nv=n)
+    m = n // 2
+    pos_to_pos, neg_to_neg, a = _sweep_couplings(g, A)
+    for P, d in ((pos_to_pos[:-1, :-1], a[m:-1]), (neg_to_neg[1:, 1:], a[1:m])):
+        up = _UpwindPass.of(P, d, n - 1)
+        assert np.max(np.abs((up.W * up.lam) @ up.W_inv - P)) <= 1e-14 * np.max(np.abs(P))
+
+
+def _stationary_reference(h, bc, A, g, tol=1e-10):
+    """The stationary sweep as a plain loop over the stations, each one a
+    dense np.linalg.solve, with the full-width correction and no scan: the
+    reference for solve_stationary. Returns the field and the sweeps."""
+    vs, xs, hx = g.vs, g.xs, g.hx
+    nxp1, nv, m = g.nx + 1, g.nv, g.nv // 2
+    k = A / g.hv ** 2
+    a = np.abs(vs) / hx
+    apos, aneg = np.where(vs > 0, a, 0.0), np.where(vs < 0, a, 0.0)
+    apos[[0, -1]] = aneg[[0, -1]] = 0.0
+    station = _dense_station(a, k, "wall")
+    H = np.broadcast_to(h(xs[:, None], vs[None, :]), (nxp1, nv))
+    walls = np.broadcast_to(bc.at_vmax(0.0, xs[:, None], vs[[0, -1]]), (nxp1, 2))
+    f = np.zeros((nxp1, nv))
+    f[-1] = bc.at_xmax(0.0, vs)
+    f[:, [0, -1]] = walls
+    if bc.at_x0 == "dirichlet":
+        f[0] = bc.inflow_profile(0.0, vs)
+    elif bc.at_x0 == "inflow":
+        inflow = bc.inflow_profile(0.0, vs[m:])
+        station0 = _dense_station(a[:m], k, "open")
+    else:
+        station0 = _dense_station(a[:m], k, "fold")
+    for sweep in range(1, 100_000):
+        f_old = f.copy()
+        R = H - _correction_full_width(f, vs, hx)
+        R[:, [0, -1]] = walls
+        if bc.at_x0 != "dirichlet":
+            rhs = R[0, :m] + aneg[:m] * f[1, :m]
+            if bc.at_x0 == "inflow":
+                rhs[-1] += k * inflow[0]     # the diffusion coupling to v_m
+                f[0, m:] = inflow
+                f[0, -1] = walls[0, 1]
+            f[0, :m] = np.linalg.solve(station0, rhs)
+            if bc.at_x0 == "specular":
+                f[0, m:] = f[0, m - 1::-1]
+        for i in range(1, nxp1 - 1):           # forward: the v > 0 rows
+            rhs = R[i] + apos * f[i - 1] + aneg * f[i + 1]
+            f[i, m:] = np.linalg.solve(station, rhs)[m:]
+        for i in range(nxp1 - 2, 0, -1):       # backward: every row
+            f[i] = np.linalg.solve(station, R[i] + apos * f[i - 1] + aneg * f[i + 1])
+        if np.max(np.abs(f - f_old)) / max(1.0, np.max(np.abs(f))) < tol:
+            return f, sweep
+    raise AssertionError("the reference sweep did not converge")
+
+
+@pytest.mark.parametrize("at_x0", ["specular", "inflow", "dirichlet"])
+def test_stationary_matches_station_by_station_reference(at_x0):
+    # even in v at x = 0, so that the specular fold agrees with the wall data
+    fstar = lambda x, v: np.cos(2.0 * v) + x * v + np.sin(3.0 * x)
+    g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=32, nv=32)
+    bc = BoundaryCondition(at_x0=at_x0,
+                           inflow_profile=None if at_x0 == "specular" else lambda t, v: fstar(0.0, v),
+                           at_xmax=lambda t, v: fstar(1.0, v),
+                           at_vmax=lambda t, x, v: fstar(x, v))
+    h = lambda x, v: v * np.cos(x) + x * x
+    want, sweeps = _stationary_reference(h, bc, 0.7, g)
+    fld = solve_stationary(h, bc, 0.7, g)
+    assert abs(fld.metadata["sweeps"] - sweeps) <= 1
+    assert np.max(np.abs(fld.values - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def _minmod_where(a, b):
