@@ -40,23 +40,30 @@ page faults). Only numpy is needed.
 
 An IMEX step at the sizes the lab uses (n ~ 24) works on arrays of a few
 hundred entries, so its cost is set by the number of numpy calls, not by
-the arithmetic. The transport's constants (the slope signs, vs / hx and
-the outflow coefficient), its work arrays, a buffer for the first-order
-upwind term, dt * h and the inverse are made once per run. A step forms
-the limited transport from one difference array and one minmod over the
-whole field, writes the first-order term onto its rows of the buffer and
-adds it with one full-width sum, then updates the field in place
-(f -= dt * transport, f += dt * h). It diffuses all full stations in one
-matrix product into a second field buffer, and the two buffers swap.
-Each boundary callable is called once per step and its result written
+the arithmetic; making a basic slice costs about a third as much as a
+small ufunc. So everything a step touches is made once per run: the
+transport's constants (the slope signs, vs / hx and the outflow
+coefficient), its work arrays, a buffer for the first-order upwind term,
+dt * h, the inverse and every view of these arrays a step uses, and two
+field buffers with their views (_Rows). A step forms the limited
+transport from one difference array and one minmod over the whole field,
+writes the first-order term onto its rows of the buffer and adds it with
+one full-width sum, then updates the field in place (f -= dt * transport,
+f += dt * h). It diffuses all full stations in one matrix product into
+the second buffer, and the two buffers swap with their views. Each
+boundary callable is called once per step and its result written
 straight into its rows of the field, then checked for fit, complex
-values and finiteness. Every rewrite of the step keeps the floating-point
-operations and their order, so results are bit-identical to the plain
-full-width step that tests/test_solver.py keeps as a reference.
+values and finiteness; the finiteness check is one sum, and only a sum
+that is not finite is followed by a check of each entry. Every rewrite
+of the step keeps the floating-point operations and their order, so
+results are bit-identical to the plain full-width step that
+tests/test_solver.py keeps as a reference. The stationary sweep shares
+the transport correction and its views, made once per solve.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import struct
 from dataclasses import dataclass, field
@@ -306,7 +313,8 @@ class _Transport(NamedTuple):
     """The per-run constants of the transport kernels, for the velocities
     vs (sorted and symmetric, as HalfStripGrid.vs) and the step hx."""
 
-    vs: np.ndarray
+    vs_neg: np.ndarray      # vs[:m], the v < 0 columns
+    vs_pos: np.ndarray      # vs[m:], the v > 0 columns
     hx: float
     half_sign: np.ndarray   # np.copysign(0.5, vs): the sign of each column's half-slope
     v_hx: np.ndarray        # vs / hx
@@ -315,18 +323,98 @@ class _Transport(NamedTuple):
     @classmethod
     def of(cls, vs: np.ndarray, hx: float) -> "_Transport":
         m = len(vs) // 2
-        return cls(vs, hx, np.copysign(0.5, vs), vs / hx, -(vs[:m] / (2.0 * hx)))
+        return cls(vs[:m], vs[m:], hx, np.copysign(0.5, vs), vs / hx, -(vs[:m] / (2.0 * hx)))
 
 
-def _transport_correction(f: np.ndarray, tr: _Transport, d: np.ndarray,
-                          tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
+class _Rows(NamedTuple):
+    """A field buffer f and the views of it that a sweep or an IMEX step
+    reads or writes, made once per buffer: making a basic slice costs
+    about a third as much as a ufunc on a station. neg* are the v < 0 columns of a
+    station, pos* its v > 0 columns; mirror0 is neg0 reversed, the
+    specular image of pos0, and walls the columns v_0 and v_{nv-1}."""
+
+    f: np.ndarray
+    hi: np.ndarray
+    lo: np.ndarray
+    row0: np.ndarray
+    neg0: np.ndarray
+    pos0: np.ndarray
+    mirror0: np.ndarray
+    neg1: np.ndarray
+    neg2: np.ndarray
+    last: np.ndarray
+    walls: np.ndarray
+
+    @classmethod
+    def of(cls, f: np.ndarray) -> "_Rows":
+        nv = f.shape[1]
+        m = nv // 2
+        return cls(f=f, hi=f[1:], lo=f[:-1], row0=f[0], neg0=f[0, :m], pos0=f[0, m:],
+                   mirror0=f[0, m - 1::-1], neg1=f[1, :m], neg2=f[2, :m], last=f[-1],
+                   walls=f[:, ::nv - 1])
+
+
+class _Work(NamedTuple):
+    """The work arrays of the transport kernels and their views, made once
+    per run: d (nx, nv) holds f[1:] - f[:-1] and then the slopes, mm and
+    mm_tmp (nx - 1, nv) are the minmod's result and scratch, and out
+    (nx + 1, nv) takes the result."""
+
+    d: np.ndarray
+    d_hi: np.ndarray
+    d_lo: np.ndarray
+    d_neg: np.ndarray
+    d_pos: np.ndarray
+    d_lo_neg: np.ndarray
+    d_hi_pos: np.ndarray
+    mm: np.ndarray
+    mm_tmp: np.ndarray
+    mm_neg: np.ndarray
+    mm_pos: np.ndarray
+    out: np.ndarray
+    out_inner: np.ndarray
+    out_last: np.ndarray
+    out0_neg: np.ndarray
+    out0_pos: np.ndarray
+
+    @classmethod
+    def of(cls, d: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> "_Work":
+        """tmp is the (2, nx - 1, nv) array of mm and mm_tmp."""
+        m = d.shape[1] // 2
+        mm, mm_tmp = tmp
+        return cls(d=d, d_hi=d[1:], d_lo=d[:-1], d_neg=d[:, :m], d_pos=d[:, m:],
+                   d_lo_neg=d[:-1, :m], d_hi_pos=d[1:, m:],
+                   mm=mm, mm_tmp=mm_tmp, mm_neg=mm[:, :m], mm_pos=mm[:, m:],
+                   out=out, out_inner=out[1:-1], out_last=out[-1], out0_neg=out[0, :m],
+                   out0_pos=out[0, m:])
+
+
+class _FirstOrder(NamedTuple):
+    """The per-run buffer of _transport_apply's first-order upwind term,
+    of the field's shape, and its views."""
+
+    first: np.ndarray
+    lo_neg: np.ndarray
+    hi_pos: np.ndarray
+    pos0: np.ndarray
+    pos1: np.ndarray
+    neg_last: np.ndarray
+    neg_last2: np.ndarray
+
+    @classmethod
+    def of(cls, first: np.ndarray) -> "_FirstOrder":
+        m = first.shape[1] // 2
+        return cls(first=first, lo_neg=first[:-1, :m], hi_pos=first[1:, m:], pos0=first[0, m:],
+                   pos1=first[1, m:], neg_last=first[-1, :m], neg_last2=first[-2, :m])
+
+
+def _transport_correction(rows: _Rows, tr: _Transport, w: _Work) -> np.ndarray:
     """Deferred correction lifting first-order upwind to limited second
     order: corr[i, j] such that v df/dx ~ v (f_i - f_upwind)/hx + corr,
-    written into out, which is returned.
+    with f = rows.f, written into w.out, which is returned.
 
-    The work arrays are the caller's, so a call allocates nothing of field
-    size: d holds f[1:] - f[:-1] on entry and the slopes on return, and tmp
-    is a (2, len(f) - 2, nv) array of scratch for the minmod.
+    The work arrays are the caller's, so a call allocates nothing: w.d
+    holds f[1:] - f[:-1] on entry and the slopes on return.
 
     The mirror extension of a specular solution generically has an
     x-derivative kink at the wall (the extended source is discontinuous),
@@ -335,24 +423,28 @@ def _transport_correction(f: np.ndarray, tr: _Transport, d: np.ndarray,
     fall back to centered differences, whatever the condition at x = 0.
     The v < 0 columns are the first half and the v > 0 columns the second.
     """
-    m = len(tr.outflow)
     # slope[k], formed in place in d: the half-slope that face k+1/2 adds
     # to the value of its upwind station, k for v > 0 and k+1 for v < 0
     # (there with a minus sign). It is the minmod of the station's two
     # differences, except at the faces next to the inflow node and next to
     # x_max: those are centered, and are the rows of d that the minmod
     # rows leave as they are.
-    mm = _minmod(d[:-1], d[1:], *tmp)
-    d[1:, m:] = mm[:, m:]
-    d[:-1, :m] = mm[:, :m]
-    d *= tr.half_sign
-    np.subtract(d[1:], d[:-1], out=out[1:-1])
-    out[1:-1] *= tr.v_hx
-    out[-1] = 0.0
-    out[0, m:] = 0.0
-    # one-sided second-order correction at the outflow station
-    out[0, :m] = tr.outflow * (f[0, :m] - 2.0 * f[1, :m] + f[2, :m])
-    return out
+    _minmod(w.d_lo, w.d_hi, w.mm, w.mm_tmp)
+    w.d_hi_pos[...] = w.mm_pos
+    w.d_lo_neg[...] = w.mm_neg
+    np.multiply(w.d, tr.half_sign, out=w.d)
+    np.subtract(w.d_hi, w.d_lo, out=w.out_inner)
+    np.multiply(w.out_inner, tr.v_hx, out=w.out_inner)
+    w.out_last.fill(0.0)
+    w.out0_pos.fill(0.0)
+    # one-sided second-order correction at the outflow station,
+    # outflow * (f[0] - 2 f[1] + f[2]) on the v < 0 columns, in that order
+    s0 = w.out0_neg
+    np.multiply(2.0, rows.neg1, out=s0)
+    np.subtract(rows.neg0, s0, out=s0)
+    np.add(s0, rows.neg2, out=s0)
+    np.multiply(tr.outflow, s0, out=s0)
+    return w.out
 
 
 def _finite(values, what: str) -> np.ndarray:
@@ -368,8 +460,14 @@ def _finite(values, what: str) -> np.ndarray:
 
 def _data(fn, dst: np.ndarray, what: str, *args) -> np.ndarray:
     """One call fn(*args) on coordinate arrays, written into dst (a float
-    array or a slice of the field), which is returned; ValueError if the
-    result does not fit dst, is complex or is not finite."""
+    array or a view of the field), which is returned; ValueError if the
+    result does not fit dst, is complex or is not finite.
+
+    Finiteness costs one reduction: the sum of dst is finite unless an
+    entry is NaN or inf, or the sum of finite entries overflows, and only
+    then is each entry checked. So data whose sum overflows are accepted,
+    after numpy's warning of the overflow in the sum, and under a filter or
+    np.errstate that makes that warning an error as well."""
     values = fn(*args)
     if np.iscomplexobj(values):
         raise ValueError(f"{what} is complex")
@@ -386,7 +484,11 @@ def _data(fn, dst: np.ndarray, what: str, *args) -> np.ndarray:
             raise ValueError(f"{what} of shape {shape} does not fit {dst.shape}") from None
         # it fits, so its entries are what a float cannot hold
         raise ValueError(f"{what} is not numeric: {exc}") from None
-    if not np.isfinite(dst).all():
+    try:
+        total = np.add.reduce(dst, axis=None)
+    except (RuntimeWarning, FloatingPointError):  # numpy's report of an overflow or inf - inf
+        total = math.inf
+    if not math.isfinite(total) and not np.isfinite(dst).all():
         raise ValueError(f"{what} contains non-finite values")
     return dst
 
@@ -528,7 +630,8 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
 
     # boundary data enter at t = 0 only
     f = np.zeros((nxp1, nv))
-    _data(bc.at_xmax, f[-1], "at_xmax data", 0.0, vs)
+    fv = _Rows.of(f)
+    _data(bc.at_xmax, fv.last, "at_xmax data", 0.0, vs)
     wall_cols = slice(None, None, nv - 1)  # the columns v_0 and v_{nv-1}
     # at_vmax data on the rows v_0 and v_{nv-1} at every station
     walls = _data(bc.at_vmax, np.empty((nxp1, 2)), "at_vmax data", 0.0, grid.xs[:, None],
@@ -537,7 +640,7 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
     # wall rows are Dirichlet rows: their right-hand side is the wall value
     apos[[0, -1]] = aneg[[0, -1]] = 0.0
     if bc.at_x0 == "dirichlet":
-        _data(bc.inflow_profile, f[0], "inflow data", 0.0, vs)
+        _data(bc.inflow_profile, fv.row0, "inflow data", 0.0, vs)
     elif bc.at_x0 == "inflow":  # v>0 rows prescribed, v<0 block solved one-sided
         g = _data(bc.inflow_profile, np.empty(nv - m), "inflow data", 0.0, vs[m:])
         station0 = _station_factor(a[:m], k, "open")
@@ -557,13 +660,15 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
     # the inverse applied to the v < 0 rows' upwind coupling into the v > 0 rows
     neg_to_pos = interior[m:, :m] * aneg[:m]
 
-    # Work arrays, allocated once per solve: a sweep writes every ufunc and
-    # product into them and allocates nothing of field size. d and tmp are
-    # the correction's; each pass then sums its right-hand side in tmp[0]
-    # and keeps the rows it scans, contiguous, in tmp[1]: z, then the
-    # forward scan's scratch or the backward pass's v > 0 rows.
+    # Work arrays, allocated once per solve with the correction's views of
+    # them: a sweep writes every ufunc and product into them and allocates
+    # nothing of field size. d and tmp are the correction's; each pass then
+    # sums its right-hand side in tmp[0] and keeps the rows it scans,
+    # contiguous, in tmp[1]: z, then the forward scan's scratch or the
+    # backward pass's v > 0 rows.
     f_old, R = np.empty_like(f), np.empty_like(f)
     d, tmp = np.empty((nxp1 - 1, nv)), np.empty((2, rows, nv))
+    work = _Work.of(d, tmp, R)
     rhs_buf, scan_buf = tmp.reshape(2, -1)
     z = scan_buf[:rows * inner].reshape(rows, inner)
     z_tmp = scan_buf[rows * inner:2 * rows * inner].reshape(rows, inner)
@@ -576,21 +681,18 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
     for sweep in range(opts.max_iter):
         np.copyto(f_old, f)
         if opts.order == 2:
-            np.subtract(f[1:], f[:-1], out=d)
-            np.subtract(H, _transport_correction(f, tr, d, tmp, out=R), out=R)
+            np.subtract(fv.hi, fv.lo, out=d)
+            np.subtract(H, _transport_correction(fv, tr, work), out=R)
         else:
             np.copyto(R, H)
         R[:, wall_cols] = walls
 
         if bc.at_x0 != "dirichlet":
-            rhs = R[0, :m] + aneg[:m] * f[1, :m]
+            rhs = R[0, :m] + aneg[:m] * fv.neg1
             if bc.at_x0 == "inflow":
                 rhs[m - 1] += inflow_coupling
-            f[0, :m] = station0 @ rhs
-            if bc.at_x0 == "specular":
-                f[0, m:] = f[0, m - 1::-1]
-            else:
-                f[0, m:] = g
+            fv.neg0[...] = station0 @ rhs
+            fv.pos0[...] = fv.mirror0 if bc.at_x0 == "specular" else g
 
         # What a pass knows before it starts goes through the inverse, into
         # the eigenbasis of its coupling, in one product; the fresh upwind
@@ -630,24 +732,23 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
                       history)
 
 
-def _transport_apply(f, tr: _Transport, d, tmp, out, first):
-    """Full second-order limited transport operator v df/dx (explicit),
-    written into out, with the work arrays d and tmp of
-    _transport_correction and first, of out's shape."""
-    vs, hx = tr.vs, tr.hx
-    m = len(tr.outflow)
-    np.subtract(f[1:], f[:-1], out=d)
+def _transport_apply(rows: _Rows, tr: _Transport, w: _Work, fo: _FirstOrder) -> np.ndarray:
+    """Full second-order limited transport operator v df/dx (explicit) of
+    f = rows.f, written into w.out, which is returned, with the work arrays
+    w of _transport_correction and the first-order buffer fo."""
+    np.subtract(rows.hi, rows.lo, out=w.d)
     # the first-order upwind difference (vs * d) / hx, one-sided at the
     # rows where the upwind node lies outside: v > 0 at station 0, v < 0 at
-    # station nx. It is formed before the correction turns d into slopes.
-    np.multiply(vs[m:], d[:, m:], out=first[1:, m:])
-    np.multiply(vs[:m], d[:, :m], out=first[:-1, :m])
-    first /= hx
-    first[0, m:] = first[1, m:]
-    first[-1, :m] = first[-2, :m]
-    _transport_correction(f, tr, d, tmp, out)
-    out += first
-    return out
+    # station nx. It is formed before the correction turns d into slopes,
+    # and those two rows are copied before the divide, so that the divide
+    # reads only entries this call has written.
+    np.multiply(tr.vs_pos, w.d_pos, out=fo.hi_pos)
+    np.multiply(tr.vs_neg, w.d_neg, out=fo.lo_neg)
+    fo.pos0[...] = fo.pos1
+    fo.neg_last[...] = fo.neg_last2
+    np.divide(fo.first, tr.hx, out=fo.first)
+    _transport_correction(rows, tr, w)
+    return np.add(w.out, fo.first, out=w.out)
 
 
 def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float) -> list[Field]:
@@ -674,11 +775,11 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float) -> li
     # the grid's xs and vs properties build new arrays: read them once
     vs, xs = grid.vs, grid.xs[:, None]
     v_walls = vs[[0, -1]]
-    wall_cols = slice(None, None, grid.nv - 1)  # the columns v_0 and v_{nv-1}
     m = grid.nv // 2
-    # station-0 rows prescribed by inflow_profile after every step
-    x0_rows = {"inflow": slice(m, None), "dirichlet": slice(None)}.get(bc.at_x0)
-    v_in = None if x0_rows is None else vs[x0_rows]
+    # station-0 rows prescribed by inflow_profile after every step, named
+    # by their field of _Rows, and their velocities
+    x0_rows = {"inflow": "pos0", "dirichlet": "row0"}.get(bc.at_x0)
+    v_in = vs[m:] if bc.at_x0 == "inflow" else vs
     dt_H = dt * _source_array(h, grid)
 
     f = _finite(f0.values, "initial field")
@@ -687,34 +788,37 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float) -> li
     full_T = _station_factor(np.ones(grid.nv), c, "wall").T
     # the specular station 0 diffuses its v<0 block with the mirror fold
     fold = _station_factor(np.ones(m), c, "fold") if bc.at_x0 == "specular" else None
-    first_full = 0 if fold is None else 1
 
-    # allocated once per run: the transport's constants and work arrays
-    # (d, tmp, out and first of _transport_apply), and g, which each step
-    # diffuses f into before the two swap
+    # made once per run: the transport's constants, its work arrays and
+    # their views, and the views of two field buffers. Each step diffuses f
+    # into g, and the two swap, views and all.
     tr = _Transport.of(vs, hx)
-    work = (np.empty((grid.nx, grid.nv)), np.empty((2, grid.nx - 1, grid.nv)),
-            np.empty_like(f), np.empty_like(f))
-    g = np.empty_like(f)
+    work = _Work.of(np.empty((grid.nx, grid.nv)), np.empty((2, grid.nx - 1, grid.nv)),
+                    np.empty_like(f))
+    first = _FirstOrder.of(np.empty_like(f))
+    out = work.out
+    f, g = _Rows.of(f), _Rows.of(np.empty_like(f))
     t = 0.0
     for _ in range(nsteps):
         # f - dt * transport + dt * h, in place and in that order
-        out = _transport_apply(f, tr, *work)
+        _transport_apply(f, tr, work, first)
         out *= dt
-        f -= out
-        f += dt_H
+        np.subtract(f.f, out, out=f.f)
+        np.add(f.f, dt_H, out=f.f)
         t_next = t + dt
-        _data(bc.at_vmax, f[:, wall_cols], "at_vmax data", t_next, xs, v_walls)
-        if fold is not None:
-            np.matmul(fold, f[0, :m], out=g[0, :m])
-            g[0, m:] = g[0, m - 1::-1]
-        # one product for all full stations: each row is a right-hand side
-        np.matmul(f[first_full:], full_T, out=g[first_full:])
+        _data(bc.at_vmax, f.walls, "at_vmax data", t_next, xs, v_walls)
+        if fold is None:
+            # one product for all stations: each row is a right-hand side
+            np.matmul(f.f, full_T, out=g.f)
+        else:
+            np.matmul(fold, f.neg0, out=g.neg0)
+            g.pos0[...] = g.mirror0
+            np.matmul(f.hi, full_T, out=g.hi)
         f, g = g, f
-        _data(bc.at_xmax, f[-1], "at_xmax data", t_next, vs)
+        _data(bc.at_xmax, f.last, "at_xmax data", t_next, vs)
         if x0_rows is not None:
-            _data(bc.inflow_profile, f[0, x0_rows], "inflow data", t_next, v_in)
+            _data(bc.inflow_profile, getattr(f, x0_rows), "inflow data", t_next, v_in)
         t = t_next
-    final = Field(grid, f, dict(f0.metadata, t=t))
+    final = Field(grid, f.f, dict(f0.metadata, t=t))
     final.check_finite()
     return [initial, final]

@@ -1,5 +1,7 @@
+import contextlib
 import math
 import resource
+import warnings
 
 import numpy as np
 import pytest
@@ -12,13 +14,17 @@ from kinreg.solver import (
     SolverOptions,
     solve_stationary,
     solve_timedep,
+    _data,
     _diagonal_scan,
+    _FirstOrder,
     _minmod,
+    _Rows,
     _station_factor,
     _Transport,
     _transport_apply,
     _transport_correction,
     _UpwindPass,
+    _Work,
 )
 from kinreg.tricomi import TricomiParams, eval_tricomi, residual_constant
 
@@ -577,9 +583,8 @@ def _timedep_reference(f0, H, bc, A, nsteps):
     return f, t
 
 
-@pytest.mark.parametrize("at_x0", ["specular", "inflow", "dirichlet"])
-def test_timedep_step_is_bit_identical_to_reference(at_x0):
-    n, nsteps, A = 24, 60, 0.8
+def _check_timedep_against_reference(at_x0, nsteps):
+    n, A = 24, 0.8
     g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=n, nv=n, nt=1, dt=0.25 * (1 / n) / 1.5)
     rng = np.random.default_rng(27)
     f0 = Field(g, rng.standard_normal((n + 1, n)))
@@ -595,6 +600,20 @@ def test_timedep_step_is_bit_identical_to_reference(at_x0):
     assert np.array_equal(final.values, want)
     assert final.metadata["t"] == t
     assert np.array_equal(f0.values, kept)
+
+
+@pytest.mark.parametrize("at_x0", ["specular", "inflow", "dirichlet"])
+def test_timedep_step_is_bit_identical_to_reference(at_x0):
+    _check_timedep_against_reference(at_x0, 60)
+
+
+# Each step diffuses one field buffer into the other, and the two swap with
+# their views: after an odd number of steps the result is in the buffer
+# that did not hold the initial field.
+@pytest.mark.parametrize("nsteps", [1, 7])
+@pytest.mark.parametrize("at_x0", ["specular", "inflow", "dirichlet"])
+def test_timedep_odd_step_counts_match_reference(at_x0, nsteps):
+    _check_timedep_against_reference(at_x0, nsteps)
 
 
 # with dt = 0.01, T = 0.015 would run 2 steps to t = 0.02, T = 0.004 none,
@@ -928,10 +947,59 @@ def test_transport_kernels_match_full_width_forms(nx, nv):
         d_work, tmp, out = _nan_work(f)
         d_work[...] = d
         tr = _Transport.of(g.vs, g.hx)
-        assert _transport_correction(f, tr, d_work, tmp, out) is out
+        assert _transport_correction(_Rows.of(f), tr, _Work.of(d_work, tmp, out)) is out
         assert np.array_equal(out, _correction_full_width(f, g.vs, g.hx))
-        assert np.array_equal(_transport_apply(f, tr, *_nan_work(f), np.full(f.shape, np.nan)),
+        assert np.array_equal(_transport_apply(_Rows.of(f), tr, _Work.of(*_nan_work(f)),
+                                               _FirstOrder.of(np.full(f.shape, np.nan))),
                               _transport_full_width(f, g.vs, g.hx))
+
+
+def test_transport_apply_reads_only_what_it_writes():
+    # first is the caller's buffer, left as np.empty leaves it: an entry of
+    # 1e308 overflows if the kernel divides it by hx before writing it
+    for nx, nv in ((16, 16), (33, 24)):
+        g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=nx, nv=nv)
+        f = np.random.default_rng(nx * nv).standard_normal((nx + 1, nv)).cumsum(axis=0)
+        with np.errstate(over="raise"):
+            got = _transport_apply(_Rows.of(f), _Transport.of(g.vs, g.hx), _Work.of(*_nan_work(f)),
+                                   _FirstOrder.of(np.full(f.shape, 1e308)))
+        assert np.array_equal(got, _transport_full_width(f, g.vs, g.hx))
+
+
+@contextlib.contextmanager
+def _numpy_reports(how):
+    """numpy's floating-point reports silenced, or raised as errors by a
+    warnings filter or by np.errstate."""
+    if how == "ignore":
+        with np.errstate(all="ignore"):
+            yield
+    elif how == "filter":
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            yield
+    else:
+        with np.errstate(all="raise"):
+            yield
+
+
+@pytest.mark.parametrize("how", ["ignore", "filter", "errstate"])
+def test_data_checks_one_sum_then_each_entry(how):
+    # finite data whose sum overflows pass the entrywise check and are written
+    dst = np.empty(4)
+    with _numpy_reports(how):
+        assert _data(lambda: np.full(4, 1.7e308), dst, "at_xmax data") is dst
+    assert np.array_equal(dst, np.full(4, 1.7e308))
+    # a sum of NaN (inf - inf), or of NaN after an overflow, and a NaN in a
+    # strided wall view of the field
+    n = 16
+    walls = np.zeros((n + 1, n))[:, ::n - 1]
+    one_nan = np.zeros((n + 1, 2))
+    one_nan[5, 1] = np.nan
+    for bad, dst in (([np.inf, -np.inf], np.empty(2)), ([1e308, 1e308, np.nan], np.empty(3)),
+                     (one_nan, walls)):
+        with _numpy_reports(how), pytest.raises(ValueError,
+                                                match="^at_vmax data contains non-finite values$"):
+            _data(lambda: np.array(bad), dst, "at_vmax data")
 
 
 def test_minmod_signs_and_ties():
