@@ -38,6 +38,7 @@ from .solver import (
     Field,
     HalfStripGrid,
     SolverOptions,
+    diffusion_coupling,
     solve_stationary,
 )
 from .tricomi import (TricomiParams, as_field, cusp_ratio, eval_tricomi, pde_residual,
@@ -215,8 +216,8 @@ def run_solver(args) -> int:
         grids = [HalfStripGrid(x_max=args.x_max, v_max=args.v_max, nx=nx, nv=nv)
                  for nx, nv in sizes]
         opts = SolverOptions(tol=args.tol)
-        if not 0.0 < args.A < math.inf:
-            raise ValueError(f"diffusion A must be positive and finite, got {args.A}")
+        for grid in grids:
+            diffusion_coupling(args.A, grid)
         if args.source == "tricomi":
             params = TricomiParams(A=args.A, lam=3)   # T needs a narrower range of A
             problems = [_tricomi_problem(params, grid, args.bc) for grid in grids]

@@ -41,24 +41,23 @@ page faults). Only numpy is needed.
 An IMEX step at the sizes the lab uses (n ~ 24) works on arrays of a few
 hundred entries, so its cost is set by the number of numpy calls, not by
 the arithmetic; making a basic slice costs about a third as much as a
-small ufunc. So everything a step touches is made once per run: the
-transport's constants (the slope signs, vs / hx and the outflow
-coefficient), its work arrays, a buffer for the first-order upwind term,
-dt * h, the inverse and every view of these arrays a step uses, and two
-field buffers with their views (_Rows). A step forms the limited
-transport from one difference array and one minmod over the whole field,
-writes the first-order term onto its rows of the buffer and adds it with
-one full-width sum, then updates the field in place (f -= dt * transport,
+small ufunc. So a run makes everything a step touches once: one
+_Transport object holds the transport's constants, its four work arrays
+and every view of them that its kernels use, and dt * h, the inverse and
+two field buffers with their views (_Rows) are made once as well. A step
+forms the limited transport from one difference array and one minmod
+over the whole field, adds the first-order upwind term with one
+full-width sum, then updates the field in place (f -= dt * transport,
 f += dt * h). It diffuses all full stations in one matrix product into
 the second buffer, and the two buffers swap with their views. Each
 boundary callable is called once per step and its result written
 straight into its rows of the field, then checked for fit, complex
 values and finiteness; the finiteness check is one sum, and only a sum
-that is not finite is followed by a check of each entry. Every rewrite
-of the step keeps the floating-point operations and their order, so
-results are bit-identical to the plain full-width step that
-tests/test_solver.py keeps as a reference. The stationary sweep shares
-the transport correction and its views, made once per solve.
+that is not finite is followed by a check of each entry. The step does
+the floating-point operations of the plain full-width step that
+tests/test_solver.py keeps as a reference, in the same order, so its
+results are bit-identical to it. The stationary sweep calls the same
+object's correction and uses its buffers as work arrays.
 """
 
 from __future__ import annotations
@@ -309,23 +308,6 @@ def _minmod(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> n
     return np.minimum(lo, np.maximum(b, 0.0, out=tmp), out=lo)
 
 
-class _Transport(NamedTuple):
-    """The per-run constants of the transport kernels, for the velocities
-    vs (sorted and symmetric, as HalfStripGrid.vs) and the step hx."""
-
-    vs_neg: np.ndarray      # vs[:m], the v < 0 columns
-    vs_pos: np.ndarray      # vs[m:], the v > 0 columns
-    hx: float
-    half_sign: np.ndarray   # np.copysign(0.5, vs): the sign of each column's half-slope
-    v_hx: np.ndarray        # vs / hx
-    outflow: np.ndarray     # -(vs[:m] / (2 hx)): station 0's one-sided correction
-
-    @classmethod
-    def of(cls, vs: np.ndarray, hx: float) -> "_Transport":
-        m = len(vs) // 2
-        return cls(vs[:m], vs[m:], hx, np.copysign(0.5, vs), vs / hx, -(vs[:m] / (2.0 * hx)))
-
-
 class _Rows(NamedTuple):
     """A field buffer f and the views of it that a sweep or an IMEX step
     reads or writes, made once per buffer: making a basic slice costs
@@ -354,97 +336,89 @@ class _Rows(NamedTuple):
                    walls=f[:, ::nv - 1])
 
 
-class _Work(NamedTuple):
-    """The work arrays of the transport kernels and their views, made once
-    per run: d (nx, nv) holds f[1:] - f[:-1] and then the slopes, mm and
-    mm_tmp (nx - 1, nv) are the minmod's result and scratch, and out
-    (nx + 1, nv) takes the result."""
+class _Transport:
+    """The transport kernels of one run, for the velocities vs (sorted and
+    symmetric, as HalfStripGrid.vs), the step hx and nx + 1 stations: the
+    per-run constants, the work arrays and every view of them that a
+    kernel reads or writes, made once, so that a call allocates nothing.
+    d (nx, nv) holds f[1:] - f[:-1] and then the slopes, tmp
+    (2, nx - 1, nv) is the minmod's result mm and scratch mm_tmp, first
+    (nx + 1, nv) is apply's first-order upwind term, and out (nx + 1, nv)
+    takes a kernel's result. The v < 0 columns are the first half and the
+    v > 0 columns the second. The kernels take the field as a _Rows."""
 
-    d: np.ndarray
-    d_hi: np.ndarray
-    d_lo: np.ndarray
-    d_neg: np.ndarray
-    d_pos: np.ndarray
-    d_lo_neg: np.ndarray
-    d_hi_pos: np.ndarray
-    mm: np.ndarray
-    mm_tmp: np.ndarray
-    mm_neg: np.ndarray
-    mm_pos: np.ndarray
-    out: np.ndarray
-    out_inner: np.ndarray
-    out_last: np.ndarray
-    out0_neg: np.ndarray
-    out0_pos: np.ndarray
+    def __init__(self, vs: np.ndarray, hx: float, nx: int):
+        nv = len(vs)
+        m = nv // 2
+        self.vs_neg, self.vs_pos, self.hx = vs[:m], vs[m:], hx
+        self.half_sign = np.copysign(0.5, vs)       # the sign of each column's half-slope
+        self.v_hx = vs / hx
+        self.outflow = -(vs[:m] / (2.0 * hx))       # station 0's one-sided correction
+        d = self.d = np.empty((nx, nv))
+        self.d_hi, self.d_lo, self.d_neg, self.d_pos = d[1:], d[:-1], d[:, :m], d[:, m:]
+        self.d_lo_neg, self.d_hi_pos = d[:-1, :m], d[1:, m:]
+        self.tmp = np.empty((2, nx - 1, nv))
+        self.mm, self.mm_tmp = self.tmp
+        self.mm_neg, self.mm_pos = self.mm[:, :m], self.mm[:, m:]
+        out = self.out = np.empty((nx + 1, nv))
+        self.out_inner, self.out_last = out[1:-1], out[-1]
+        self.out0_neg, self.out0_pos = out[0, :m], out[0, m:]
+        first = self.first = np.empty((nx + 1, nv))
+        self.first_lo_neg, self.first_hi_pos = first[:-1, :m], first[1:, m:]
+        self.first0_pos, self.first1_pos = first[0, m:], first[1, m:]
+        self.first_last_neg, self.first_last2_neg = first[-1, :m], first[-2, :m]
 
-    @classmethod
-    def of(cls, d: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> "_Work":
-        """tmp is the (2, nx - 1, nv) array of mm and mm_tmp."""
-        m = d.shape[1] // 2
-        mm, mm_tmp = tmp
-        return cls(d=d, d_hi=d[1:], d_lo=d[:-1], d_neg=d[:, :m], d_pos=d[:, m:],
-                   d_lo_neg=d[:-1, :m], d_hi_pos=d[1:, m:],
-                   mm=mm, mm_tmp=mm_tmp, mm_neg=mm[:, :m], mm_pos=mm[:, m:],
-                   out=out, out_inner=out[1:-1], out_last=out[-1], out0_neg=out[0, :m],
-                   out0_pos=out[0, m:])
+    def correction(self, rows: _Rows) -> np.ndarray:
+        """Deferred correction lifting first-order upwind to limited second
+        order: corr[i, j] such that v df/dx ~ v (f_i - f_upwind)/hx + corr,
+        with f = rows.f, written into out, which is returned. d holds
+        f[1:] - f[:-1] on entry and the slopes on return.
 
+        The mirror extension of a specular solution generically has an
+        x-derivative kink at the wall (the extended source is discontinuous),
+        so no smooth-across-the-wall stencil is used: station 0 (v<0 rows)
+        gets a one-sided second-order correction and the wall-adjacent faces
+        fall back to centered differences, whatever the condition at x = 0.
+        """
+        # slope[k], formed in place in d: the half-slope that face k+1/2 adds
+        # to the value of its upwind station, k for v > 0 and k+1 for v < 0
+        # (there with a minus sign). It is the minmod of the station's two
+        # differences, except at the faces next to the inflow node and next to
+        # x_max: those are centered, and are the rows of d that the minmod
+        # rows leave as they are.
+        _minmod(self.d_lo, self.d_hi, self.mm, self.mm_tmp)
+        self.d_hi_pos[...] = self.mm_pos
+        self.d_lo_neg[...] = self.mm_neg
+        np.multiply(self.d, self.half_sign, out=self.d)
+        np.subtract(self.d_hi, self.d_lo, out=self.out_inner)
+        np.multiply(self.out_inner, self.v_hx, out=self.out_inner)
+        self.out_last.fill(0.0)
+        self.out0_pos.fill(0.0)
+        # one-sided second-order correction at the outflow station,
+        # outflow * (f[0] - 2 f[1] + f[2]) on the v < 0 columns, in that order
+        s0 = self.out0_neg
+        np.multiply(2.0, rows.neg1, out=s0)
+        np.subtract(rows.neg0, s0, out=s0)
+        np.add(s0, rows.neg2, out=s0)
+        np.multiply(self.outflow, s0, out=s0)
+        return self.out
 
-class _FirstOrder(NamedTuple):
-    """The per-run buffer of _transport_apply's first-order upwind term,
-    of the field's shape, and its views."""
-
-    first: np.ndarray
-    lo_neg: np.ndarray
-    hi_pos: np.ndarray
-    pos0: np.ndarray
-    pos1: np.ndarray
-    neg_last: np.ndarray
-    neg_last2: np.ndarray
-
-    @classmethod
-    def of(cls, first: np.ndarray) -> "_FirstOrder":
-        m = first.shape[1] // 2
-        return cls(first=first, lo_neg=first[:-1, :m], hi_pos=first[1:, m:], pos0=first[0, m:],
-                   pos1=first[1, m:], neg_last=first[-1, :m], neg_last2=first[-2, :m])
-
-
-def _transport_correction(rows: _Rows, tr: _Transport, w: _Work) -> np.ndarray:
-    """Deferred correction lifting first-order upwind to limited second
-    order: corr[i, j] such that v df/dx ~ v (f_i - f_upwind)/hx + corr,
-    with f = rows.f, written into w.out, which is returned.
-
-    The work arrays are the caller's, so a call allocates nothing: w.d
-    holds f[1:] - f[:-1] on entry and the slopes on return.
-
-    The mirror extension of a specular solution generically has an
-    x-derivative kink at the wall (the extended source is discontinuous),
-    so no smooth-across-the-wall stencil is used: station 0 (v<0 rows)
-    gets a one-sided second-order correction and the wall-adjacent faces
-    fall back to centered differences, whatever the condition at x = 0.
-    The v < 0 columns are the first half and the v > 0 columns the second.
-    """
-    # slope[k], formed in place in d: the half-slope that face k+1/2 adds
-    # to the value of its upwind station, k for v > 0 and k+1 for v < 0
-    # (there with a minus sign). It is the minmod of the station's two
-    # differences, except at the faces next to the inflow node and next to
-    # x_max: those are centered, and are the rows of d that the minmod
-    # rows leave as they are.
-    _minmod(w.d_lo, w.d_hi, w.mm, w.mm_tmp)
-    w.d_hi_pos[...] = w.mm_pos
-    w.d_lo_neg[...] = w.mm_neg
-    np.multiply(w.d, tr.half_sign, out=w.d)
-    np.subtract(w.d_hi, w.d_lo, out=w.out_inner)
-    np.multiply(w.out_inner, tr.v_hx, out=w.out_inner)
-    w.out_last.fill(0.0)
-    w.out0_pos.fill(0.0)
-    # one-sided second-order correction at the outflow station,
-    # outflow * (f[0] - 2 f[1] + f[2]) on the v < 0 columns, in that order
-    s0 = w.out0_neg
-    np.multiply(2.0, rows.neg1, out=s0)
-    np.subtract(rows.neg0, s0, out=s0)
-    np.add(s0, rows.neg2, out=s0)
-    np.multiply(tr.outflow, s0, out=s0)
-    return w.out
+    def apply(self, rows: _Rows) -> np.ndarray:
+        """Full second-order limited transport operator v df/dx (explicit)
+        of f = rows.f, written into out, which is returned."""
+        np.subtract(rows.hi, rows.lo, out=self.d)
+        # the first-order upwind difference (vs * d) / hx, one-sided at the
+        # rows where the upwind node lies outside: v > 0 at station 0, v < 0
+        # at station nx. It is formed before the correction turns d into
+        # slopes, and those two rows are copied before the divide, so that
+        # the divide reads only entries this call has written.
+        np.multiply(self.vs_pos, self.d_pos, out=self.first_hi_pos)
+        np.multiply(self.vs_neg, self.d_neg, out=self.first_lo_neg)
+        self.first0_pos[...] = self.first1_pos
+        self.first_last_neg[...] = self.first_last2_neg
+        np.divide(self.first, self.hx, out=self.first)
+        self.correction(rows)
+        return np.add(self.out, self.first, out=self.out)
 
 
 def _finite(values, what: str) -> np.ndarray:
@@ -603,6 +577,26 @@ def _diagonal_scan(z: np.ndarray, powers: list[np.ndarray], tmp: np.ndarray,
     return z
 
 
+def diffusion_coupling(A: float, grid: HalfStripGrid) -> float:
+    """k = A / hv^2, the coupling of neighbouring velocity cells in a
+    station's tridiagonal. ValueError unless A is positive and finite, k is
+    finite and > 0, and the largest stationary diagonal max|v| / hx + 2k is
+    finite: past double range the inverse fails inside LAPACK, or the
+    transport's v / hx turns to inf."""
+    if not 0.0 < A < math.inf:
+        raise ValueError(f"diffusion A must be positive and finite, got {A!r}")
+    try:
+        k = A / grid.hv ** 2
+        diag = float(np.max(np.abs(grid.vs))) / grid.hx + 2.0 * k
+    except (OverflowError, ZeroDivisionError):  # hv^2 past double range, or hv^2 or hx 0
+        k = diag = math.inf
+    if not (0.0 < k < math.inf and diag < math.inf):
+        raise ValueError(f"diffusion A = {A!r} with steps hv = {grid.hv!r}, hx = {grid.hx!r} "
+                         "leaves double range: A / hv^2 must be finite and > 0, "
+                         "and max|v| / hx + 2 A / hv^2 finite")
+    return k
+
+
 def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
                      opts: SolverOptions = SolverOptions()) -> Field:
     """Solve v f_x - A f_vv = h on the strip with the given boundary data.
@@ -611,22 +605,21 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
     grid's coordinate arrays, or None (zero source), as in solve_timedep.
     The result's metadata holds A, bc, sweeps and last_update, the update
     of the last sweep relative to max(1, max|f|), which is below opts.tol.
-    Raises ValueError on non-finite source or boundary data, and
-    SolverError with the residual history on non-convergence.
+    Raises ValueError on non-finite source or boundary data or an A that
+    diffusion_coupling refuses, and SolverError with the residual history
+    on non-convergence.
     """
-    if not 0.0 < A < np.inf:
-        raise ValueError("diffusion A must be positive and finite")
+    k = diffusion_coupling(A, grid)
     H = _source_array(h, grid)
 
     vs, hx = grid.vs, grid.hx
     nxp1, nv = grid.nx + 1, grid.nv
     m = nv // 2
-    k = A / grid.hv ** 2
     a = np.abs(vs) / hx
     apos = np.where(vs > 0, a, 0.0)
     aneg = np.where(vs < 0, a, 0.0)
     interior = _station_factor(a, k, "wall")
-    tr = _Transport.of(vs, hx)
+    tr = _Transport(vs, hx, grid.nx)
 
     # boundary data enter at t = 0 only
     f = np.zeros((nxp1, nv))
@@ -660,15 +653,12 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
     # the inverse applied to the v < 0 rows' upwind coupling into the v > 0 rows
     neg_to_pos = interior[m:, :m] * aneg[:m]
 
-    # Work arrays, allocated once per solve with the correction's views of
-    # them: a sweep writes every ufunc and product into them and allocates
-    # nothing of field size. d and tmp are the correction's; each pass then
-    # sums its right-hand side in tmp[0] and keeps the rows it scans,
-    # contiguous, in tmp[1]: z, then the forward scan's scratch or the
-    # backward pass's v > 0 rows.
-    f_old, R = np.empty_like(f), np.empty_like(f)
-    d, tmp = np.empty((nxp1 - 1, nv)), np.empty((2, rows, nv))
-    work = _Work.of(d, tmp, R)
+    # Work arrays, allocated once per solve: a sweep writes every ufunc and
+    # product into them and allocates nothing of field size. R, d and tmp
+    # are the transport's; each pass then sums its right-hand side in
+    # tmp[0] and keeps the rows it scans, contiguous, in tmp[1]: z, then the
+    # forward scan's scratch or the backward pass's v > 0 rows.
+    f_old, R, d, tmp = np.empty_like(f), tr.out, tr.d, tr.tmp
     rhs_buf, scan_buf = tmp.reshape(2, -1)
     z = scan_buf[:rows * inner].reshape(rows, inner)
     z_tmp = scan_buf[rows * inner:2 * rows * inner].reshape(rows, inner)
@@ -682,7 +672,7 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
         np.copyto(f_old, f)
         if opts.order == 2:
             np.subtract(fv.hi, fv.lo, out=d)
-            np.subtract(H, _transport_correction(fv, tr, work), out=R)
+            np.subtract(H, tr.correction(fv), out=R)
         else:
             np.copyto(R, H)
         R[:, wall_cols] = walls
@@ -732,37 +722,18 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
                       history)
 
 
-def _transport_apply(rows: _Rows, tr: _Transport, w: _Work, fo: _FirstOrder) -> np.ndarray:
-    """Full second-order limited transport operator v df/dx (explicit) of
-    f = rows.f, written into w.out, which is returned, with the work arrays
-    w of _transport_correction and the first-order buffer fo."""
-    np.subtract(rows.hi, rows.lo, out=w.d)
-    # the first-order upwind difference (vs * d) / hx, one-sided at the
-    # rows where the upwind node lies outside: v > 0 at station 0, v < 0 at
-    # station nx. It is formed before the correction turns d into slopes,
-    # and those two rows are copied before the divide, so that the divide
-    # reads only entries this call has written.
-    np.multiply(tr.vs_pos, w.d_pos, out=fo.hi_pos)
-    np.multiply(tr.vs_neg, w.d_neg, out=fo.lo_neg)
-    fo.pos0[...] = fo.pos1
-    fo.neg_last[...] = fo.neg_last2
-    np.divide(fo.first, tr.hx, out=fo.first)
-    _transport_correction(rows, tr, w)
-    return np.add(w.out, fo.first, out=w.out)
-
-
 def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float) -> list[Field]:
     """IMEX time stepping up to horizon T: explicit limited transport,
     implicit v-diffusion. Refuses to run when dt violates the CFL bound
     dt <= 0.5 hx / v_max, and raises ValueError on a negative or
     non-finite T, a T that is not a whole number of steps dt (within 1e-9
-    relative), and non-finite source, initial or boundary data. Returns
-    [initial slice, final slice]; f0 is left as it is."""
-    if not 0.0 < A < np.inf:
-        raise ValueError("diffusion A must be positive and finite")
+    relative), an A that diffusion_coupling refuses, and non-finite
+    source, initial or boundary data. Returns [initial slice, final
+    slice]; f0 is left as it is."""
+    grid = f0.grid
+    k = diffusion_coupling(A, grid)
     if not 0.0 <= T < np.inf:
         raise ValueError(f"horizon T must be finite and >= 0, got {T!r}")
-    grid = f0.grid
     if grid.dt is None:
         raise ValueError("grid needs finite dt > 0")
     dt, hx = grid.dt, grid.hx
@@ -784,24 +755,21 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float) -> li
 
     f = _finite(f0.values, "initial field")
     initial = Field(grid, f.copy(), dict(f0.metadata, t=0.0))
-    c = dt * (A / grid.hv ** 2)
+    c = dt * k
     full_T = _station_factor(np.ones(grid.nv), c, "wall").T
     # the specular station 0 diffuses its v<0 block with the mirror fold
     fold = _station_factor(np.ones(m), c, "fold") if bc.at_x0 == "specular" else None
 
-    # made once per run: the transport's constants, its work arrays and
-    # their views, and the views of two field buffers. Each step diffuses f
-    # into g, and the two swap, views and all.
-    tr = _Transport.of(vs, hx)
-    work = _Work.of(np.empty((grid.nx, grid.nv)), np.empty((2, grid.nx - 1, grid.nv)),
-                    np.empty_like(f))
-    first = _FirstOrder.of(np.empty_like(f))
-    out = work.out
+    # made once per run: the transport with its buffers and views, and the
+    # views of two field buffers. Each step diffuses f into g, and the two
+    # swap, views and all.
+    tr = _Transport(vs, hx, grid.nx)
+    out = tr.out
     f, g = _Rows.of(f), _Rows.of(np.empty_like(f))
     t = 0.0
     for _ in range(nsteps):
         # f - dt * transport + dt * h, in place and in that order
-        _transport_apply(f, tr, work, first)
+        tr.apply(f)
         out *= dt
         np.subtract(f.f, out, out=f.f)
         np.add(f.f, dt_H, out=f.f)

@@ -61,6 +61,22 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert "Traceback" in err and "RuntimeError: lab fault" in err
 
 
+@pytest.mark.parametrize("argv", [["--v-max", "1e160"], ["--v-max", "1e-160"],
+                                  ["--x-max", "1e-310"], ["--A", "1e307"]])
+def test_solve_kfp_scales_past_double_range_are_config_errors(argv, capsys):
+    # A / hv^2 or max|v| / hx + 2 A / hv^2 leaves double range: refused
+    # before the first solve, not an overflow or a failed inverse inside it
+    assert run_main(["solve-kfp", "--nx", "16", "--nv", "16", "--source", "zero", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--A", "1e300"], ["--A", "1e-320"],
+                                  ["--v-max", "1e-150", "--A", "1e-300"]])
+def test_solve_kfp_extreme_scales_inside_double_range_solve(argv, capsys):
+    assert run_main(["solve-kfp", "--nx", "16", "--nv", "16", "--source", "zero", *argv]) == 0
+
+
 def test_solve_kfp_bad_convergence_is_config_error(capsys):
     assert run_main(["solve-kfp", "--convergence", "32,x"]) == 2
 

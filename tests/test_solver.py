@@ -16,15 +16,11 @@ from kinreg.solver import (
     solve_timedep,
     _data,
     _diagonal_scan,
-    _FirstOrder,
     _minmod,
     _Rows,
     _station_factor,
     _Transport,
-    _transport_apply,
-    _transport_correction,
     _UpwindPass,
-    _Work,
 )
 from kinreg.tricomi import TricomiParams, eval_tricomi, residual_constant
 
@@ -499,6 +495,18 @@ def test_timedep_dirichlet_imposes_inflow_profile():
     assert np.all(final.values[0] == 5.0)
 
 
+def test_timedep_refuses_a_diffusion_past_double_range_before_any_data():
+    # A / hv^2 overflows: the IMEX inverse would turn the field to inf
+    n = 16
+    g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=n, nv=n, nt=1, dt=0.01)
+    calls = []
+    data = lambda *args: calls.append(args) or 0.0
+    bc = BoundaryCondition(at_x0="inflow", inflow_profile=data, at_xmax=data, at_vmax=data)
+    with pytest.raises(ValueError, match="double range"):
+        solve_timedep(Field(g, np.zeros((n + 1, n))), data, bc, 1e307, T=0.05)
+    assert calls == []
+
+
 def test_timedep_rejects_bad_input():
     n = 16
     g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=n, nv=n, nt=1, dt=0.01)
@@ -925,12 +933,14 @@ def _transport_full_width(f, vs, hx):
     return first + _correction_full_width(f, vs, hx)
 
 
-def _nan_work(f):
-    """Work arrays for the transport kernels, filled with NaN so that an
-    entry the kernel reads before writing shows in its result."""
-    nxp1, nv = f.shape
-    return (np.full((nxp1 - 1, nv), np.nan), np.full((2, nxp1 - 2, nv), np.nan),
-            np.full((nxp1, nv), np.nan))
+def _nan_transport(g):
+    """The transport kernels of grid g, with d, tmp, out and first filled
+    with NaN so that an entry a kernel reads before writing shows in its
+    result."""
+    tr = _Transport(g.vs, g.hx, g.nx)
+    for buf in (tr.d, tr.tmp, tr.out, tr.first):
+        buf.fill(np.nan)
+    return tr
 
 
 @pytest.mark.parametrize("nx, nv", [(16, 16), (33, 24), (128, 128)])
@@ -942,27 +952,26 @@ def test_transport_kernels_match_full_width_forms(nx, nv):
     smooth = rng.standard_normal((nx + 1, nv)).cumsum(axis=0)
     for f in (steps, smooth, np.cumsum(steps, axis=0)):
         d = np.diff(f, axis=0)
-        assert np.array_equal(_minmod(d[:-1], d[1:], *_nan_work(f)[1]),
+        assert np.array_equal(_minmod(d[:-1], d[1:], *_nan_transport(g).tmp),
                               _minmod_where(d[:-1], d[1:]))
-        d_work, tmp, out = _nan_work(f)
-        d_work[...] = d
-        tr = _Transport.of(g.vs, g.hx)
-        assert _transport_correction(_Rows.of(f), tr, _Work.of(d_work, tmp, out)) is out
-        assert np.array_equal(out, _correction_full_width(f, g.vs, g.hx))
-        assert np.array_equal(_transport_apply(_Rows.of(f), tr, _Work.of(*_nan_work(f)),
-                                               _FirstOrder.of(np.full(f.shape, np.nan))),
+        tr = _nan_transport(g)
+        tr.d[...] = d
+        assert tr.correction(_Rows.of(f)) is tr.out
+        assert np.array_equal(tr.out, _correction_full_width(f, g.vs, g.hx))
+        assert np.array_equal(_nan_transport(g).apply(_Rows.of(f)),
                               _transport_full_width(f, g.vs, g.hx))
 
 
 def test_transport_apply_reads_only_what_it_writes():
-    # first is the caller's buffer, left as np.empty leaves it: an entry of
-    # 1e308 overflows if the kernel divides it by hx before writing it
+    # first is left as np.empty leaves it: an entry of 1e308 overflows if
+    # the kernel divides it by hx before writing it
     for nx, nv in ((16, 16), (33, 24)):
         g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=nx, nv=nv)
         f = np.random.default_rng(nx * nv).standard_normal((nx + 1, nv)).cumsum(axis=0)
+        tr = _nan_transport(g)
+        tr.first.fill(1e308)
         with np.errstate(over="raise"):
-            got = _transport_apply(_Rows.of(f), _Transport.of(g.vs, g.hx), _Work.of(*_nan_work(f)),
-                                   _FirstOrder.of(np.full(f.shape, 1e308)))
+            got = tr.apply(_Rows.of(f))
         assert np.array_equal(got, _transport_full_width(f, g.vs, g.hx))
 
 
