@@ -20,13 +20,16 @@ callable may return a scalar; NaN or inf in it raises ValueError.
 
 Every interior station has the same v-tridiagonal (its diagonal does not
 depend on x), so each solve inverts it once, densely, plus the half-size
-block of station 0 (at nv <= 256 an inverse holds at most 512 KB). A
-station solve is then a matrix-vector product. In each pass of a sweep,
-the half of the rows that carries fresh values to the next station obeys
-the linear recurrence y[i] = known[i] + P y[i-1], with one fixed matrix P
-per pass. Its wall row neither couples nor is coupled, and on the other
-rows P is diagonalizable with real eigenvalues in [0, 1): P = W Lam W^-1,
-which each solve computes once per pass. The part of every station's
+block of station 0 (at nv <= 256 an inverse holds at most 512 KB). The
+inverse comes from the Cholesky factor of the symmetric positive
+definite block off the Dirichlet wall rows, so it is symmetric by
+construction. A station solve is then a matrix-vector product. In each
+pass of a sweep, the half of the rows that carries fresh values to the
+next station obeys the linear recurrence y[i] = known[i] + P y[i-1],
+with one fixed matrix P per pass. Its wall row neither couples nor is
+coupled, and on the other rows P is similar to a symmetric S, so
+P = W Lam W^-1 with real eigenvalues in [0, 1), from eigh of S once per
+pass. The part of every station's
 right-hand side that is known before the pass goes through W^-1 times
 the inverse in one matrix product. In that eigenbasis the recurrence is
 z[i] = known[i] + lam z[i-1] lane by lane, and a doubling scan solves it
@@ -489,8 +492,12 @@ def _station_factor(diag_base: np.ndarray, c: float, top: str) -> np.ndarray:
     row: 'wall' (the v = v_max wall, treated like row 0), 'fold' (the
     mirror fold u_m = u_{m-1} at the v = 0 face) or 'open' (the coupling
     to prescribed rows beyond it goes to the right-hand side).
-    A Dirichlet row is a unit row of the matrix and of its inverse; the
-    inverse gets it exactly, so a solve returns the wall data bit for bit.
+    A Dirichlet row is a unit row of the matrix and of its inverse, so a
+    solve returns the wall data bit for bit. The other rows form a
+    symmetric positive definite block M_ii, whose inverse is
+    B = L^-T L^-1 from its Cholesky factor L: symmetric by construction,
+    and accurate to rounding in every row. Its wall columns are
+    -B M_iw, M_iw the inner rows' coupling to the walls.
     """
     n = len(diag_base)
     M = np.zeros((n, n))
@@ -500,10 +507,12 @@ def _station_factor(diag_base: np.ndarray, c: float, top: str) -> np.ndarray:
     if top == "fold":
         M[-1, -1] -= c
     walls = [0, n - 1] if top == "wall" else [0]
-    M[walls] = 0.0
-    M[walls, walls] = 1.0
-    inv = np.linalg.inv(M)
-    inv[walls] = M[walls]
+    inner = slice(1, n - 1) if top == "wall" else slice(1, n)
+    Li = np.linalg.solve(np.linalg.cholesky(M[inner, inner]), np.eye(n - len(walls)))
+    inv = np.zeros((n, n))
+    inv[walls, walls] = 1.0
+    B = inv[inner, inner] = Li.T @ Li
+    inv[inner, walls] = -B @ M[inner, walls]
     return inv
 
 
@@ -515,14 +524,11 @@ class _UpwindPass(NamedTuple):
     operand one row at a time, half again as slowly), with the entries
     that would be subnormal, and slow to multiply, set to 0.
 
-    P = B D, with B a principal block of the interior inverse and D > 0
-    the diagonal of upwind weights d. The exact B is symmetric positive
-    definite, so P is similar to S = D^1/2 B D^1/2 = D^1/2 P D^-1/2, a
-    symmetric matrix, and its eigenvalues are real, distinct and in
-    (0, 1). The computed B is not symmetric: at n = 128 its v < 0 rows
-    miss their transpose by 1e-13 of its largest entry, and eigenvectors
-    of S's symmetric part alone would change the sweep's coupling by that
-    much. So they get a first-order correction for the antisymmetric part.
+    P = B D, with B a principal block of the symmetric positive definite
+    interior inverse and D > 0 the diagonal of upwind weights d. So P is
+    similar to the symmetric S = D^1/2 B D^1/2 = D^1/2 P D^-1/2, and its
+    eigenvalues are real and in (0, 1): with S = Q diag(lam) Q^T, eigh's
+    orthogonal Q gives W = D^-1/2 Q and W_inv = Q^T D^1/2.
     """
 
     W: np.ndarray
@@ -533,26 +539,14 @@ class _UpwindPass(NamedTuple):
     @classmethod
     def of(cls, P: np.ndarray, d: np.ndarray, rows: int) -> "_UpwindPass":
         r = np.sqrt(d)
-        S = P * r[:, None] / r
-        sym = 0.5 * (S + S.T)
-        lam, Q = np.linalg.eigh(sym)
-        # In the basis Q, S = diag(lam) + N with N antisymmetric, so N has
-        # a zero diagonal: to first order in N the eigenvalues stay, and
-        # the eigenvectors are the columns of Q X, X = I + N_ij / (lam_j - lam_i).
-        # Pairs whose eigenvalues agree to rounding (P is the identity to
-        # rounding when A is tiny) get no correction.
-        N = Q.T @ (S - sym) @ Q
-        gap = lam - lam[:, None]
-        X = np.divide(N, gap, out=np.zeros_like(N),
-                      where=np.abs(gap) > len(lam) * np.finfo(float).eps * lam[-1])
-        np.fill_diagonal(X, 1.0)
+        lam, Q = np.linalg.eigh(P * r[:, None] / r)
         powers, power, s = [], lam.copy(), 1
         while s < rows:
             powers.append(np.tile(power, (rows - s, 1)))
             power *= power
             power[power < np.finfo(float).tiny] = 0.0
             s *= 2
-        return cls(Q @ X / r[:, None], np.linalg.solve(X, Q.T) * r, lam, powers)
+        return cls(Q / r[:, None], Q.T * r, lam, powers)
 
 
 def _diagonal_scan(z: np.ndarray, powers: list[np.ndarray], tmp: np.ndarray,
@@ -741,7 +735,8 @@ def solve_timedep(f0: Field, h, bc: BoundaryCondition, A: float, T: float) -> li
     if not (steps < np.inf and abs(steps - round(steps)) <= 1e-9 * steps):
         raise ValueError(f"horizon T = {T!r} is not a whole number of steps dt = {dt!r}")
     nsteps = round(steps)
-    if dt > 0.5 * hx / grid.v_max + 1e-15:
+    # the slack is relative: an absolute one outgrows the bound on a short strip
+    if dt > 0.5 * hx / grid.v_max * (1.0 + 1e-12):
         raise ValueError(f"CFL violation: dt = {dt} > 0.5 hx / v_max = {0.5 * hx / grid.v_max}")
     # the grid's xs and vs properties build new arrays: read them once
     vs, xs = grid.vs, grid.xs[:, None]

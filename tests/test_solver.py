@@ -423,6 +423,16 @@ def test_timedep_cfl_refusal():
         solve_timedep(f0, None, bc, 1.0, T=0.5)
 
 
+def test_timedep_cfl_refusal_on_a_short_strip():
+    # the bound 0.5 hx / v_max is 5e-21 here, so dt = 1e-16 is 2e4 times
+    # past it: an absolute slack near 1e-16 would let the transport blow up
+    g = HalfStripGrid(x_max=1.6e-19, v_max=1.0, nx=16, nv=16, nt=1, dt=1e-16)
+    f0 = Field(g, np.random.default_rng(1).standard_normal((17, 16)))
+    bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 0.0, at_vmax=lambda t, x, v: 0.0)
+    with pytest.raises(ValueError, match="CFL"):
+        solve_timedep(f0, None, bc, 1.0, T=10 * g.dt)
+
+
 def test_timedep_constant_preserved():
     g = HalfStripGrid(x_max=1.0, v_max=1.0, nx=32, nv=32, nt=1, dt=0.01)
     bc = BoundaryCondition(at_x0="specular", at_xmax=lambda t, v: 3.14,
@@ -699,6 +709,27 @@ def test_station_inverse_matches_dense_solve(nv, top):
             assert np.array_equal(got[j], rhs[j])
 
 
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("top", ["wall", "fold", "open"], ids=lambda top: f"{top}-dirichlet")
+def test_station_inverse_accurate_and_symmetric(n, top):
+    # the stationary block of solve_stationary (A = 1) against its inverse
+    # refined twice in long double, X <- X + X (I - M X), which needs a
+    # long double well beyond double precision to serve as the reference
+    assert np.finfo(np.longdouble).eps < 1e-18
+    g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=n, nv=n)
+    size = n if top == "wall" else n // 2
+    base, c = np.abs(g.vs[:size]) / g.hx, 1.0 / g.hv ** 2
+    M = _dense_station(base, c, top)
+    X = np.linalg.inv(M).astype(np.longdouble)
+    I = np.eye(size, dtype=np.longdouble)
+    for _ in range(2):
+        X = X + X @ (I - M.astype(np.longdouble) @ X)
+    inner = slice(1, size - 1) if top == "wall" else slice(1, size)
+    B, want = _station_factor(base, c, top)[inner, inner], X[inner, inner]
+    assert np.max(np.abs(B - want)) <= 2e-14 * np.max(np.abs(want))
+    assert np.array_equal(B, B.T)
+
+
 @pytest.mark.parametrize("at_x0", ["inflow", "specular", "dirichlet"])
 def test_dirichlet_wall_rows_exact(at_x0):
     # even in v at x = 0, so that the specular fold agrees with the wall data
@@ -826,7 +857,8 @@ def test_upwind_eigenbasis_reproduces_coupling(n):
 @pytest.mark.parametrize("A", [1e-200, 1e-20, 1e-8])
 def test_upwind_eigenbasis_when_eigenvalues_cluster(A):
     # as A -> 0 the coupling tends to the identity and its eigenvalues
-    # agree to rounding: no first-order correction may divide by their gaps
+    # agree to rounding: plain eigh of the symmetric S stays exact there, as
+    # its Q is orthogonal whatever the gaps, and W, W_inv reproduce P
     n = 64
     g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=n, nv=n)
     m = n // 2
