@@ -196,15 +196,22 @@ def run_liouville(args) -> int:
 
 
 def _tricomi_problem(params: TricomiParams, grid: HalfStripGrid, bc_mode: str):
-    """Source, boundary data and the exact solution T on the grid."""
+    """Source, boundary data and the exact solution T on the grid.
+
+    T is evaluated once, on the whole grid, and the boundary callables
+    return its boundary entries, whatever coordinates they get: they serve
+    solve_stationary on this grid only, which calls each once per solve on
+    exactly those nodes. A lane's T does not depend on the other lanes of
+    its call, so the data are the bits of T at those nodes. The x_max data
+    are T at the last node xs[-1], which is x_max up to the rounding of
+    nx * hx."""
     C = residual_constant(params)
     h = lambda x, v: C * v ** 3
-    T = lambda x, v: eval_tricomi(params, x, v)
-    exact = T(grid.xs[:, None], grid.vs[None, :])
-    bc = BoundaryCondition(at_x0=bc_mode,
-                           inflow_profile=(lambda t, v: T(0.0, v)) if bc_mode == "inflow" else None,
-                           at_xmax=lambda t, v: T(grid.x_max, v),
-                           at_vmax=lambda t, x, v: T(x, v))
+    exact = eval_tricomi(params, grid.xs[:, None], grid.vs[None, :])
+    inflow = (lambda t, v: exact[0, grid.nv // 2:]) if bc_mode == "inflow" else None
+    bc = BoundaryCondition(at_x0=bc_mode, inflow_profile=inflow,
+                           at_xmax=lambda t, v: exact[-1],
+                           at_vmax=lambda t, x, v: exact[:, [0, -1]])
     return h, bc, exact
 
 
@@ -279,7 +286,10 @@ def run_probe(args) -> int:
     try:
         if args.space not in _SPACES:
             raise ValueError(f"unknown space {args.space!r}")
-        t0, x0, v0 = (float(c) for c in args.z0.split(","))
+        coords = args.z0.split(",")
+        if len(coords) != 3:
+            raise ValueError(f"--z0 must be three comma-separated numbers t,x,v, got {args.z0!r}")
+        t0, x0, v0 = (float(c) for c in coords)
         z0 = KineticPoint(t0, x0, v0)
         if x0 < 0.0:
             raise ValueError(f"--z0 must lie in the closed half-space x >= 0, got x = {x0}")

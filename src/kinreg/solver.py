@@ -49,18 +49,19 @@ _Transport object holds the transport's constants, its four work arrays
 and every view of them that its kernels use, and dt * h, the inverse and
 two field buffers with their views (_Rows) are made once as well. A step
 forms the limited transport from one difference array and one minmod
-over the whole field, adds the first-order upwind term with one
-full-width sum, then updates the field in place (f -= dt * transport,
-f += dt * h). It diffuses all full stations in one matrix product into
-the second buffer, and the two buffers swap with their views. Each
-boundary callable is called once per step and its result written
-straight into its rows of the field, then checked for fit, complex
-values and finiteness; the finiteness check is one sum, and only a sum
-that is not finite is followed by a check of each entry. The step does
-the floating-point operations of the plain full-width step that
-tests/test_solver.py keeps as a reference, in the same order, so its
-results are bit-identical to it. The stationary sweep calls the same
-object's correction and uses its buffers as work arrays.
+over the whole field, and the first-order upwind term from one
+full-width product and one quotient, copied onto each half's upwind
+rows. It adds the two in one full-width sum, then updates the field in
+place (f -= dt * transport, f += dt * h). It diffuses all full stations
+in one matrix product into the second buffer, and the two buffers swap
+with their views. Each boundary callable is called once per step and
+its result written straight into its rows of the field, then checked
+for fit, complex values and finiteness; the finiteness check is one sum,
+and only a sum that is not finite is followed by a check of each entry.
+The step does the floating-point operations of the plain full-width
+step that tests/test_solver.py keeps as a reference, in the same order,
+so its results are bit-identical to it. The stationary sweep calls the
+same object's correction and uses its buffers as work arrays.
 """
 
 from __future__ import annotations
@@ -239,13 +240,16 @@ class Field:
         return TensorSpline(self.grid.xs, self.grid.vs, self.values, kind)
 
     def to_csv(self, path: str):
-        # plain floats: the repr of a numpy scalar is np.float64(...)
-        vs = self.grid.vs.tolist()
+        """Write the rows x,v,value under a header, x-station by x-station,
+        each number as the repr of a plain float (the repr of a numpy scalar
+        is np.float64(...)). Each v is formatted once and each x once per
+        station, and a station's rows go out in one write."""
+        vs = [f",{v!r}," for v in self.grid.vs.tolist()]
         with open(path, "w") as fh:
             fh.write("x,v,value\n")
             for x, row in zip(self.grid.xs.tolist(), self.values.tolist()):
-                for v, val in zip(vs, row):
-                    fh.write(f"{x!r},{v!r},{val!r}\n")
+                xr = repr(x)
+                fh.write("".join([f"{xr}{v}{val!r}\n" for v, val in zip(vs, row)]))
 
     def to_binary(self, path: str):
         with open(path, "wb") as fh:
@@ -344,25 +348,30 @@ class _Transport:
     symmetric, as HalfStripGrid.vs), the step hx and nx + 1 stations: the
     per-run constants, the work arrays and every view of them that a
     kernel reads or writes, made once, so that a call allocates nothing.
-    d (nx, nv) holds f[1:] - f[:-1] and then the slopes, tmp
-    (2, nx - 1, nv) is the minmod's result mm and scratch mm_tmp, first
-    (nx + 1, nv) is apply's first-order upwind term, and out (nx + 1, nv)
-    takes a kernel's result. The v < 0 columns are the first half and the
-    v > 0 columns the second. The kernels take the field as a _Rows."""
+    d (nx, nv) holds f[1:] - f[:-1] and then the slopes. tmp
+    (2, nx - 1, nv) is the minmod's result mm and scratch mm_tmp, and
+    before the minmod it holds upwind (nx, nv), apply's first-order term
+    at full width. first (nx + 1, nv) is that term on the rows of its
+    upwind nodes, and out (nx + 1, nv) takes a kernel's result. The v < 0
+    columns are the first half and the v > 0 columns the second. The
+    kernels take the field as a _Rows."""
 
     def __init__(self, vs: np.ndarray, hx: float, nx: int):
         nv = len(vs)
         m = nv // 2
-        self.vs_neg, self.vs_pos, self.hx = vs[:m], vs[m:], hx
+        self.vs, self.hx = vs, hx
         self.half_sign = np.copysign(0.5, vs)       # the sign of each column's half-slope
         self.v_hx = vs / hx
         self.outflow = -(vs[:m] / (2.0 * hx))       # station 0's one-sided correction
         d = self.d = np.empty((nx, nv))
-        self.d_hi, self.d_lo, self.d_neg, self.d_pos = d[1:], d[:-1], d[:, :m], d[:, m:]
+        self.d_hi, self.d_lo = d[1:], d[:-1]
         self.d_lo_neg, self.d_hi_pos = d[:-1, :m], d[1:, m:]
         self.tmp = np.empty((2, nx - 1, nv))
         self.mm, self.mm_tmp = self.tmp
         self.mm_neg, self.mm_pos = self.mm[:, :m], self.mm[:, m:]
+        # apply's full-width first-order term, in tmp before the minmod
+        s = self.upwind = self.tmp.reshape(-1)[:nx * nv].reshape(nx, nv)
+        self.upwind_neg, self.upwind_pos = s[:, :m], s[:, m:]
         out = self.out = np.empty((nx + 1, nv))
         self.out_inner, self.out_last = out[1:-1], out[-1]
         self.out0_neg, self.out0_pos = out[0, :m], out[0, m:]
@@ -410,16 +419,17 @@ class _Transport:
         """Full second-order limited transport operator v df/dx (explicit)
         of f = rows.f, written into out, which is returned."""
         np.subtract(rows.hi, rows.lo, out=self.d)
-        # the first-order upwind difference (vs * d) / hx, one-sided at the
-        # rows where the upwind node lies outside: v > 0 at station 0, v < 0
-        # at station nx. It is formed before the correction turns d into
-        # slopes, and those two rows are copied before the divide, so that
-        # the divide reads only entries this call has written.
-        np.multiply(self.vs_pos, self.d_pos, out=self.first_hi_pos)
-        np.multiply(self.vs_neg, self.d_neg, out=self.first_lo_neg)
+        # the first-order upwind difference (vs * d) / hx at full width in
+        # tmp, which the correction's minmod overwrites later, then copied
+        # onto the rows of its upwind node: station k + 1 for v > 0 and k
+        # for v < 0. It is one-sided where the upwind node lies outside:
+        # v > 0 at station 0, v < 0 at station nx.
+        np.multiply(self.vs, self.d, out=self.upwind)
+        np.divide(self.upwind, self.hx, out=self.upwind)
+        self.first_hi_pos[...] = self.upwind_pos
+        self.first_lo_neg[...] = self.upwind_neg
         self.first0_pos[...] = self.first1_pos
         self.first_last_neg[...] = self.first_last2_neg
-        np.divide(self.first, self.hx, out=self.first)
         self.correction(rows)
         return np.add(self.out, self.first, out=self.out)
 

@@ -111,6 +111,14 @@ def test_probe_and_counterexample_bad_input_is_config_error(argv, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("z0", ["0,0", "0,0,0,0"])
+def test_probe_z0_needs_three_coordinates(z0, capsys):
+    assert run_main(["probe-exponent", "--z0", z0]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --z0") and "t,x,v" in err and repr(z0) in err
+    assert "Traceback" not in err
+
+
 def test_liouville_classify_tricomi_case(tmp_path):
     rhs = tmp_path / "v3.json"
     rhs.write_text(KineticPolynomial.monomial(1, 1, bv=(3,)).to_json())

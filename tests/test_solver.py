@@ -669,6 +669,27 @@ def test_field_serialization_roundtrip(tmp_path):
     assert np.array_equal(rows[:, 2], vals.ravel())
 
 
+def test_field_csv_bytes_match_the_per_row_loop(tmp_path):
+    # one write per x-station must give the bytes of one formatted write per
+    # row, for signed zeros, subnormals, extremes and reprs of every length
+    g = HalfStripGrid(x_max=0.7, v_max=1.3, nx=48, nv=24)
+    vals = np.random.default_rng(32).standard_normal((49, 24))
+    special = [-0.0, 5e-324, 1e-300, 1e16, 1e22, 0.1, 1 / 3, 2.0, -1.5]
+    vals.reshape(-1)[:7 * len(special):7] = special
+    vals[-1, -len(special):] = special
+    fld = Field(g, vals)
+    got = tmp_path / "stations.csv"
+    fld.to_csv(str(got))
+    want = tmp_path / "rows.csv"
+    with open(want, "w") as fh:
+        fh.write("x,v,value\n")
+        for x, row in zip(g.xs.tolist(), vals.tolist()):
+            for v, val in zip(g.vs.tolist(), row):
+                fh.write(f"{x!r},{v!r},{val!r}\n")
+    assert got.read_bytes() == want.read_bytes()
+    assert "-0.0\n" in got.read_text() and "5e-324\n" in got.read_text()
+
+
 def _dense_station(base, c, top):
     """A station's v-tridiagonal entry by entry: diagonal base + 2c and
     off-diagonals -c, with a Dirichlet unit row at the v = -v_max end, and
@@ -1109,3 +1130,26 @@ def test_sweep_counts_pinned(tricomi_field_64):
     h, bc, _ = _tricomi_problem(TricomiParams(A=1.0, lam=3), g, "specular")
     assert solve_stationary(h, bc, 1.0, g).metadata["sweeps"] == 53
     assert tricomi_field_64.metadata["sweeps"] == 95
+
+
+@pytest.mark.parametrize("bc_mode", ["specular", "inflow"])
+@pytest.mark.parametrize("n, x_max, v_max", [(32, 1.0, 1.0), (48, 0.7, 1.3), (64, 1.0, 1.0)])
+def test_tricomi_boundary_data_taken_from_exact(bc_mode, n, x_max, v_max):
+    # the boundary callables return entries of the exact T on the grid; a
+    # solve with them is bit for bit a solve with T evaluated at the nodes
+    # the solver asks for
+    from kinreg.cli import _tricomi_problem
+
+    tp = TricomiParams(A=1.0, lam=3)
+    g = HalfStripGrid(x_max=x_max, v_max=v_max, nx=n, nv=n)
+    h, bc, exact = _tricomi_problem(tp, g, bc_mode)
+    kept = exact.copy()
+    T = lambda x, v: eval_tricomi(tp, x, v)
+    at_nodes = BoundaryCondition(
+        at_x0=bc_mode, inflow_profile=(lambda t, v: T(0.0, v)) if bc_mode == "inflow" else None,
+        at_xmax=lambda t, v: T(g.x_max, v), at_vmax=lambda t, x, v: T(x, v))
+    got = solve_stationary(h, bc, 1.0, g)
+    want = solve_stationary(h, at_nodes, 1.0, g)
+    assert np.array_equal(got.values, want.values)
+    assert got.metadata["sweeps"] == want.metadata["sweeps"]
+    assert np.array_equal(exact, kept)
