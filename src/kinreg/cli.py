@@ -296,9 +296,11 @@ def run_probe(args) -> int:
         radii = [float(r) for r in args.radii.split(",")]
         if not all(0.0 < r < math.inf for r in radii):
             raise ValueError(f"--radii must be finite and positive, got {args.radii}")
+        grazing = x0 == 0.0 and v0 == 0.0
+        if args.tau and not grazing:
+            raise ValueError(f"--tau needs a grazing base point (x = 0, v = 0), got {args.z0!r}")
         params = TricomiParams(A=args.A, lam=3)
-        grazing_tau = args.tau and x0 == 0.0 and v0 == 0.0
-        if args.field == "builtin:tricomi" or args.space == "p5+tricomi" or grazing_tau:
+        if args.field == "builtin:tricomi" or args.space == "p5+tricomi" or args.tau:
             # T is sampled or fitted with; the samples reach |v| <= |v0| + r
             require_finite_up_to(params, max(radii) + abs(v0))
         f = (as_field(params) if args.field == "builtin:tricomi"
@@ -318,13 +320,12 @@ def run_probe(args) -> int:
         rs = sorted(set(radii), reverse=True)
         errs, fits = _approx_errors(f, z0, spec, rs, seed=args.seed)
         report.update(radii=rs, errors=errs, slope=None)
-    if args.space == "p5+tricomi" or args.tau:
-        if z0.x[0] == 0.0 and z0.v[0] == 0.0:
-            # the fits over p5+tricomi are the ones gamma0_tricomi_coefficient makes
-            rep = (_multiplier_report(fits) if args.space == "p5+tricomi"
-                   else gamma0_tricomi_coefficient(f, z0, args.A, radii, seed=args.seed))
-            report["tau"] = rep.tau
-            report["tau_stable"] = rep.stable
+    if grazing and (args.space == "p5+tricomi" or args.tau):
+        # the fits over p5+tricomi are the ones gamma0_tricomi_coefficient makes
+        rep = (_multiplier_report(fits) if args.space == "p5+tricomi"
+               else gamma0_tricomi_coefficient(f, z0, args.A, radii, seed=args.seed))
+        report["tau"] = rep.tau
+        report["tau_stable"] = rep.stable
     _emit(report, args.out)
     return EXIT_OK
 
@@ -344,8 +345,9 @@ def run_counterexample(args) -> int:
         else:
             raise ValueError(f"unknown domain {args.gamma!r}")
         fvv = np.array(json.loads(args.f_hessian), dtype=float)
-        if fvv.shape != (2, 2) or not np.isfinite(fvv).all():
-            raise ValueError(f"--f-hessian must be a finite 2 x 2 matrix, got {args.f_hessian}")
+        if fvv.shape != (2, 2) or not np.isfinite(fvv).all() or (fvv != fvv.T).any():
+            raise ValueError(f"--f-hessian must be a finite symmetric 2 x 2 matrix, "
+                             f"got {args.f_hessian}")
         fm = _flatten.build_flatten(dom)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -443,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", default="p5")
     p.add_argument("--radii", default="1,0.5,0.25,0.125")
     p.add_argument("--A", type=float, default=1.0)
-    p.add_argument("--tau", action="store_true", help="also extract the Tricomi coefficient")
+    p.add_argument("--tau", action="store_true",
+                   help="also extract the Tricomi coefficient at a grazing point (x = 0, v = 0)")
     p.add_argument("--out", default=None)
     p.set_defaults(func="run_probe")
 

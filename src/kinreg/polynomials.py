@@ -331,19 +331,6 @@ def transport_derivative(p: KineticPolynomial, beta: MultiIndex) -> KineticPolyn
     return out
 
 
-class TricomiMarker:
-    """Placeholder basis element standing for the Tricomi obstruction
-    function T_{A,3}(x_n, v_n) inside an augmented polynomial space.
-    Paper: T is what is left of f past C^{4,1}_kin, so f is not C^5_kin (criterion 7)."""
-
-    __slots__ = ("A",)
-
-    def __init__(self, A: float):
-        if A <= 0:
-            raise ValueError("A must be positive")
-        self.A = float(A)
-
-
 @dataclass(frozen=True)
 class PolySpaceSpec:
     """Finite-dimensional approximation space on phase space.
@@ -380,6 +367,9 @@ def specular_space(k: int, n: int = 1) -> PolySpaceSpec:
 
 
 def tricomi_augmented_space(A: float) -> PolySpaceSpec:
+    """The degree-5 specular space plus one column T_{A,3}(x_n, v_n), which
+    basis_matrix evaluates; space_basis holds the polynomials only.
+    Paper: T is what is left of f past C^{4,1}_kin, so f is not C^5_kin (criterion 7)."""
     return PolySpaceSpec("tricomi_augmented", 5, 1, float(A))
 
 
@@ -413,26 +403,25 @@ def _space_indices(spec: PolySpaceSpec) -> tuple[MultiIndex, ...]:
     return tuple(b for b in idx if b.bx[ax] >= 1 or b.bv[ax] % 2 == 0)
 
 
-def space_basis(spec: PolySpaceSpec) -> list:
-    """Monomial basis of the space; the augmented space appends a marker."""
-    basis: list = [KineticPolynomial(spec.n, {b: 1}) for b in _space_indices(spec)]
-    if spec.kind == "tricomi_augmented":
-        basis.append(TricomiMarker(spec.A))
-    return basis
+def space_basis(spec: PolySpaceSpec) -> list[KineticPolynomial]:
+    """Monomial basis of the space's polynomial part."""
+    return [KineticPolynomial(spec.n, {b: 1}) for b in _space_indices(spec)]
 
 
 def space_dim(spec: PolySpaceSpec) -> int:
+    """Columns of basis_matrix: the monomials and, when augmented, T."""
     return len(_space_indices(spec)) + (spec.kind == "tricomi_augmented")
 
 
 def basis_matrix(spec: PolySpaceSpec, pts: np.ndarray,
                  marker_pts: np.ndarray | None = None) -> np.ndarray:
-    """One row per row (t, x..., v...) of pts, one column per space_basis(spec) element.
+    """One row per row (t, x..., v...) of pts, one column per space_basis(spec)
+    element, then the augmented space's Tricomi column.
 
     Monomial columns gather from a power table z^0, ..., z^kmax of every
     coordinate, built by repeated multiplication up to the largest
-    exponent of the space; the Tricomi column of the augmented space is
-    evaluated at marker_pts (default pts)."""
+    exponent of the space; the Tricomi column is evaluated at marker_pts
+    (default pts)."""
     e = np.array([(b.bt, *b.bx, *b.bv) for b in _space_indices(spec)])
     z = np.asarray(pts, dtype=float).reshape(len(pts), e.shape[1])
     # powers[c, k] = z[:, c]^k
@@ -451,8 +440,7 @@ def basis_matrix(spec: PolySpaceSpec, pts: np.ndarray,
     params = TricomiParams(A=spec.A, lam=3)
     ax = spec.n - 1
     at = z if marker_pts is None else np.asarray(marker_pts, dtype=float)
-    marker = eval_tricomi(params, at[:, 1 + ax], at[:, 1 + spec.n + ax])
-    return np.column_stack([B, marker])
+    return np.column_stack([B, eval_tricomi(params, at[:, 1 + ax], at[:, 1 + spec.n + ax])])
 
 
 # ---------------------------------------------------------------------------

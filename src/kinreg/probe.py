@@ -122,14 +122,9 @@ class CylinderFit:
         self.r = r
         self.coeffs = coeffs
 
-    def tricomi_coefficient(self) -> float | None:
-        if self.spec.kind == "tricomi_augmented":
-            return float(self.coeffs[-1])
-        return None
-
     def values(self, pts: np.ndarray) -> np.ndarray:
         """The fit at every row of pts: polynomials in the zoom frame,
-        the Tricomi marker (5-homogeneous, so it scales out) at pts."""
+        the Tricomi column (5-homogeneous, so it scales out) at pts."""
         return basis_matrix(self.spec, frame_unmap(self.z0, self.r, pts), pts) @ self.coeffs
 
 
@@ -247,7 +242,7 @@ def gamma0_tricomi_coefficient(f: Callable[[KineticPoint], float],
 def _multiplier_report(fits: Sequence[CylinderFit]) -> TricomiCoefficientReport:
     """The Tricomi coefficient report of fits over the Tricomi-augmented
     space, largest radius first (see gamma0_tricomi_coefficient)."""
-    taus = [fit.tricomi_coefficient() for fit in fits]
+    taus = [float(fit.coeffs[-1]) for fit in fits]
     tau = taus[-1]
     ref = max(abs(t) for t in taus)
     stable = ref == 0.0 or all(abs(t - tau) <= 0.5 * ref for t in taus)

@@ -23,7 +23,6 @@ The scalar functions are one-lane calls of the array functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
@@ -97,29 +96,18 @@ _REGIMES = np.array(list(Regime), dtype=object)
 _SERIES, _ASYMPTOTIC, _POLYNOMIAL, _CONNECTION = range(4)
 
 
-@dataclass(frozen=True)
-class HypergeomEval:
-    value: float
-    est_abs_error: float
-    terms_used: int
-    regime: Regime
-
-    def __post_init__(self):
-        if self.est_abs_error < 0:
-            raise ValueError("error estimate must be nonnegative")
-
-
 class HypergeomLanes(NamedTuple):
-    """HypergeomEval for an array of arguments, one entry per lane."""
+    """Values, error estimates, terms used and regimes, one entry per lane
+    of the argument array; lane(i) holds one lane's as Python scalars."""
 
     value: np.ndarray
     est_abs_error: np.ndarray
     terms_used: np.ndarray
     regime: np.ndarray  # of Regime members
 
-    def lane(self, i: int = 0) -> HypergeomEval:
-        return HypergeomEval(float(self.value.flat[i]), float(self.est_abs_error.flat[i]),
-                             int(self.terms_used.flat[i]), self.regime.flat[i])
+    def lane(self, i: int = 0) -> HypergeomLanes:
+        return HypergeomLanes(float(self.value.flat[i]), float(self.est_abs_error.flat[i]),
+                              int(self.terms_used.flat[i]), self.regime.flat[i])
 
 
 def _lanes(shape, value, err, used, code) -> HypergeomLanes:
@@ -353,7 +341,7 @@ def kummer_m_array(a: float, b: float, z) -> HypergeomLanes:
     return _lanes(z.shape, *_m_lanes(a, b, z.ravel(), transform=True))
 
 
-def kummer_m(a: float, b: float, z: float) -> HypergeomEval:
+def kummer_m(a: float, b: float, z: float) -> HypergeomLanes:
     """One-lane kummer_m_array."""
     return kummer_m_array(a, b, z).lane()
 
@@ -366,7 +354,7 @@ def kummer_m_series_array(a: float, b: float, z) -> HypergeomLanes:
     return _lanes(z.shape, *_m_lanes(a, b, z.ravel(), transform=False))
 
 
-def kummer_m_series(a: float, b: float, z: float) -> HypergeomEval:
+def kummer_m_series(a: float, b: float, z: float) -> HypergeomLanes:
     """One-lane kummer_m_series_array."""
     return kummer_m_series_array(a, b, z).lane()
 
@@ -483,7 +471,7 @@ def tricomi_u_array(a: float, b: float, z) -> HypergeomLanes:
     return _lanes(z.shape, val, err, used, code)
 
 
-def tricomi_u(a: float, b: float, z: float) -> HypergeomEval:
+def tricomi_u(a: float, b: float, z: float) -> HypergeomLanes:
     """One-lane tricomi_u_array."""
     return tricomi_u_array(a, b, z).lane()
 

@@ -103,7 +103,9 @@ def test_solve_kfp_bad_input_is_config_error(argv, capsys):
     ["counterexample-check", "--gamma", "bogus"], ["counterexample-check", "--f-hessian", "3"],
     ["counterexample-check", "--f-hessian", "[[NaN,0],[0,-2]]"],
     ["counterexample-check", "--f-hessian", "[[1e400,0],[0,-2]]"],
-    ["counterexample-check", "--f-hessian", "[[2]]"], ["probe-exponent", "--z0", "0,-1,0"]])
+    ["counterexample-check", "--f-hessian", "[[2]]"], ["probe-exponent", "--z0", "0,-1,0"],
+    ["probe-exponent", "--z0", "0,0.5,0", "--tau"], ["probe-exponent", "--z0", "0,0,0.5", "--tau"],
+    ["counterexample-check", "--f-hessian", "[[2,1],[0,-2]]"]])
 def test_probe_and_counterexample_bad_input_is_config_error(argv, capsys):
     # checked before any fit or flattening: exit 2 with a message, no traceback
     assert run_main(argv) == 2

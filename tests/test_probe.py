@@ -4,7 +4,6 @@ import pytest
 from kinreg.geometry import KineticPoint, frame_map, frame_unmap, origin
 from kinreg.polynomials import (
     KineticPolynomial,
-    TricomiMarker,
     full_space,
     mono,
     space_basis,
@@ -140,16 +139,16 @@ def test_in_space_function_recovered():
 
 def test_fit_values_match_pointwise_call():
     # reference: each basis polynomial evaluated point by point in the zoom
-    # frame, and the Tricomi marker at the points themselves
+    # frame, and the Tricomi column at the points themselves
     for spec in (full_space(5, 1), tricomi_augmented_space(1.0)):
         fit = polyfit_on_cylinder(T_FIELD, Z0, 0.25, spec, seed=1)
         pts = sample_cylinder(Z0, 0.25, 64, seed=5)
         want = np.zeros(len(pts))
         for c, q in zip(fit.coeffs, space_basis(spec)):
-            if isinstance(q, TricomiMarker):
-                want += c * eval_tricomi(TricomiParams(A=q.A, lam=3), pts[:, 1], pts[:, 2])
-            else:
-                want += c * np.array([q.eval(frame_unmap(Z0, 0.25, KineticPoint(*z))) for z in pts])
+            want += c * np.array([q.eval(frame_unmap(Z0, 0.25, KineticPoint(*z))) for z in pts])
+        if spec.kind == "tricomi_augmented":
+            T = eval_tricomi(TricomiParams(A=spec.A, lam=3), pts[:, 1], pts[:, 2])
+            want += fit.coeffs[-1] * T
         np.testing.assert_allclose(fit.values(pts), want, rtol=0, atol=1e-14 * np.abs(want).max())
     # the Tricomi field's one-call values agree with its point-by-point calls
     want = np.array([T_FIELD(KineticPoint(*z)) for z in pts])

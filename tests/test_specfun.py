@@ -15,6 +15,7 @@ from kinreg.specfun import (
     kummer_m,
     kummer_m_series,
     kummer_m_array,
+    kummer_m_series_array,
     rgamma,
     tricomi_u,
     tricomi_u_array,
@@ -365,6 +366,17 @@ def test_array_lanes_match_one_lane_calls():
             one = kummer_m(a, b, float(z))
             assert lanes.regime[i] is one.regime and lanes.terms_used[i] == one.terms_used
             assert abs(lanes.value[i] - one.value) <= 1e-14 * abs(one.value), (a, b, z)
+
+
+def test_scalar_results_are_python_scalars():
+    # z = 0 and both sides of the switch at |z| = 17, each sign
+    for fn, fn_array in ((kummer_m, kummer_m_array), (kummer_m_series, kummer_m_series_array),
+                         (tricomi_u, tricomi_u_array)):
+        for z in (0.0, 16.5, -16.5, 17.5, -17.5):
+            got = fn(-5 / 3, 2 / 3, z)
+            assert type(got.value) is float and type(got.est_abs_error) is float
+            assert type(got.terms_used) is int and isinstance(got.regime, Regime)
+            assert got == fn_array(-5 / 3, 2 / 3, np.array([z])).lane(0), (fn.__name__, z)
 
 
 def test_tricomi_u_large_z_power_law():
