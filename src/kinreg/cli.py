@@ -51,18 +51,22 @@ EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
 
+class ConfigError(ValueError):
+    """An invalid option or input file: main prints it and exits 2."""
+
+
 def _seed(raw) -> int:
     """The sampler seed from --seed, else KRL_SEED, else 0: an integer in
-    [0, 2**32), the range of numpy's RandomState; ValueError otherwise."""
+    [0, 2**32), the range of numpy's RandomState; ConfigError otherwise."""
     if raw is None:
         raw = os.environ.get("KRL_SEED", "0")
     msg = f"seed must be an integer in [0, 2**32), got {raw!r}"
     try:
         seed = int(raw)
     except ValueError:
-        raise ValueError(msg) from None
+        raise ConfigError(msg) from None
     if not 0 <= seed < 2 ** 32:
-        raise ValueError(msg)
+        raise ConfigError(msg)
     return seed
 
 
@@ -75,24 +79,11 @@ def _emit(report: dict, out: str | None):
         print(text)
 
 
-def _load(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _status(report: dict) -> int:
-    def walk(node):
-        if isinstance(node, dict):
-            for k, v in node.items():
-                if k == "pass" and v is False:
-                    yield False
-                else:
-                    yield from walk(v)
-        elif isinstance(node, list):
-            for v in node:
-                yield from walk(v)
-
-    return EXIT_FAIL if any(ok is False for ok in walk(report)) else EXIT_OK
+def _failed(node) -> bool:
+    """Whether a "pass" key anywhere in the report is False."""
+    if isinstance(node, dict):
+        return node.get("pass") is False or any(map(_failed, node.values()))
+    return isinstance(node, list) and any(map(_failed, node))
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +91,12 @@ def _status(report: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_tricomi_verify(args) -> int:
+def run_tricomi_verify(args) -> tuple[dict, str | None]:
     try:
         params = TricomiParams(A=args.A, lam=args.lam)
         require_finite_up_to(params, 150.0)   # the homogeneity draws reach |r v| < 100 * 1.5
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(exc) from None
     rng = np.random.RandomState(args.seed)
 
     # one (x, v, r) draw per sample, in this order: the seed fixes the report
@@ -152,8 +142,7 @@ def run_tricomi_verify(args) -> int:
             fh.write("x,v,tricomi,residual,cusp_ratio\n")
             for row in zip(*(c.ravel().tolist() for c in cols)):
                 fh.write(",".join(map(repr, row)) + "\n")
-    _emit(report, args.out)
-    return _status(report)
+    return report, args.out
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +150,14 @@ def run_tricomi_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_liouville(args) -> int:
+def run_liouville(args) -> tuple[dict, str | None]:
     try:
         with open(args.rhs) as fh:
             p = KineticPolynomial.from_json(fh.read())
         rhs = HalfSpaceRHS(p, args.A)
         require_verifiable(rhs)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(exc) from None
     res = classify(rhs)
     rep = verify_solution(res, rhs)
     report = {
@@ -186,8 +174,7 @@ def run_liouville(args) -> int:
             "notes": rep.notes,
         },
     }
-    _emit(report, args.out)
-    return _status(report)
+    return report, args.out
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +202,7 @@ def _tricomi_problem(params: TricomiParams, grid: HalfStripGrid, bc_mode: str):
     return h, bc, exact
 
 
-def run_solver(args) -> int:
+def run_solver(args) -> tuple[dict, str | None]:
     # every input is checked before the first solve: a bad one exits 2
     try:
         sizes = ([(args.nx, args.nv)] if not args.convergence
@@ -240,8 +227,7 @@ def run_solver(args) -> int:
                                    at_xmax=zero, at_vmax=zero)
             problems = [(h, bc, None)] * len(grids)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(exc) from None
     report = {"A": args.A, "bc": args.bc, "source": args.source}
     rows = []
     last_field = None
@@ -264,8 +250,7 @@ def run_solver(args) -> int:
     if args.out and last_field is not None:
         last_field.to_csv(args.out + ".csv")
         last_field.to_binary(args.out + ".kfp")
-    _emit(report, (args.out + ".json") if args.out else None)
-    return _status(report)
+    return report, (args.out + ".json") if args.out else None
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +266,7 @@ _SPACES = {
 }
 
 
-def run_probe(args) -> int:
+def run_probe(args) -> tuple[dict, str | None]:
     # every input is checked before the first fit: a bad one exits 2
     try:
         if args.space not in _SPACES:
@@ -306,8 +291,7 @@ def run_probe(args) -> int:
         f = (as_field(params) if args.field == "builtin:tricomi"
              else phase_field(Field.from_binary(args.field).interpolator().ev))
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(exc) from None
     spec = _SPACES[args.space](args.A)
     report = {"field": args.field, "space": args.space, "z0": [t0, x0, v0]}
     if len(set(radii)) >= 4:
@@ -326,8 +310,7 @@ def run_probe(args) -> int:
                else gamma0_tricomi_coefficient(f, z0, args.A, radii, seed=args.seed))
         report["tau"] = rep.tau
         report["tau_stable"] = rep.stable
-    _emit(report, args.out)
-    return EXIT_OK
+    return report, args.out
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +318,7 @@ def run_probe(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_counterexample(args) -> int:
+def run_counterexample(args) -> tuple[dict, str | None]:
     # a bad input, or a curvature that the patch's flattening cannot reach, exits 2
     try:
         if args.gamma == "builtin:parabola":
@@ -350,8 +333,7 @@ def run_counterexample(args) -> int:
                              f"got {args.f_hessian}")
         fm = _flatten.build_flatten(dom)
     except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(exc) from None
     hess = fm.d2_phi(np.zeros(2))
     cond = _flatten.counterexample_condition(hess, fvv)
     gap = _flatten.reflection_commutation_check(fm, seed=args.seed)
@@ -364,8 +346,7 @@ def run_counterexample(args) -> int:
         "reflection_commutation_gap": gap,
         "pass": bool(gap <= 1e-8),
     }
-    _emit(report, args.out)
-    return _status(report)
+    return report, args.out
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +354,8 @@ def run_counterexample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_suite(args) -> int:
-    """Run every check at desk scale and write one combined report."""
+def run_suite(args) -> tuple[dict, str | None]:
+    """Run every check at desk scale; the combined report goes to suite.json."""
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     rhs_path = os.path.join(outdir, "rhs_v3.json")
@@ -387,16 +368,11 @@ def run_suite(args) -> int:
             ("probe_p5", ["probe-exponent"], "probe_p5.json"),
             ("counterexample", ["counterexample-check"], "counterexample.json"))
     combined = {}
-    rc_all = EXIT_OK
     for key, argv, name in runs:
-        out = os.path.join(outdir, name)
-        ns = build_parser().parse_args([*argv, f"--out={out}"])
+        ns = build_parser().parse_args([*argv, f"--out={os.path.join(outdir, name)}"])
         ns.seed = args.seed
-        rc_all = max(rc_all, _run(ns))
-        combined[key] = _load(os.path.splitext(out)[0] + ".json")  # solve-kfp's --out is a prefix
-
-    _emit(combined, os.path.join(outdir, "suite.json"))
-    return rc_all
+        combined[key] = _run(ns)
+    return combined, os.path.join(outdir, "suite.json")
 
 
 # ---------------------------------------------------------------------------
@@ -463,24 +439,29 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _run(args) -> int:
+def _run(args) -> dict:
+    """Run the subcommand, write its report (to stdout if it names no
+    file) and return it."""
     # by name at call time: a run_* function rebound on this module after
     # the parser was built still runs
-    return globals()[args.func](args)
+    report, out = globals()[args.func](args)
+    _emit(report, out)
+    return report
 
 
 def main(argv=None) -> int:
+    """The one place that turns a run into an exit code."""
     args = build_parser().parse_args(argv)
     try:
         args.seed = _seed(args.seed)
-    except ValueError as exc:
+        report = _run(args)
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        return _run(args)
     except Exception:  # a fault in the lab, not a failed check
         traceback.print_exc()
         return EXIT_INTERNAL
+    return EXIT_FAIL if _failed(report) else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -414,13 +414,13 @@ def space_dim(spec: PolySpaceSpec) -> int:
 
 
 def basis_matrix(spec: PolySpaceSpec, pts: np.ndarray,
-                 marker_pts: np.ndarray | None = None) -> np.ndarray:
+                 tricomi_pts: np.ndarray | None = None) -> np.ndarray:
     """One row per row (t, x..., v...) of pts, one column per space_basis(spec)
     element, then the augmented space's Tricomi column.
 
     Monomial columns gather from a power table z^0, ..., z^kmax of every
     coordinate, built by repeated multiplication up to the largest
-    exponent of the space; the Tricomi column is evaluated at marker_pts
+    exponent of the space; the Tricomi column is evaluated at tricomi_pts
     (default pts)."""
     e = np.array([(b.bt, *b.bx, *b.bv) for b in _space_indices(spec)])
     z = np.asarray(pts, dtype=float).reshape(len(pts), e.shape[1])
@@ -439,7 +439,7 @@ def basis_matrix(spec: PolySpaceSpec, pts: np.ndarray,
 
     params = TricomiParams(A=spec.A, lam=3)
     ax = spec.n - 1
-    at = z if marker_pts is None else np.asarray(marker_pts, dtype=float)
+    at = z if tricomi_pts is None else np.asarray(tricomi_pts, dtype=float)
     return np.column_stack([B, eval_tricomi(params, at[:, 1 + ax], at[:, 1 + spec.n + ax])])
 
 

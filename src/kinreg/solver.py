@@ -625,15 +625,12 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
     interior = _station_factor(a, k, "wall")
     tr = _Transport(vs, hx, grid.nx)
 
-    # boundary data enter at t = 0 only
+    # boundary data enter at t = 0 only, in solve_timedep's order: at_vmax on
+    # the wall rows v_0 and v_{nv-1}, then x_max and station 0, which own their corners
     f = np.zeros((nxp1, nv))
     fv = _Rows.of(f)
+    _data(bc.at_vmax, fv.walls, "at_vmax data", 0.0, grid.xs[:, None], vs[[0, -1]])
     _data(bc.at_xmax, fv.last, "at_xmax data", 0.0, vs)
-    wall_cols = slice(None, None, nv - 1)  # the columns v_0 and v_{nv-1}
-    # at_vmax data on the rows v_0 and v_{nv-1} at every station
-    walls = _data(bc.at_vmax, np.empty((nxp1, 2)), "at_vmax data", 0.0, grid.xs[:, None],
-                  vs[[0, -1]])
-    f[:, wall_cols] = walls
     # wall rows are Dirichlet rows: their right-hand side is the wall value
     apos[[0, -1]] = aneg[[0, -1]] = 0.0
     if bc.at_x0 == "dirichlet":
@@ -642,7 +639,6 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
         g = _data(bc.inflow_profile, np.empty(nv - m), "inflow data", 0.0, vs[m:])
         station0 = _station_factor(a[:m], k, "open")
         inflow_coupling = k * g[0]
-        g[-1] = walls[0, 1]
     else:
         station0 = _station_factor(a[:m], k, "fold")
     # Each pass scans in the eigenbasis of its upwind coupling on its inner
@@ -679,7 +675,7 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
             np.subtract(H, tr.correction(fv), out=R)
         else:
             np.copyto(R, H)
-        R[:, wall_cols] = walls
+        R[:, ::nv - 1] = fv.walls
 
         if bc.at_x0 != "dirichlet":
             rhs = R[0, :m] + aneg[:m] * fv.neg1
@@ -718,10 +714,8 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
         if not np.isfinite(delta):
             raise SolverError("stationary sweep produced non-finite values", history)
         if delta / scale < opts.tol:
-            fld = Field(grid, f, {"A": A, "bc": bc.at_x0, "sweeps": sweep + 1,
-                                  "last_update": history[-1]})
-            fld.check_finite()
-            return fld
+            return Field(grid, f, {"A": A, "bc": bc.at_x0, "sweeps": sweep + 1,
+                                   "last_update": history[-1]})
     raise SolverError(f"stationary sweep did not converge in {opts.max_iter} iterations",
                       history)
 

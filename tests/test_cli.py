@@ -61,6 +61,40 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert "Traceback" in err and "RuntimeError: lab fault" in err
 
 
+def test_value_error_after_the_config_phase_is_internal(tmp_path, monkeypatch, capsys):
+    # ConfigError is a ValueError; any other ValueError is a fault in the lab
+    import kinreg.cli as cli
+
+    def broken(res, rhs):
+        raise ValueError("broken verifier")
+
+    rhs = tmp_path / "v3.json"
+    rhs.write_text(KineticPolynomial.monomial(1, 1, bv=(3,)).to_json())
+    monkeypatch.setattr(cli, "verify_solution", broken)
+    assert run_main(["liouville-classify", "--rhs", str(rhs)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "broken verifier" in err
+    assert not any(line.startswith("error:") for line in err.splitlines())
+
+
+def test_config_error_writes_no_report(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    assert run_main(["tricomi-verify", "--A", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_suite_entries_equal_their_reports(tmp_path):
+    assert run_main(["--seed", "4", "suite", "--out", str(tmp_path)]) == 0
+    suite = json.loads((tmp_path / "suite.json").read_text())
+    files = {"tricomi_verify": "tricomi_verify.json", "liouville_v3": "liouville_v3.json",
+             "solver_tricomi": "solver_tricomi.json", "probe_p5": "probe_p5.json",
+             "counterexample": "counterexample.json"}
+    assert sorted(suite) == sorted(files)
+    for key, name in files.items():
+        assert suite[key] == json.loads((tmp_path / name).read_text()), key
+
+
 @pytest.mark.parametrize("argv", [["--v-max", "1e160"], ["--v-max", "1e-160"],
                                   ["--x-max", "1e-310"], ["--A", "1e307"]])
 def test_solve_kfp_scales_past_double_range_are_config_errors(argv, capsys):

@@ -135,7 +135,7 @@ def test_specular_smooth_exact_cases():
 def _direct_first_order(h, bc, A, g):
     """The first-order scheme as one sparse linear system: an independent
     reference for the sweep with order=1. Row precedence: the x_max column,
-    then the Dirichlet walls, then station 0's prescribed rows, then upwind
+    then station 0's prescribed rows, then the Dirichlet walls, then upwind
     transport plus implicit diffusion."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import spsolve
@@ -147,8 +147,8 @@ def _direct_first_order(h, bc, A, g):
     a, k = np.abs(V) / g.hx, A / g.hv ** 2
 
     xmax = I == nxp1 - 1
-    wall = ~xmax & ((J == 0) | (J == nv - 1))
-    x0 = ~xmax & ~wall & (I == 0) & ((V > 0) | (bc.at_x0 == "dirichlet"))
+    x0 = ~xmax & (I == 0) & ((V > 0) | (bc.at_x0 == "dirichlet"))
+    wall = ~xmax & ~x0 & ((J == 0) | (J == nv - 1))
     pde = ~(xmax | wall | x0)
     mirror = x0 & (bc.at_x0 == "specular")
 
@@ -194,6 +194,22 @@ def test_sweep_matches_direct_specular():
                            at_xmax=lambda t, v: eval_tricomi(tp, 1.0, v),
                            at_vmax=lambda t, x, v: eval_tricomi(tp, x, v))
     h = lambda x, v: C * v ** 3
+    s1 = solve_stationary(h, bc, 1.0, g, SolverOptions(order=1, tol=1e-12))
+    s2 = _direct_first_order(h, bc, 1.0, g)
+    assert np.max(np.abs(s1.values - s2)) < 1e-9
+
+
+@pytest.mark.parametrize("at_x0", ["specular", "inflow", "dirichlet"])
+def test_corner_data_rule_matches_direct(at_x0):
+    # data that disagree at the corners: the x_max column and station 0's
+    # prescribed rows own theirs, as in solve_timedep
+    fstar = lambda x, v: x ** 3 + v ** 6
+    h = lambda x, v: 3 * x * x * v - 30.0 * v ** 4
+    g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=16, nv=16)
+    bc = BoundaryCondition(at_x0=at_x0,
+                           inflow_profile=lambda t, v: fstar(0.0, v) + 1.0,
+                           at_xmax=lambda t, v: fstar(1.0, v) + 2.0,
+                           at_vmax=lambda t, x, v: fstar(x, v))
     s1 = solve_stationary(h, bc, 1.0, g, SolverOptions(order=1, tol=1e-12))
     s2 = _direct_first_order(h, bc, 1.0, g)
     assert np.max(np.abs(s1.values - s2)) < 1e-9
