@@ -207,6 +207,8 @@ def run_solver(args) -> tuple[dict, str | None]:
     try:
         sizes = ([(args.nx, args.nv)] if not args.convergence
                  else [(int(s), int(s)) for s in args.convergence.split(",")])
+        if any(b <= a for (a, _), (b, _) in zip(sizes, sizes[1:])):
+            raise ValueError(f"--convergence sizes must increase, got {args.convergence}")
         grids = [HalfStripGrid(x_max=args.x_max, v_max=args.v_max, nx=nx, nv=nv)
                  for nx, nv in sizes]
         opts = SolverOptions(tol=args.tol)
@@ -241,8 +243,9 @@ def run_solver(args) -> tuple[dict, str | None]:
         rows.append(row)
     report["runs"] = rows
     if len(rows) > 1 and "max_error" in rows[0]:
+        # per halving of the step; the divisor is 1.0 for doubling sizes
         orders = [math.log2(rows[i]["max_error"] / rows[i + 1]["max_error"])
-                  for i in range(len(rows) - 1)]
+                  / math.log2(rows[i + 1]["n"] / rows[i]["n"]) for i in range(len(rows) - 1)]
         report["orders"] = orders
         report["pass"] = bool(all(o >= 1.0 for o in orders)
                               and all(rows[i]["max_error"] > rows[i + 1]["max_error"]

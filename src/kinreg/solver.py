@@ -26,18 +26,21 @@ definite block off the Dirichlet wall rows, so it is symmetric by
 construction. A station solve is then a matrix-vector product. In each
 pass of a sweep, the half of the rows that carries fresh values to the
 next station obeys the linear recurrence y[i] = known[i] + P y[i-1],
-with one fixed matrix P per pass. Its wall row neither couples nor is
-coupled, and on the other rows P is similar to a symmetric S, so
+with one fixed matrix P per pass on all nv/2 lanes of that half. Its
+wall lane neither couples nor is coupled, and gets eigenvalue 0 and a
+unit eigenvector; on the other lanes P is similar to a symmetric S, so
 P = W Lam W^-1 with real eigenvalues in [0, 1), from eigh of S once per
-pass. The part of every station's
-right-hand side that is known before the pass goes through W^-1 times
-the inverse in one matrix product. In that eigenbasis the recurrence is
-z[i] = known[i] + lam z[i-1] lane by lane, and a doubling scan solves it
-on whole arrays: log2(nx) elementwise multiply-adds with lam, lam^2,
-lam^4, ... on contiguous rows. One product by W then writes the rows of
-the field. The work arrays of a sweep are allocated once per solve too,
-and every ufunc and matrix product of a sweep writes into them, so a
-sweep allocates nothing of field size (fresh arrays of that size cost
+pass. The part of every station's right-hand side that is known before
+the pass goes through W^-1 times the inverse in one matrix product. In
+that eigenbasis the recurrence is z[i] = known[i] + lam z[i-1] lane by
+lane, and a doubling scan solves it on whole arrays: log2(nx)
+elementwise multiply-adds with lam, lam^2, lam^4, ... on contiguous
+rows. One product by W then writes the rows of the field. The forward
+pass solves the v > 0 rows against the old v < 0 rows; after the
+backward pass they take just the change in those. The operands of a
+sweep's products and its work arrays are made once per solve,
+C-contiguous; every ufunc and product of a sweep writes into them, so
+a sweep allocates nothing of field size (fresh arrays of that size cost
 allocator work, cache misses and, past the allocator's mmap threshold,
 page faults). Only numpy is needed.
 
@@ -527,18 +530,20 @@ def _station_factor(diag_base: np.ndarray, c: float, top: str) -> np.ndarray:
 
 
 class _UpwindPass(NamedTuple):
-    """The upwind coupling P of one pass of the stationary sweep on its
-    inner lanes, in its eigenbasis: P = W diag(lam) W_inv. powers[k] is
+    """The upwind coupling P of one pass of the stationary sweep on the
+    lanes of its half, in its eigenbasis: P = W diag(lam) W_inv. powers[k] is
     lam^s, s = 2^k < rows, tiled over the rows - s rows that a scan over
     rows stations multiplies by it (numpy multiplies by a broadcast
     operand one row at a time, half again as slowly), with the entries
     that would be subnormal, and slow to multiply, set to 0.
 
     P = B D, with B a principal block of the symmetric positive definite
-    interior inverse and D > 0 the diagonal of upwind weights d. So P is
-    similar to the symmetric S = D^1/2 B D^1/2 = D^1/2 P D^-1/2, and its
-    eigenvalues are real and in (0, 1): with S = Q diag(lam) Q^T, eigh's
-    orthogonal Q gives W = D^-1/2 Q and W_inv = Q^T D^1/2.
+    interior inverse and D the diagonal of upwind weights d >= 0. A lane
+    with d = 0, a Dirichlet wall, neither couples nor is coupled: it gets
+    lam = 0 and unit rows and columns in W and W_inv. On the live block,
+    d > 0, P is similar to the symmetric S = D^1/2 B D^1/2 = D^1/2 P D^-1/2,
+    and its eigenvalues are real and in (0, 1): with S = Q diag(lam) Q^T,
+    eigh's orthogonal Q gives W = D^-1/2 Q and W_inv = Q^T D^1/2 there.
     """
 
     W: np.ndarray
@@ -548,15 +553,18 @@ class _UpwindPass(NamedTuple):
 
     @classmethod
     def of(cls, P: np.ndarray, d: np.ndarray, rows: int) -> "_UpwindPass":
-        r = np.sqrt(d)
-        lam, Q = np.linalg.eigh(P * r[:, None] / r)
+        on = np.flatnonzero(d)
+        live, r = np.ix_(on, on), np.sqrt(d[on])
+        W, W_inv, lam = np.eye(len(d)), np.eye(len(d)), np.zeros(len(d))
+        lam[on], Q = np.linalg.eigh(P[live] * r[:, None] / r)
+        W[live], W_inv[live] = Q / r[:, None], Q.T * r
         powers, power, s = [], lam.copy(), 1
         while s < rows:
             powers.append(np.tile(power, (rows - s, 1)))
             power *= power
             power[power < np.finfo(float).tiny] = 0.0
             s *= 2
-        return cls(Q / r[:, None], Q.T * r, lam, powers)
+        return cls(W, W_inv, lam, powers)
 
 
 def _diagonal_scan(z: np.ndarray, powers: list[np.ndarray], tmp: np.ndarray,
@@ -641,32 +649,24 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
         inflow_coupling = k * g[0]
     else:
         station0 = _station_factor(a[:m], k, "fold")
-    # Each pass scans in the eigenbasis of its upwind coupling on its inner
-    # lanes: the v > 0 rows but the v_max wall (forward), the v < 0 rows but
-    # the -v_max wall (backward). A wall row is a unit row of the inverse
-    # with no upwind weight: it neither couples nor is coupled.
-    rows, inner = nxp1 - 2, m - 1
-    pos = _UpwindPass.of(interior[m:-1, m:-1] * apos[m:-1], apos[m:-1], rows)
-    neg = _UpwindPass.of(interior[1:m, 1:m] * aneg[1:m], aneg[1:m], rows)
-    pos_station = (pos.W_inv @ interior[m:-1]).T
-    neg_station = (neg.W_inv @ interior[1:m]).T
-    # the inverse applied to the v < 0 rows' upwind coupling into the v > 0 rows
-    neg_to_pos = interior[m:, :m] * aneg[:m]
+    # Each pass scans all m lanes of its half, v > 0 forward and v < 0
+    # backward, in its coupling's eigenbasis; a wall lane has lam = 0.
+    rows = nxp1 - 2
+    pos = _UpwindPass.of(interior[m:, m:] * apos[m:], apos[m:], rows)
+    neg = _UpwindPass.of(interior[:m, :m] * aneg[:m], aneg[:m], rows)
+    # the maps into and out of each eigenbasis, and the inverse applied to
+    # the v < 0 rows' upwind coupling into the v > 0 rows, C-contiguous
+    pos_station = np.ascontiguousarray((pos.W_inv @ interior[m:]).T)
+    neg_station = np.ascontiguousarray((neg.W_inv @ interior[:m]).T)
+    pos_W_T, neg_W_T = np.ascontiguousarray(pos.W.T), np.ascontiguousarray(neg.W.T)
+    neg_to_pos_T = np.ascontiguousarray((interior[m:, :m] * aneg[:m]).T)
 
     # Work arrays, allocated once per solve: a sweep writes every ufunc and
     # product into them and allocates nothing of field size. R, d and tmp
-    # are the transport's; each pass then sums its right-hand side in
-    # tmp[0] and keeps the rows it scans, contiguous, in tmp[1]: z, then the
-    # forward scan's scratch or the backward pass's v > 0 rows.
+    # are the transport's; each pass sums its right-hand side in tmp[0] and
+    # scans its rows, contiguous, in z with scratch z_tmp in tmp[1].
     f_old, R, d, tmp = np.empty_like(f), tr.out, tr.d, tr.tmp
-    rhs_buf, scan_buf = tmp.reshape(2, -1)
-    z = scan_buf[:rows * inner].reshape(rows, inner)
-    z_tmp = scan_buf[rows * inner:2 * rows * inner].reshape(rows, inner)
-    known_pos = scan_buf[rows * inner:rows * (inner + m)].reshape(rows, m)
-    # once the backward pass's products are made, its right-hand side in
-    # tmp[0] is dead: the scan's scratch and the v > 0 coupling go there
-    z_tmp_neg = rhs_buf[:rows * inner].reshape(rows, inner)
-    coupled = rhs_buf[:rows * m].reshape(rows, m)
+    z, z_tmp = tmp[1].reshape(2, rows, m)
     history = []
     for sweep in range(opts.max_iter):
         np.copyto(f_old, f)
@@ -687,25 +687,25 @@ def solve_stationary(h, bc: BoundaryCondition, A: float, grid: HalfStripGrid,
         # What a pass knows before it starts goes through the inverse, into
         # the eigenbasis of its coupling, in one product; the fresh upwind
         # values follow by a diagonal scan over the stations, and one more
-        # product maps them back. The forward pass gives the v > 0 rows
-        # fresh upstream values. The backward pass overwrites every row, and
-        # reads only the v > 0 rows of the forward pass, so the forward pass
-        # solves only those.
+        # product maps them back; the carries skip the wall lanes (lam = 0).
+        # The forward pass gives the v > 0 rows fresh upstream values.
         rhs = np.multiply(aneg, f[2:], out=tmp[0])
         np.add(R[1:-1], rhs, out=rhs)
         np.matmul(rhs, pos_station, out=z)
-        z[0] += pos.lam * (pos.W_inv @ f[0, m:-1])
+        z[0, :-1] += pos.lam[:-1] * (pos.W_inv[:-1, :-1] @ f[0, m:-1])
         _diagonal_scan(z, pos.powers, z_tmp, upward=False)
-        np.matmul(z, pos.W.T, out=f[1:-1, m:-1])
+        np.matmul(z, pos_W_T, out=f[1:-1, m:])
         # the backward pass gives the v < 0 rows fresh downstream values
         np.multiply(apos, f[:-2], out=rhs)
         np.add(R[1:-1], rhs, out=rhs)
         np.matmul(rhs, neg_station, out=z)
-        np.matmul(rhs, interior[m:].T, out=known_pos)
-        z[-1] += neg.lam * (neg.W_inv @ f[-1, 1:m])
-        _diagonal_scan(z, neg.powers, z_tmp_neg, upward=True)
-        np.matmul(z, neg.W.T, out=f[1:-1, 1:m])
-        np.add(known_pos, np.matmul(f[2:, :m], neg_to_pos.T, out=coupled), out=f[1:-1, m:])
+        z[-1, 1:] += neg.lam[1:] * (neg.W_inv[1:, 1:] @ f[-1, 1:m])
+        _diagonal_scan(z, neg.powers, z_tmp, upward=True)
+        np.matmul(z, neg_W_T, out=f[1:-1, :m])
+        # the forward pass solved the v > 0 rows with the old v < 0 rows,
+        # which f_old still holds: the change in those is coupled in
+        np.subtract(f[2:, :m], f_old[2:, :m], out=z)
+        np.add(f[1:-1, m:], np.matmul(z, neg_to_pos_T, out=z_tmp), out=f[1:-1, m:])
 
         # the update norm and the scale reuse f_old, which the next sweep refills
         delta = float(np.max(np.abs(np.subtract(f, f_old, out=f_old), out=f_old)))

@@ -30,7 +30,9 @@ from .specfun import _u_lanes, gamma_real, tricomi_u  # noqa: F401
 @dataclass(frozen=True)
 class TricomiParams:
     """(A, lam) with A > 0 and lam in {3, 9, 15, ...}, where T's monomial
-    coefficient A^(-(lam+2)/2) must be a finite, normal double."""
+    coefficient A^(-(lam+2)/2) and the constant K = 2 * 9^c * A^(-(lam+2)/6),
+    c = (lam+2)/3, of its hypergeometric part must be finite, normal
+    doubles."""
 
     A: float
     lam: int = 3
@@ -40,11 +42,18 @@ class TricomiParams:
             raise ValueError("A must be positive and finite")
         if self.lam < 3 or (self.lam - 3) % 6 != 0:
             raise ValueError("lam must be of the form 6k + 3")
-        with np.errstate(over="ignore", under="ignore"):
-            coef = np.float64(self.A) ** (-(self.lam + 2) / 2.0)
-        if not np.finfo(float).tiny <= coef < np.inf:
+        try:
+            e = float(self.lam + 2)
+        except OverflowError:  # lam past double range, where K is inf
+            e = np.inf
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            A = np.float64(self.A)
+            coef = A ** (-e / 2.0)
+            K = 2.0 * np.float64(9.0) ** (e / 3.0) * A ** (-e / 6.0)   # as _interior forms it
+        if not (np.finfo(float).tiny <= coef < np.inf and np.finfo(float).tiny <= K < np.inf):
             raise ValueError(f"A = {self.A!r} is out of range for lam = {self.lam}: "
-                             "A^(-(lam+2)/2) must be a finite, normal double")
+                             "A^(-(lam+2)/2) and 2 * 9^((lam+2)/3) * A^(-(lam+2)/6) "
+                             "must be finite, normal doubles")
 
     @property
     def homogeneity(self) -> int:

@@ -119,7 +119,9 @@ def test_solve_kfp_bad_convergence_is_config_error(capsys):
                                   ["--v-max", "inf"], ["--x-max", "-1"],
                                   ["--convergence", "8,16"], ["--nx", "17", "--nv", "17"],
                                   ["--nv", "8"], ["--tol", "nan"], ["--tol", "0"],
-                                  ["--source", "bogus"], ["--tol", "1e-30"]])
+                                  ["--source", "bogus"], ["--tol", "1e-30"],
+                                  ["--convergence", "16,16"], ["--convergence", "64,32"],
+                                  ["--convergence", "16,32,24"]])
 def test_solve_kfp_bad_input_is_config_error(argv, capsys):
     # checked before the first solve: exit 2 with a message, no traceback
     assert run_main(["solve-kfp", "--nx", "16", "--nv", "16", *argv]) == 2
@@ -216,6 +218,27 @@ def test_solve_kfp_convergence(tmp_path):
     assert rep["runs"][0]["max_error"] > rep["runs"][1]["max_error"]
     assert (tmp_path / "solver.csv").exists()
     assert (tmp_path / "solver.kfp").exists()
+
+
+def test_solve_kfp_orders_are_per_halving_of_the_step(capsys):
+    # sizes 32, 48 step down by 3/2, not 2: the order is log(e1/e2) / log(3/2)
+    assert run_main(["solve-kfp", "--convergence", "32,48"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    e = [run["max_error"] for run in rep["runs"]]
+    assert rep["orders"] == [math.log(e[0] / e[1]) / math.log(1.5)]
+    assert 1.4 < rep["orders"][0] < 1.5 and rep["pass"] is True
+    # for doubling sizes the divisor is 1.0: the order is log2(e1/e2) bit for bit
+    assert run_main(["solve-kfp", "--convergence", "16,32"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    e = [run["max_error"] for run in rep["runs"]]
+    assert rep["orders"] == [math.log2(e[0] / e[1])]
+
+
+def test_tricomi_verify_lam_whose_constant_overflows_is_config_error(capsys):
+    # K = 2 * 9^((lam+2)/3) * A^(-(lam+2)/6) overflows at lam = 969 and A = 1
+    assert run_main(["tricomi-verify", "--lam", "969"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: A = 1.0 is out of range for lam = 969") and "Traceback" not in err
 
 
 def test_probe_exponent_builtin(tmp_path):
@@ -377,11 +400,11 @@ def test_bad_field_file_is_config_error(corrupt, cmd, tmp_path, capsys):
 
 
 def test_failed_check_exits_1_with_the_report_on_stdout(capsys):
-    # two equal grids give equal errors, order 0 < 1: the check fails
-    assert run_main(["solve-kfp", "--convergence", "16,16"]) == 1
+    # at lam = 15 the second differences of T drown in its rounding, so the
+    # residual_span check fails on accepted input
+    assert run_main(["tricomi-verify", "--lam", "15"]) == 1
     rep = json.loads(capsys.readouterr().out)
-    assert rep["pass"] is False and rep["orders"] == [0.0]
-    assert rep["runs"][0]["max_error"] == rep["runs"][1]["max_error"]
+    assert rep["residual_span"]["pass"] is False and rep["homogeneity"]["pass"] is True
 
 
 def test_solve_kfp_zero_source_writes_a_zero_field(tmp_path):

@@ -905,6 +905,31 @@ def test_upwind_eigenbasis_when_eigenvalues_cluster(A):
         assert np.max(np.abs((up.W * up.lam) @ up.W_inv - P)) <= 1e-14 * np.max(np.abs(P))
 
 
+@pytest.mark.parametrize("wall", [0, -1])
+def test_upwind_wall_lane_is_embedded(wall):
+    # a lane with no upwind weight gets lam = 0 and a unit eigenvector, and
+    # the live lanes are bit for bit those of the live block alone
+    n = 64
+    g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=n, nv=n)
+    m = n // 2
+    pos_to_pos, neg_to_neg, a = _sweep_couplings(g)
+    P, d = (neg_to_neg, a[:m].copy()) if wall == 0 else (pos_to_pos, a[m:].copy())
+    d[wall] = 0.0
+    live = slice(1, None) if wall == 0 else slice(None, -1)
+    up = _UpwindPass.of(P, d, n - 1)
+    alone = _UpwindPass.of(P[live, live], d[live], n - 1)
+    assert up.lam[wall] == 0.0
+    unit = np.eye(m)[wall]
+    for M in (up.W, up.W_inv):
+        assert np.array_equal(M[wall], unit) and np.array_equal(M[:, wall], unit)
+    assert np.array_equal(up.W[live, live], alone.W)
+    assert np.array_equal(up.W_inv[live, live], alone.W_inv)
+    assert np.array_equal(up.lam[live], alone.lam)
+    assert len(up.powers) == len(alone.powers)
+    for power, want in zip(up.powers, alone.powers):
+        assert np.array_equal(power[:, live], want) and not power[:, wall].any()
+
+
 def _stationary_reference(h, bc, A, g, tol=1e-10):
     """The stationary sweep as a plain loop over the stations, each one a
     dense np.linalg.solve, with the full-width correction and no scan: the
@@ -1169,3 +1194,32 @@ def test_tricomi_boundary_data_taken_from_exact(bc_mode, n, x_max, v_max):
     assert np.array_equal(got.values, want.values)
     assert got.metadata["sweeps"] == want.metadata["sweeps"]
     assert np.array_equal(exact, kept)
+
+
+def _scaled_residual(fld, h, A):
+    """H - v f_x + A f_vv of the discrete equations, with the transport of
+    _Transport.apply, on the interior stations off the walls: each node
+    divided by its station diagonal |v| / hx + 2 A / hv^2, the largest
+    relative to max(1, max|f|)."""
+    g, f = fld.grid, fld.values
+    k = A / g.hv ** 2
+    H = np.broadcast_to(h(g.xs[:, None], g.vs[None, :]), f.shape)
+    r = H - _Transport(g.vs, g.hx, g.nx).apply(_Rows.of(f))
+    r[:, 1:-1] += k * (f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2])
+    scaled = r[1:-1, 1:-1] / (np.abs(g.vs[1:-1]) / g.hx + 2.0 * k)
+    return np.max(np.abs(scaled)) / max(1.0, np.max(np.abs(f)))
+
+
+def test_stationary_solution_solves_the_discrete_equations(tricomi_field_64):
+    # the sweep stops on the update, and then the scaled residual of the
+    # discrete equations is below tol: on the v > 0 rows too, which the
+    # backward pass corrects for the change in the v < 0 rows downstream
+    tol = SolverOptions().tol
+    h, bc = _mms_problem()
+    for n in (64, 128):
+        g = HalfStripGrid(x_max=1.0, v_max=1.5, nx=n, nv=n)
+        assert _scaled_residual(solve_stationary(h, bc, 1.0, g), h, 1.0) < tol
+    from kinreg.cli import _tricomi_problem
+
+    h, _, _ = _tricomi_problem(TricomiParams(A=1.0, lam=3), tricomi_field_64.grid, "specular")
+    assert _scaled_residual(tricomi_field_64, h, 1.0) < tol

@@ -48,6 +48,17 @@ def test_params_reject_A_whose_monomial_coefficient_is_not_normal():
         assert np.isfinite(eval_tricomi(p, 1e-3, 0.5))
 
 
+def test_params_reject_lam_whose_hypergeometric_constant_overflows():
+    # K = 2 * 9^c * A^(-(lam+2)/6), c = (lam+2)/3, is about 1.8e307 at
+    # lam = 963 and past double range at lam = 969 (A = 1); at lam = 801 a
+    # small A overflows it while the monomial coefficient stays normal
+    assert TricomiParams(A=1.0, lam=963).lam == 963
+    for A, lam in ((1.0, 969), (1.0, 6 * 10 ** 4 + 3), (2.0, 6 * 10 ** 400 + 3), (0.25, 801)):
+        with pytest.raises(ValueError, match="out of range"):
+            TricomiParams(A=A, lam=lam)
+    assert TricomiParams(A=1.0, lam=801).lam == 801
+
+
 def test_golden_value_at_origin_ray():
     p = TricomiParams(A=1.0, lam=3)
     assert eval_tricomi(p, 1.0, 0.0) == pytest.approx(T13_AT_X1_V0, rel=1e-12)
